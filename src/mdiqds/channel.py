@@ -23,7 +23,7 @@ stochastic end-to-end runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -83,6 +83,11 @@ class SystemParams:
     epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
+        # NaN passes every chained range comparison below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 <= self.eta_d <= 1.0:
             raise ValueError(f"eta_d must be in [0, 1], got {self.eta_d}")
         if not 0.0 <= self.p_dc < 1.0:

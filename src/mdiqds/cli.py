@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -301,13 +302,14 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     else:
         if args.start is None or args.stop is None or args.step is None:
             raise ValueError("sweep needs either --values or --start/--stop/--step")
+        if not all(math.isfinite(v) for v in (args.start, args.stop, args.step)):
+            raise ValueError("--start/--stop/--step must be finite")
         if args.step <= 0:
             raise ValueError(f"step must be positive, got {args.step}")
-        values = []
-        v = args.start
-        while v <= args.stop + 1e-9 * max(1.0, abs(args.stop)):
-            values.append(v)
-            v += args.step
+        # start + i*step, not a running sum, so the end point does not drift
+        stop = args.stop + 1e-9 * max(1.0, abs(args.stop))
+        count = math.floor((stop - args.start) / args.step) + 1
+        values = [args.start + i * args.step for i in range(count)]
     if not values:
         raise ValueError("sweep range is empty")
     if sorted(values) != values:

@@ -48,6 +48,7 @@ from .security import (
     keep_error_bound,
     min_entropy,
     security_probabilities,
+    smallest_feasible,
     solve_signature_length,
     thresholds,
 )
@@ -329,14 +330,13 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
 
 
 def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget, length_hint: int | None = None) -> RateResult:
+             budget: SecurityBudget) -> RateResult:
     pipe = _build_pipeline(params, cfg, budget, params.n_pulses,
                            x_derived=(model == "smb2"))
     if isinstance(pipe, str):
         return _infeasible(model, params, cfg, pipe)
     l_max = _even_floor(pipe.n_pool / 2.0)
-    length = solve_signature_length(lambda L: pipe.outcome_at(L).feasible, l_max,
-                                    hint=length_hint)
+    length = solve_signature_length(lambda L: pipe.outcome_at(L).feasible, l_max)
     if length is None:
         return _infeasible(model, params, cfg, "no feasible signature length")
     outcome = pipe.outcome_at(length)
@@ -346,23 +346,34 @@ def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
 
 
 def run_smb1(params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget | None = None,
-             length_hint: int | None = None) -> RateResult:
+             budget: SecurityBudget | None = None) -> RateResult:
     """Sign-multiple-bits rate with direct signal-basis estimation.
 
-    length_hint only anchors the length search (e.g. with the solution
-    of a nearby configuration); it cannot change the result.
+    The signature length is the smallest even L the solver accepts, so
+    the result depends on the inputs alone.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    return _run_smb("smb1", params, cfg, budget, length_hint)
+    return _run_smb("smb1", params, cfg, budget)
 
 
 def run_smb2(params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget | None = None,
-             length_hint: int | None = None) -> RateResult:
+             budget: SecurityBudget | None = None) -> RateResult:
     """Sign-multiple-bits rate with X-basis-derived signal estimation."""
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    return _run_smb("smb2", params, cfg, budget, length_hint)
+    return _run_smb("smb2", params, cfg, budget)
+
+
+def _sob_block_outcome(params: SystemParams, cfg: IntensityConfig,
+                       budget: SecurityBudget,
+                       n_s: int) -> tuple[_Pipeline, SecurityOutcome] | None:
+    """Pipeline and outcome of one self-sufficient block of n_s pulse pairs."""
+    pipe = _build_pipeline(params, cfg, budget, float(n_s), x_derived=False)
+    if isinstance(pipe, str):
+        return None
+    length = _even_floor(pipe.n_pool / 2.0)
+    if length < 2:
+        return None
+    return pipe, pipe.outcome_at(length)
 
 
 def run_sob(params: SystemParams, cfg: IntensityConfig,
@@ -370,45 +381,24 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     """Sign-one-bit rate: minimal self-sufficient block of N_s pulse pairs.
 
     Within one block the whole key pool backs the single bit (L =
-    n_pool/2 per message value). The block size search brackets
-    geometrically from a fixed start, so the result does not depend on
-    the total pulse count once it exceeds the found block size.
+    n_pool/2 per message value). The block size comes from the same
+    monotone search as the signature length (smallest_feasible), started
+    at a fixed size, so the result does not depend on the total pulse
+    count once it exceeds the found block size.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    n_total = int(params.n_pulses)
-
-    def block_outcome(n_s: int) -> tuple[_Pipeline, SecurityOutcome] | None:
-        pipe = _build_pipeline(params, cfg, budget, float(n_s), x_derived=False)
-        if isinstance(pipe, str):
-            return None
-        length = _even_floor(pipe.n_pool / 2.0)
-        if length < 2:
-            return None
-        return pipe, pipe.outcome_at(length)
 
     def feasible(n_s: int) -> bool:
-        got = block_outcome(n_s)
+        got = _sob_block_outcome(params, cfg, budget, n_s)
         return got is not None and got[1].feasible
 
-    if not feasible(n_total):
+    n_s = smallest_feasible(feasible, _SOB_BRACKET_START, int(params.n_pulses))
+    if n_s is None:
         return _infeasible("sob", params, cfg, "no feasible block size")
-    lo = 0  # exclusive lower edge; nothing below has been probed feasible
-    hi = _SOB_BRACKET_START
-    while hi < n_total and not feasible(hi):
-        lo = hi
-        hi *= 4
-    if hi >= n_total:
-        hi = n_total
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    pipe, outcome = block_outcome(hi)  # type: ignore[misc]
-    n_bits = params.n_pulses / hi
+    pipe, outcome = _sob_block_outcome(params, cfg, budget, n_s)  # type: ignore[misc]
+    n_bits = params.n_pulses / n_s
     return _result_from("sob", params, cfg, pipe, outcome,
-                        rate=1.0 / hi, n_bits=n_bits, block_size=hi)
+                        rate=1.0 / n_s, n_bits=n_bits, block_size=n_s)
 
 
 def run_model(model: str, params: SystemParams, cfg: IntensityConfig,

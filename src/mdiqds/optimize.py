@@ -235,12 +235,9 @@ def rate_objective(params: SystemParams, model: str,
                    a_d2: float = 5e-4) -> Callable[[np.ndarray], float]:
     """Objective config-vector -> signature rate; 0 on any infeasibility.
 
-    For the multiple-bit models the previous call's signature length
-    seeds the next length search (pure speed-up: the solver re-verifies
-    minimality, and the evaluation order is fixed, so trajectories stay
-    deterministic).
+    The objective keeps no state between calls: each value depends on x
+    alone.
     """
-    hint: list[int | None] = [None]
 
     def objective(x: np.ndarray) -> float:
         try:
@@ -249,9 +246,7 @@ def rate_objective(params: SystemParams, model: str,
             return 0.0
         if model in ("smb1", "smb2"):
             runner = run_smb1 if model == "smb1" else run_smb2
-            result = runner(params, cfg, budget, length_hint=hint[0])
-            if result.feasible:
-                hint[0] = result.length
+            result = runner(params, cfg, budget)
         else:
             result = run_model(model, params, cfg, budget)
         return result.rate

@@ -1,11 +1,12 @@
-"""Security layer: min-entropy, thresholds, failure bounds, length solver.
+"""Security layer: min-entropy, thresholds, failure bounds, monotone search.
 
 Given the single-photon quantities projected onto one signature block,
 this module evaluates the three protocol failure probabilities
 (robustness, repudiation, forging), derives the acceptance/verification
-thresholds from the forger's minimum error rate, and solves for the
-smallest even block length whose worst failure probability meets the
-target security level.
+thresholds from the forger's minimum error rate, and holds the one
+monotone search (smallest_feasible) that finds both the smallest even
+block length meeting the target security level and the sign-one-bit
+model's smallest self-sufficient block size.
 
 The forging bound's tail term p_F (the probability that a forger forced
 to error rate at least p_E on the L/2 unknown bits still lands below the
@@ -29,6 +30,7 @@ __all__ = [
     "keep_error_bound",
     "thresholds",
     "security_probabilities",
+    "smallest_feasible",
     "solve_signature_length",
 ]
 
@@ -148,76 +150,35 @@ def security_probabilities(s_a: float, s_v: float, length: float, p_e: float,
     return p_robust, p_repudiation, p_forge
 
 
-def solve_signature_length(feasible_at: Callable[[int], bool], l_max: int,
-                           hint: int | None = None) -> int | None:
-    """Smallest even L in [2, l_max] accepted by feasible_at.
+def smallest_feasible(feasible: Callable[[int], bool], start: int,
+                      cap: int) -> int | None:
+    """Smallest n in [1, cap] accepted by feasible, or None.
 
-    Exponential bracketing followed by binary search, assuming
-    feasibility is monotone in L. A hint (e.g. the solution of a nearby
-    configuration) only anchors the bracket and cannot change the
-    result: the returned L is re-verified against L - 2, and a boundary
-    contradicting monotonicity triggers a linear scan from 2 upward.
-    Returns None when no even L <= l_max is feasible.
+    Assumes feasibility is monotone in n. The cap is probed first, so an
+    infeasible search costs one probe; the bracket then grows upward from
+    start (>= 1) by factors of 4 and a bisection closes it.
     """
-    if l_max < 2:
+    if cap < 1 or not feasible(cap):
         return None
-    l_cap = l_max - (l_max % 2)
-    lo = 0  # exclusive edge, treated as infeasible
-    hi = None
-    if hint is not None:
-        anchor = min(max(2, hint - (hint % 2)), l_cap)
-        if feasible_at(anchor):
-            hi = anchor
-            probe = anchor // 2
-            probe -= probe % 2
-            while probe >= 2:
-                if feasible_at(probe):
-                    hi = probe
-                    probe //= 2
-                    probe -= probe % 2
-                else:
-                    lo = probe
-                    break
-        else:
-            lo = anchor
-            probe = anchor * 2
-            while probe <= l_cap and not feasible_at(probe):
-                lo = probe
-                probe *= 2
-            if probe <= l_cap:
-                hi = probe
-            elif lo < l_cap and feasible_at(l_cap):
-                hi = l_cap
-            else:
-                return None
-    else:
-        probe = 2
-        while probe <= l_cap and not feasible_at(probe):
-            lo = probe
-            probe *= 2
-        if probe <= l_cap:
-            hi = probe
-        elif lo < l_cap and feasible_at(l_cap):
-            hi = l_cap
-        else:
-            return None
-    # binary search on even lengths in (lo, hi]
-    while hi - lo > 2:
+    lo, hi = 0, start  # lo: exclusive edge, treated as infeasible
+    while hi < cap and not feasible(hi):
+        lo, hi = hi, hi * 4
+    hi = min(hi, cap)
+    while hi - lo > 1:
         mid = (lo + hi) // 2
-        mid -= mid % 2
-        if mid == lo:
-            mid += 2
-        if feasible_at(mid):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
-    best = hi
-    if best > 2 and feasible_at(best - 2):
-        # non-monotone boundary: linear scan for the true minimum
-        scan = 2
-        while scan <= l_max:
-            if feasible_at(scan):
-                return scan
-            scan += 2
-        return None
-    return best
+    return hi
+
+
+def solve_signature_length(feasible_at: Callable[[int], bool],
+                           l_max: int) -> int | None:
+    """Smallest even L in [2, l_max] accepted by feasible_at, or None.
+
+    Searches the half-length k = L/2 with smallest_feasible from k = 1,
+    assuming feasibility is monotone in L.
+    """
+    k = smallest_feasible(lambda k: feasible_at(2 * k), 1, l_max // 2)
+    return None if k is None else 2 * k

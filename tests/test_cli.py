@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mdiqds.cli import CSV_COLUMNS, main
+from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -50,6 +50,18 @@ class TestRate:
         code, _, err = run_cli(capsys, "rate", "--a-d1", "0.5")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--pulses", "inf", "n_pulses"), ("--pulses", "nan", "n_pulses"),
+        ("--distance-km", "nan", "distance_km"), ("--distance-km", "inf", "distance_km"),
+        ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+    ])
+    def test_non_finite_params_rejected(self, capsys, flag, value, field):
+        code, out, err = run_cli(capsys, "rate", flag, value)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
 
     def test_unknown_flag_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--no-such-flag", "1")
@@ -104,9 +116,21 @@ class TestSweep:
                                "--start", "100", "--stop", "50", "--step", "10")
         assert code == 1
 
+    def test_fractional_step_hits_stop_exactly(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--axis", "distance", "--format", "json",
+                               "--start", "0", "--stop", "1", "--step", "0.1")
+        assert code == 0
+        distances = [r["distance_km"] for r in json.loads(out)["records"]]
+        assert len(distances) == 11
+        assert distances[-1] == 1.0
+
     def test_missing_range_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "sweep", "--axis", "distance")
         assert code == 1
+        code, _, err = run_cli(capsys, "sweep", "--axis", "distance",
+                               "--start", "0", "--stop", "inf", "--step", "10")
+        assert code == 1
+        assert err.startswith("error: ")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--axis", "distance",

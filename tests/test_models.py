@@ -1,10 +1,12 @@
 """Pipeline tests for the three estimation models."""
 import math
 
+import numpy as np
 import pytest
 
 from mdiqds import models
 from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies
+from mdiqds.optimize import config_from_vector, qds_search_space
 from mdiqds.security import SecurityBudget
 
 EPS12 = 1e-12
@@ -237,6 +239,34 @@ class TestRunners:
                 assert r.eps_n == pytest.approx(sum(v for _, v in r.eps_n_terms))
                 assert r.eps_e == pytest.approx(sum(v for _, v in r.eps_e_terms))
         assert feasible_seen >= 20
+
+    def test_feasibility_monotone_over_random_configs(self):
+        """The searches assume monotone feasibility in N_s and in L."""
+        rng = np.random.default_rng(7)
+        space = qds_search_space()
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        n_pulses = 1e13
+        curves = 0
+        for _ in range(25):
+            cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+            params = SystemParams(distance_km=float(rng.uniform(0.0, 150.0)),
+                                  n_pulses=n_pulses)
+            budget = SecurityBudget(epsilon=params.epsilon)
+            grid = np.geomspace(1024, n_pulses, 40).astype(int)
+            sob = [models._sob_block_outcome(params, cfg, budget, int(n)) for n in grid]
+            flags = [got is not None and got[1].feasible for got in sob]
+            assert flags == sorted(flags)
+            curves += 1
+            for x_derived in (False, True):
+                pipe = models._build_pipeline(params, cfg, budget, n_pulses, x_derived)
+                if isinstance(pipe, str):
+                    continue
+                cap = models._even_floor(pipe.n_pool / 2.0)
+                grid = sorted({models._even_floor(v) for v in np.geomspace(2, cap, 60)})
+                flags = [pipe.outcome_at(L).feasible for L in grid]
+                assert flags == sorted(flags)
+                curves += 1
+        assert curves >= 60
 
     def test_max_feasible_distance_grows_with_pulse_count(self):
         def max_feasible(n_pulses: float) -> float:

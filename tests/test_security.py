@@ -123,9 +123,20 @@ class TestSolveSignatureLength:
         for lmin in (2, 4, 36, 514, 9998, 10_000):
             got = security.solve_signature_length(lambda L: L >= lmin, 10_000)
             assert got == lmin
+        # start >= cap, and answers below start as on the block-size path
+        for start in (1, 1024, 10_000, 20_000):
+            for nmin in (1, 2, 37, 1023, 1024, 1025, 9999, 10_000):
+                got = security.smallest_feasible(lambda n: n >= nmin, start, 10_000)
+                assert got == nmin
 
     def test_cap_excludes_solution(self):
         assert security.solve_signature_length(lambda L: L >= 2048, 2000) is None
+        # an infeasible cap ends the search after that one probe
+        probes: list[int] = []
+        got = security.smallest_feasible(lambda n: probes.append(n) or n >= 2048,
+                                         1024, 2000)
+        assert got is None
+        assert probes == [2000]
 
     def test_odd_cap(self):
         assert security.solve_signature_length(lambda L: L >= 1999, 2001) == 2000
@@ -134,21 +145,6 @@ class TestSolveSignatureLength:
         feasible = {6, 8, 12}.union(range(64, 10_001))
         got = security.solve_signature_length(lambda L: L in feasible, 10_000)
         assert got == 6
-
-    def test_non_monotone_boundary_falls_back_to_scan(self):
-        # L = 6 flips from infeasible to feasible between queries, so the
-        # post-search recheck contradicts monotonicity and forces the scan
-        seen: dict[int, int] = {}
-
-        def flaky(length: int) -> bool:
-            seen[length] = seen.get(length, 0) + 1
-            if length == 6:
-                return seen[length] > 1
-            return length >= 8
-
-        got = security.solve_signature_length(flaky, 10_000)
-        assert got == 6
-        assert seen[6] >= 3  # bracket/binary probe, recheck, scan hit
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
