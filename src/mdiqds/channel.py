@@ -17,7 +17,10 @@ tail is below 1e-12 relative for intensities up to ~0.4 and below 1e-8
 at intensity 1.0, far inside the statistical tolerances used downstream.
 
 Everything here is an expected-value computation, linear in the pulse
-count; `sample_tallies` additionally draws integer Poisson tallies for
+count: `pulse_statistics` holds the per-pulse-pair quantities of one
+configuration and scales them to any pulse count, and `expected_tallies`
+and `single_photon_truth` are that scaling at one count.
+`sample_tallies` additionally draws integer Poisson tallies for
 stochastic end-to-end runs.
 """
 from __future__ import annotations
@@ -29,18 +32,25 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "MAX_PULSES",
     "PHOTON_CUTOFF",
     "SystemParams",
     "IntensityConfig",
+    "PulseStatistics",
     "TallySet",
     "SinglePhotonTruth",
     "conditional_intensity_prob",
     "expected_tallies",
+    "pulse_statistics",
     "sample_tallies",
     "single_photon_truth",
 ]
 
 PHOTON_CUTOFF = 10
+
+# Largest accepted pulse count N. Beyond it, products of two counts such
+# as sampling_lambda's (x - y + 1) * y overflow float64.
+MAX_PULSES = 1e150
 
 # Intensity index convention used throughout: 0 = signal, 1 = strong
 # decoy, 2 = weak decoy.
@@ -98,6 +108,8 @@ class SystemParams:
             raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
         if self.n_pulses < 1:
             raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        if self.n_pulses > MAX_PULSES:
+            raise ValueError(f"n_pulses must be <= {MAX_PULSES:g}, got {self.n_pulses}")
         if not 0.0 < self.r_test < 1.0:
             raise ValueError(f"r_test must be in (0, 1), got {self.r_test}")
         if not 0.0 < self.epsilon < 1.0:
@@ -146,6 +158,11 @@ class IntensityConfig:
         for name, value in mirror.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
+        # an infinite intensity passes the ordering check below
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for ints, who in (((self.a_s, self.a_d1, self.a_d2), "a"),
                           ((self.b_s, self.b_d1, self.b_d2), "b")):
             s, d1, d2 = ints
@@ -219,7 +236,7 @@ class TallySet:
     def __post_init__(self) -> None:
         for errs, counts, basis in ((self.errors_z, self.counts_z, "Z"),
                                     (self.errors_x, self.counts_x, "X")):
-            if np.any(errs > counts + 1e-9):
+            if (errs > counts + 1e-9).any():
                 raise ValueError(f"error counts exceed event counts in basis {basis}")
 
     @property
@@ -343,6 +360,69 @@ def conditional_intensity_prob(cfg: IntensityConfig, n: int, m: int, basis: str)
     return joint / total
 
 
+@dataclass(frozen=True)
+class PulseStatistics:
+    """Per-pulse-pair channel statistics of one (params, cfg).
+
+    frac_* are the 3x3 basis/intensity selection fractions, cell_* the
+    per-pulse yield and error matrices of _pair_statistics, pair11 the
+    (1,1) emission weights per intensity cell and y11/e11 the (1,1)
+    yield and error rate. Every expected count is linear in the pulse
+    count, so tallies(n) and truth(n) scale this one record instead of
+    recomputing the channel.
+    """
+
+    r_test: float
+    frac_z: np.ndarray
+    frac_x: np.ndarray
+    cell_yield: np.ndarray
+    cell_err: np.ndarray
+    pair11: np.ndarray
+    y11: float
+    e11: float
+
+    def tallies(self, n: float) -> TallySet:
+        """Expected counts/errors per basis and intensity cell at n pulses."""
+        pulses_z = n * self.frac_z
+        pulses_x = n * self.frac_x
+        return TallySet(
+            n_pulses=n,
+            r_test=self.r_test,
+            counts_z=pulses_z * self.cell_yield,
+            counts_x=pulses_x * self.cell_yield,
+            errors_z=pulses_z * self.cell_err,
+            errors_x=pulses_x * self.cell_err,
+            pulses_z=pulses_z,
+            pulses_x=pulses_x,
+        )
+
+    def truth(self, n: float) -> SinglePhotonTruth:
+        """Expected (1,1)-pair detection statistics at n pulses."""
+        s11_z = n * self.frac_z * self.pair11 * self.y11
+        s11_x = n * self.frac_x * self.pair11 * self.y11
+        return SinglePhotonTruth(
+            s11_z=s11_z, s11_x=s11_x,
+            e11_z=s11_z * self.e11, e11_x=s11_x * self.e11,
+            y11=self.y11, e11_rate=self.e11,
+        )
+
+
+def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
+    """Per-pulse-pair channel statistics of one link and configuration."""
+    cell_yield, cell_err, y11, e11 = _pair_statistics(
+        params.arm_transmittance, params.p_dc, params.e_d,
+        cfg.intensities_a, cfg.intensities_b)
+    pa1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_a])
+    pb1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_b])
+    return PulseStatistics(
+        r_test=params.r_test,
+        frac_z=cfg.cell_pulse_fractions("Z"),
+        frac_x=cfg.cell_pulse_fractions("X"),
+        cell_yield=cell_yield, cell_err=cell_err,
+        pair11=np.outer(pa1, pb1), y11=y11, e11=e11,
+    )
+
+
 def expected_tallies(params: SystemParams, cfg: IntensityConfig,
                      n_pulses: float | None = None) -> TallySet:
     """Expected counts/errors per basis and intensity cell.
@@ -355,21 +435,7 @@ def expected_tallies(params: SystemParams, cfg: IntensityConfig,
         Overrides params.n_pulses (counts scale linearly).
     """
     n = params.n_pulses if n_pulses is None else n_pulses
-    cell_yield, cell_err, _, _ = _pair_statistics(
-        params.arm_transmittance, params.p_dc, params.e_d,
-        cfg.intensities_a, cfg.intensities_b)
-    frac_z = cfg.cell_pulse_fractions("Z")
-    frac_x = cfg.cell_pulse_fractions("X")
-    return TallySet(
-        n_pulses=n,
-        r_test=params.r_test,
-        counts_z=n * frac_z * cell_yield,
-        counts_x=n * frac_x * cell_yield,
-        errors_z=n * frac_z * cell_err,
-        errors_x=n * frac_x * cell_err,
-        pulses_z=n * frac_z,
-        pulses_x=n * frac_x,
-    )
+    return pulse_statistics(params, cfg).tallies(n)
 
 
 def sample_tallies(params: SystemParams, cfg: IntensityConfig,
@@ -399,16 +465,4 @@ def single_photon_truth(params: SystemParams, cfg: IntensityConfig,
                         n_pulses: float | None = None) -> SinglePhotonTruth:
     """Expected (1,1)-pair detection statistics per basis and cell."""
     n = params.n_pulses if n_pulses is None else n_pulses
-    _, _, y11, e11 = _pair_statistics(
-        params.arm_transmittance, params.p_dc, params.e_d,
-        cfg.intensities_a, cfg.intensities_b)
-    pa1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_a])
-    pb1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_b])
-    pair11 = np.outer(pa1, pb1)
-    s11_z = n * cfg.cell_pulse_fractions("Z") * pair11 * y11
-    s11_x = n * cfg.cell_pulse_fractions("X") * pair11 * y11
-    return SinglePhotonTruth(
-        s11_z=s11_z, s11_x=s11_x,
-        e11_z=s11_z * e11, e11_x=s11_x * e11,
-        y11=y11, e11_rate=e11,
-    )
+    return pulse_statistics(params, cfg).truth(n)

@@ -35,10 +35,10 @@ from .bounds import (
 from .channel import (
     SIGNAL,
     IntensityConfig,
+    PulseStatistics,
     SystemParams,
     TallySet,
-    expected_tallies,
-    single_photon_truth,
+    pulse_statistics,
 )
 from .decoy import EpsTerms, single_photon_bounds
 from .security import (
@@ -182,8 +182,10 @@ def signed_bits(n_pool: float, length: float) -> float:
 class RateResult:
     """Signature rate of one model at one configuration.
 
-    rate * n_pulses == n_bits exactly on every feasible result; the
-    block_size field is populated by the sign-one-bit model only.
+    rate * n_pulses equals n_bits within 2 ulp of n_bits on every
+    feasible result (rate is n_bits / n_pulses, or 1 / block_size for
+    sob, and the product rounds); the block_size field is populated by
+    the sign-one-bit model only.
     """
 
     model: str
@@ -227,7 +229,11 @@ class RateResult:
 
 @dataclass(frozen=True)
 class _Pipeline:
-    """Length-independent state of one estimation run."""
+    """Length-independent state of one estimation run.
+
+    eps_n/eps_e are the sums of the eps_n_terms/eps_e_terms ledgers,
+    taken once so that outcome_at does only the work that depends on L.
+    """
 
     n_z1: float
     e_z1: float
@@ -239,12 +245,18 @@ class _Pipeline:
     eps_n_terms: EpsTerms
     eps_e_terms: EpsTerms
     estimates: dict
+    eps_n: float = field(init=False)
+    eps_e: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eps_n", sum(v for _, v in self.eps_n_terms))
+        object.__setattr__(self, "eps_e", sum(v for _, v in self.eps_e_terms))
 
     def outcome_at(self, length: int) -> SecurityOutcome:
         keep = project_to_keep(self.n_z1, self.e_z1, self.z_signal, length,
                                self.budget.eps_sf)
-        eps_n = sum(v for _, v in self.eps_n_terms) + keep.eps_n_term
-        eps_e = sum(v for _, v in self.eps_e_terms) + keep.eps_e_term
+        eps_n = self.eps_n + keep.eps_n_term
+        eps_e = self.eps_e + keep.eps_e_term
         e_keep = keep_error_bound(self.e_test, length, self.n_test, self.budget.eps_pe)
         p_e = eve_error_rate(keep.n_l1, keep.e_l1, length)
         s_a, s_v, ordered = thresholds(e_keep, p_e)
@@ -265,12 +277,16 @@ class _Pipeline:
         return self.eps_n_terms + proj_n, self.eps_e_terms + proj_e
 
 
-def _build_pipeline(params: SystemParams, cfg: IntensityConfig,
+def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
                     budget: SecurityBudget, n_pulses: float,
                     x_derived: bool) -> _Pipeline | str:
-    """Assemble the length-independent estimation state, or a failure reason."""
-    tallies = expected_tallies(params, cfg, n_pulses)
-    truth = single_photon_truth(params, cfg, n_pulses)
+    """Assemble the length-independent estimation state, or a failure reason.
+
+    channel is the per-pulse record of (params, cfg), scaled here to
+    n_pulses.
+    """
+    tallies = channel.tallies(n_pulses)
+    truth = channel.truth(n_pulses)
     est = single_photon_bounds(tallies, truth, eps1=budget.eps_sf,
                                eps_cell=budget.eps_sf)
     if not est.valid:
@@ -331,8 +347,8 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
 
 def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
              budget: SecurityBudget) -> RateResult:
-    pipe = _build_pipeline(params, cfg, budget, params.n_pulses,
-                           x_derived=(model == "smb2"))
+    pipe = _build_pipeline(pulse_statistics(params, cfg), cfg, budget,
+                           params.n_pulses, x_derived=(model == "smb2"))
     if isinstance(pipe, str):
         return _infeasible(model, params, cfg, pipe)
     l_max = _even_floor(pipe.n_pool / 2.0)
@@ -363,11 +379,11 @@ def run_smb2(params: SystemParams, cfg: IntensityConfig,
     return _run_smb("smb2", params, cfg, budget)
 
 
-def _sob_block_outcome(params: SystemParams, cfg: IntensityConfig,
+def _sob_block_outcome(channel: PulseStatistics, cfg: IntensityConfig,
                        budget: SecurityBudget,
                        n_s: int) -> tuple[_Pipeline, SecurityOutcome] | None:
     """Pipeline and outcome of one self-sufficient block of n_s pulse pairs."""
-    pipe = _build_pipeline(params, cfg, budget, float(n_s), x_derived=False)
+    pipe = _build_pipeline(channel, cfg, budget, float(n_s), x_derived=False)
     if isinstance(pipe, str):
         return None
     length = _even_floor(pipe.n_pool / 2.0)
@@ -387,15 +403,16 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     count once it exceeds the found block size.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
+    channel = pulse_statistics(params, cfg)
 
     def feasible(n_s: int) -> bool:
-        got = _sob_block_outcome(params, cfg, budget, n_s)
+        got = _sob_block_outcome(channel, cfg, budget, n_s)
         return got is not None and got[1].feasible
 
     n_s = smallest_feasible(feasible, _SOB_BRACKET_START, int(params.n_pulses))
     if n_s is None:
         return _infeasible("sob", params, cfg, "no feasible block size")
-    pipe, outcome = _sob_block_outcome(params, cfg, budget, n_s)  # type: ignore[misc]
+    pipe, outcome = _sob_block_outcome(channel, cfg, budget, n_s)  # type: ignore[misc]
     n_bits = params.n_pulses / n_s
     return _result_from("sob", params, cfg, pipe, outcome,
                         rate=1.0 / n_s, n_bits=n_bits, block_size=n_s)

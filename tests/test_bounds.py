@@ -59,6 +59,44 @@ class TestInverseBinaryEntropy:
             h = bounds.binary_entropy(float(p))
             assert abs(bounds.inverse_binary_entropy(h) - p) <= 1e-10
 
+    def test_matches_reference_bisection_bit_for_bit(self):
+        """The Newton path lands on exactly the bisection's answer."""
+        def h2(x):
+            if x == 0.0 or x == 1.0:
+                return 0.0
+            return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+        def reference(h):
+            if h == 0.0:
+                return 0.0
+            if h == 1.0:
+                return 0.5
+            lo, hi = 0.0, 0.5
+            while hi - lo > 1e-13:
+                mid = 0.5 * (lo + hi)
+                if h2(mid) < h:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(20260318)
+        width = 0.5 / 2**43  # the reference's final bracket
+        edges = [h2(float(k) * width)
+                 for k in rng.integers(1, 2**43, 5_000).tolist()
+                 + np.unique(np.geomspace(1, 2**43 - 1, 5_000).astype(np.int64)).tolist()]
+        hs = np.concatenate([
+            10.0 ** rng.uniform(-14.0, 0.0, 60_000),   # log-uniform 1e-14..1
+            rng.uniform(0.0, 1.0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16.0, -3.0, 10_000),  # flat region near 1
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            [0.0, 1.0, 5e-324, 1e-300, 0.9999, np.nextafter(0.9999, 1.0),
+             np.nextafter(1.0, 0.0)],
+        ]).tolist()
+        assert len(hs) >= 100_000 and sum(h > 0.9999 for h in hs) > 1000
+        mismatched = [h for h in hs if bounds.inverse_binary_entropy(h) != reference(h)]
+        assert mismatched == []
+
 
 class TestHoeffdingDelta:
     def test_zero_population(self):

@@ -6,6 +6,7 @@ import pytest
 
 from helpers_mc import binomial_sigma, counts_match, sample_cell, sample_pair11
 from mdiqds.channel import (
+    MAX_PULSES,
     PHOTON_CUTOFF,
     SIGNAL,
     IntensityConfig,
@@ -41,10 +42,26 @@ class TestIntensityConfig:
         with pytest.raises(ValueError):
             IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=0.3, p_ad1=0.3, p_z=1.0)
 
+    @pytest.mark.parametrize("field", ["a_s", "a_d1", "a_d2", "p_as", "p_z", "b_s"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_rejected(self, field, value):
+        kw = dict(a_s=0.4, a_d1=0.05, a_d2=5e-4, p_as=1 / 3, p_ad1=1 / 3,
+                  p_ad2=1 / 3, p_z=0.5)
+        kw[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            IntensityConfig(**kw)
+
     def test_cell_fractions_partition_basis(self):
         for basis in ("Z", "X"):
             frac = CFG.cell_pulse_fractions(basis)
             assert frac.sum() == pytest.approx(CFG.basis_pair_prob(basis), rel=1e-12)
+
+
+class TestSystemParams:
+    def test_pulse_count_limit(self):
+        assert SystemParams(n_pulses=MAX_PULSES).n_pulses == MAX_PULSES
+        with pytest.raises(ValueError, match="n_pulses must be <= 1e\\+150"):
+            SystemParams(n_pulses=1e151)
 
 
 class TestConditionalIntensityProb:

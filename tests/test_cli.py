@@ -55,6 +55,7 @@ class TestRate:
         ("--pulses", "inf", "n_pulses"), ("--pulses", "nan", "n_pulses"),
         ("--distance-km", "nan", "distance_km"), ("--distance-km", "inf", "distance_km"),
         ("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+        ("--a-s", "inf", "a_s"),
     ])
     def test_non_finite_params_rejected(self, capsys, flag, value, field):
         code, out, err = run_cli(capsys, "rate", flag, value)
@@ -62,6 +63,18 @@ class TestRate:
         assert out == ""
         assert err.startswith("error: ") and field in err
         assert "Traceback" not in err
+
+    def test_pulse_count_above_limit_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "rate", "--pulses", "1e160")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and "n_pulses must be <= 1e+150" in err
+
+    def test_pulse_count_at_limit_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "rate", "--model", "all", "--pulses", "1e150")
+        assert code == 0
+        _, records, _ = parse_csv(out)
+        assert [r["feasible"] for r in records] == ["true", "true", "false"]
 
     def test_unknown_flag_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--no-such-flag", "1")

@@ -1,12 +1,14 @@
 """Pipeline tests for the three estimation models."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from mdiqds import models
-from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies
-from mdiqds.optimize import config_from_vector, qds_search_space
+from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
+from mdiqds.cli import record_dict, render_csv
+from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
 from mdiqds.security import SecurityBudget
 
 EPS12 = 1e-12
@@ -176,7 +178,8 @@ class TestRunners:
         """Returned length is feasible while length - 2 is not."""
         params = SystemParams(distance_km=100.0, n_pulses=1e14)
         r = models.run_smb1(params, CFG)
-        pipe = models._build_pipeline(params, CFG, SecurityBudget(), 1e14, x_derived=False)
+        pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, SecurityBudget(),
+                                      1e14, x_derived=False)
         assert pipe.outcome_at(r.length).feasible
         assert not pipe.outcome_at(r.length - 2).feasible
 
@@ -252,13 +255,14 @@ class TestRunners:
             params = SystemParams(distance_km=float(rng.uniform(0.0, 150.0)),
                                   n_pulses=n_pulses)
             budget = SecurityBudget(epsilon=params.epsilon)
+            channel = pulse_statistics(params, cfg)
             grid = np.geomspace(1024, n_pulses, 40).astype(int)
-            sob = [models._sob_block_outcome(params, cfg, budget, int(n)) for n in grid]
+            sob = [models._sob_block_outcome(channel, cfg, budget, int(n)) for n in grid]
             flags = [got is not None and got[1].feasible for got in sob]
             assert flags == sorted(flags)
             curves += 1
             for x_derived in (False, True):
-                pipe = models._build_pipeline(params, cfg, budget, n_pulses, x_derived)
+                pipe = models._build_pipeline(channel, cfg, budget, n_pulses, x_derived)
                 if isinstance(pipe, str):
                     continue
                 cap = models._even_floor(pipe.n_pool / 2.0)
@@ -281,3 +285,39 @@ class TestRunners:
         reaches = [max_feasible(n) for n in (1e12, 1e14, 1e16)]
         assert reaches[0] <= reaches[1] <= reaches[2]
         assert reaches[0] < reaches[2]
+
+
+def test_rate_times_pulses_within_two_ulp_of_n_bits():
+    """RateResult's R*N == n_bits holds to 2 ulp, not exactly."""
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    feasible = {model: 0 for model in models.MODELS}
+    for distance in range(0, 301, 25):
+        for n_pulses in (1e11, 1e12, 1e13, 1e14, 1e15, 1e16):
+            params = SystemParams(distance_km=float(distance), n_pulses=n_pulses)
+            for model in models.MODELS:
+                r = models.run_model(model, params, cfg)
+                if r.feasible:
+                    feasible[model] += 1
+                    assert abs(r.rate * r.n_pulses - r.n_bits) <= 2 * math.ulp(r.n_bits)
+    assert feasible["sob"] > 0 and feasible["smb1"] > 0
+
+
+# SHA-256 of the rendered records below (comment lines dropped, so that a
+# version bump alone does not move it). A change meant to leave the
+# numbers alone must leave this digest alone.
+ENGINE_OUTPUT_SHA256 = "ad93619d382aae4d63fab65c9f26e7c4eb7e11d6a17cb137ab8f09a4212f4a77"
+
+
+def test_engine_output_pinned():
+    records = []
+    for cfg in (config_from_vector(REFERENCE_VECTOR), CFG_SMB2):
+        for distance in (0.0, 50.0, 100.0, 150.0):
+            for n_pulses in (1e12, 1e14):
+                params = SystemParams(distance_km=distance, n_pulses=n_pulses)
+                for model in models.MODELS:
+                    records.append(record_dict(models.run_model(model, params, cfg), cfg))
+    assert {r["model"] for r in records if r["feasible"]} == set(models.MODELS)
+    text = render_csv(records, 0, False)
+    body = "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith("#"))
+    assert hashlib.sha256(body.encode()).hexdigest() == ENGINE_OUTPUT_SHA256

@@ -17,3 +17,23 @@ BENCH_PATCH_POINTS = {
                                          for n in names])
 def test_bench_patch_point_resolves(module, name):
     assert callable(getattr(importlib.import_module(module), name, None))
+
+
+# bench/tracing.py wraps these at the name the caller resolves; a name it
+# cannot find is skipped silently and its metrics read 0, so a rename must
+# fail here instead.
+TRACE_POINTS = {
+    "mdiqds.models": ("_build_pipeline", "_Pipeline.outcome_at", "single_photon_bounds",
+                      "eve_error_rate", "solve_signature_length"),
+    "mdiqds.security": ("inverse_binary_entropy",),
+    "mdiqds.optimize": ("coordinate_descent", "rate_objective"),
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in TRACE_POINTS.items()
+                                         for n in names])
+def test_trace_point_resolves(module, name):
+    owner = importlib.import_module(module)
+    for attr in name.split("."):
+        owner = getattr(owner, attr, None)
+    assert callable(owner)
