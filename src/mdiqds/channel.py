@@ -18,8 +18,10 @@ at intensity 1.0, far inside the statistical tolerances used downstream.
 
 Everything here is an expected-value computation, linear in the pulse
 count: `pulse_statistics` holds the per-pulse-pair quantities of one
-configuration and scales them to any pulse count, and `expected_tallies`
-and `single_photon_truth` are that scaling at one count.
+configuration and scales them to any pulse count, either to the few
+scalars the estimation chain reads (`PulseStatistics.counts`) or to
+full 3x3 tables; `expected_tallies` and `single_photon_truth` are the
+table scaling at one count.
 `sample_tallies` additionally draws integer Poisson tallies for
 stochastic end-to-end runs.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,7 @@ __all__ = [
     "PHOTON_CUTOFF",
     "SystemParams",
     "IntensityConfig",
+    "PulseCounts",
     "PulseStatistics",
     "TallySet",
     "SinglePhotonTruth",
@@ -252,15 +256,6 @@ class TallySet:
     def n_pool(self) -> float:
         return (1.0 - self.r_test) * self.z_signal
 
-    @property
-    def e_test(self) -> float:
-        """Observed error rate of the signal-signal Z cell."""
-        if self.z_signal == 0:
-            return 0.0
-        return float(self.errors_z[SIGNAL, SIGNAL]) / self.z_signal
-
-    def basis_total(self, basis: str) -> float:
-        return float((self.counts_z if basis == "Z" else self.counts_x).sum())
 
 
 @dataclass
@@ -360,51 +355,107 @@ def conditional_intensity_prob(cfg: IntensityConfig, n: int, m: int, basis: str)
     return joint / total
 
 
+class PulseCounts(NamedTuple):
+    """The scalars of tallies(n)/truth(n) that the estimation chain reads.
+
+    Each value is bit-identical to the matching cell, or to the numpy
+    .sum(), of the TallySet and SinglePhotonTruth tables at n pulses.
+    """
+
+    z_signal: float          # counts_z[SIGNAL, SIGNAL]
+    z_signal_errors: float   # errors_z[SIGNAL, SIGNAL]
+    z_signal_pulses: float   # pulses_z[SIGNAL, SIGNAL]
+    z_total: float           # counts_z.sum()
+    x_total: float           # counts_x.sum()
+    s11_z_signal: float      # s11_z[SIGNAL, SIGNAL]
+    s11_x_total: float       # s11_x.sum()
+    e11_x_total: float       # e11_x.sum()
+    pulses_x: tuple[float, ...]  # pulses_x, row-major over the 9 cells
+
+
+def _sum9(c: list[float]) -> float:
+    """Sum of 9 floats in the order numpy's pairwise add.reduce uses."""
+    return (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))) + c[8]
+
+
 @dataclass(frozen=True)
 class PulseStatistics:
     """Per-pulse-pair channel statistics of one (params, cfg).
 
-    frac_* are the 3x3 basis/intensity selection fractions, cell_* the
-    per-pulse yield and error matrices of _pair_statistics, pair11 the
-    (1,1) emission weights per intensity cell and y11/e11 the (1,1)
-    yield and error rate. Every expected count is linear in the pulse
-    count, so tallies(n) and truth(n) scale this one record instead of
-    recomputing the channel.
+    frac_* are the basis/intensity selection fractions, cell_* the
+    per-pulse yield and error matrices of _pair_statistics and pair11 the
+    (1,1) emission weights, each a row-major tuple over the 9 intensity
+    cells; y11/e11 are the (1,1) yield and error rate. Every expected
+    count is linear in the pulse count, so counts(n), tallies(n) and
+    truth(n) scale this one record instead of recomputing the channel.
+
+    cell_err <= cell_yield is checked here, once: scaling both sides by
+    the same positive pulse count keeps the order under rounding, so no
+    count derived from the record has more errors than events.
     """
 
     r_test: float
-    frac_z: np.ndarray
-    frac_x: np.ndarray
-    cell_yield: np.ndarray
-    cell_err: np.ndarray
-    pair11: np.ndarray
+    frac_z: tuple[float, ...]
+    frac_x: tuple[float, ...]
+    cell_yield: tuple[float, ...]
+    cell_err: tuple[float, ...]
+    pair11: tuple[float, ...]
     y11: float
     e11: float
 
+    def __post_init__(self) -> None:
+        if any(e > y for e, y in zip(self.cell_err, self.cell_yield)):
+            raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
+
+    def counts(self, n: float) -> PulseCounts:
+        """The scalars the estimation chain reads, at n pulses."""
+        y11, e11 = self.y11, self.e11
+        pulses_z0 = n * self.frac_z[0]
+        counts_z = [(n * f) * y for f, y in zip(self.frac_z, self.cell_yield)]
+        pulses_x = tuple([n * f for f in self.frac_x])
+        counts_x = [p * y for p, y in zip(pulses_x, self.cell_yield)]
+        s11_x = [(p * w) * y11 for p, w in zip(pulses_x, self.pair11)]
+        return PulseCounts(
+            counts_z[0], pulses_z0 * self.cell_err[0], pulses_z0,
+            _sum9(counts_z), _sum9(counts_x),
+            (pulses_z0 * self.pair11[0]) * y11,
+            _sum9(s11_x), _sum9([s * e11 for s in s11_x]),
+            pulses_x)
+
     def tallies(self, n: float) -> TallySet:
         """Expected counts/errors per basis and intensity cell at n pulses."""
-        pulses_z = n * self.frac_z
-        pulses_x = n * self.frac_x
+        pulses_z = n * _cells(self.frac_z)
+        pulses_x = n * _cells(self.frac_x)
+        cell_yield, cell_err = _cells(self.cell_yield), _cells(self.cell_err)
         return TallySet(
             n_pulses=n,
             r_test=self.r_test,
-            counts_z=pulses_z * self.cell_yield,
-            counts_x=pulses_x * self.cell_yield,
-            errors_z=pulses_z * self.cell_err,
-            errors_x=pulses_x * self.cell_err,
+            counts_z=pulses_z * cell_yield,
+            counts_x=pulses_x * cell_yield,
+            errors_z=pulses_z * cell_err,
+            errors_x=pulses_x * cell_err,
             pulses_z=pulses_z,
             pulses_x=pulses_x,
         )
 
     def truth(self, n: float) -> SinglePhotonTruth:
         """Expected (1,1)-pair detection statistics at n pulses."""
-        s11_z = n * self.frac_z * self.pair11 * self.y11
-        s11_x = n * self.frac_x * self.pair11 * self.y11
+        pair11 = _cells(self.pair11)
+        s11_z = n * _cells(self.frac_z) * pair11 * self.y11
+        s11_x = n * _cells(self.frac_x) * pair11 * self.y11
         return SinglePhotonTruth(
             s11_z=s11_z, s11_x=s11_x,
             e11_z=s11_z * self.e11, e11_x=s11_x * self.e11,
             y11=self.y11, e11_rate=self.e11,
         )
+
+
+def _cells(values: tuple[float, ...]) -> np.ndarray:
+    return np.array(values).reshape(3, 3)
+
+
+def _flat(matrix: np.ndarray) -> tuple[float, ...]:
+    return tuple(matrix.ravel().tolist())
 
 
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
@@ -416,10 +467,10 @@ def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatist
     pb1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_b])
     return PulseStatistics(
         r_test=params.r_test,
-        frac_z=cfg.cell_pulse_fractions("Z"),
-        frac_x=cfg.cell_pulse_fractions("X"),
-        cell_yield=cell_yield, cell_err=cell_err,
-        pair11=np.outer(pa1, pb1), y11=y11, e11=e11,
+        frac_z=_flat(cfg.cell_pulse_fractions("Z")),
+        frac_x=_flat(cfg.cell_pulse_fractions("X")),
+        cell_yield=_flat(cell_yield), cell_err=_flat(cell_err),
+        pair11=_flat(np.outer(pa1, pb1)), y11=y11, e11=e11,
     )
 
 

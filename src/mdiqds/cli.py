@@ -349,7 +349,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_trials(trials: int) -> None:
+    # zero trials divides by zero in the frequency, negative ones fail in numpy
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
     if args.bounds == "all":
         bound_ids = list(BOUND_IDS)
     else:
@@ -384,6 +391,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_protocol(args: argparse.Namespace) -> int:
+    _check_trials(args.trials)
     honest = simulate_honest(args.length, args.error_rate, args.s_a,
                              args.trials, args.seed)
     rep = simulate_repudiation(args.length, args.s_a, args.s_v,

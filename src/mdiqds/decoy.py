@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import hoeffding_delta
-from .channel import SIGNAL, SinglePhotonTruth, TallySet
+from .channel import PulseCounts, TallySet
 
 __all__ = [
     "DecoyDecomposition",
@@ -59,10 +59,14 @@ def exposure_mu(tallies: TallySet, cell: tuple[int, int, str], eps_cell: float) 
     """
     a, b, basis = cell
     counts = tallies.counts_z if basis == "Z" else tallies.counts_x
-    total = float(counts.sum())
+    return _exposure(float(counts[a, b]), float(counts.sum()), eps_cell)
+
+
+def _exposure(count: float, total: float, eps_cell: float) -> float:
+    """exposure_mu of a cell holding count of its basis' total events."""
     if total == 0.0:
         return 0.0
-    return float(counts[a, b]) - math.sqrt(total / 2.0 * math.log(1.0 / eps_cell))
+    return count - math.sqrt(total / 2.0 * math.log(1.0 / eps_cell))
 
 
 @dataclass
@@ -103,34 +107,37 @@ def decoy_decomposition(tallies: TallySet, basis: str, eps_cell: float,
                               eps_cell=eps_cell, eps_a=eps_a, eps_hat=eps_hat)
 
 
-def estimate_n_z1(tallies: TallySet, truth: SinglePhotonTruth, eps1: float) -> float:
+def estimate_n_z1(s11_z_signal: float, eps1: float) -> float:
     """Lower bound on (1,1) events in the signal-signal Z cell.
 
-    Signal-cell mean minus its Hoeffding fluctuation, floored at 0.
-    The caller treats 0 as infeasible (the protocol aborts).
+    The cell's channel-model mean s11_z_signal minus its Hoeffding
+    fluctuation, floored at 0. The caller treats 0 as infeasible (the
+    protocol aborts).
     """
-    mean = float(truth.s11_z[SIGNAL, SIGNAL])
-    return max(mean - hoeffding_delta(mean, eps1), 0.0)
+    return max(s11_z_signal - hoeffding_delta(s11_z_signal, eps1), 0.0)
 
 
-def estimate_n_x1(tallies: TallySet, truth: SinglePhotonTruth, eps1: float) -> float:
-    """Lower bound on (1,1) events summed over all X-basis cells."""
-    mean = truth.s11_x_total
-    return max(mean - hoeffding_delta(mean, eps1), 0.0)
+def estimate_n_x1(s11_x_total: float, eps1: float) -> float:
+    """Lower bound on (1,1) events summed over all X-basis cells.
+
+    s11_x_total is the channel-model mean of that sum.
+    """
+    return max(s11_x_total - hoeffding_delta(s11_x_total, eps1), 0.0)
 
 
-def estimate_m_x1_e_x1(tallies: TallySet, truth: SinglePhotonTruth, eps1: float,
-                       n_x1: float | None = None,
+def estimate_m_x1_e_x1(e11_x_total: float, eps1: float, n_x1: float,
                        deviation_sign: int = +1) -> tuple[float, float]:
     """Upper bound on (1,1) error events in X, and the error rate.
 
     Parameters
     ----------
+    e11_x_total : float
+        Channel-model mean of the (1,1) error events over all X cells.
+    n_x1 : float
+        Denominator for the rate, the n_X1 bound.
     deviation_sign : int
         +1 (default) adds the Hoeffding fluctuation so m_X1 is a
         conservative upper bound; -1 subtracts it instead.
-    n_x1 : float, optional
-        Denominator for the rate; recomputed at eps1 when omitted.
 
     Returns
     -------
@@ -138,12 +145,9 @@ def estimate_m_x1_e_x1(tallies: TallySet, truth: SinglePhotonTruth, eps1: float,
     """
     if deviation_sign not in (+1, -1):
         raise ValueError(f"deviation_sign must be +1 or -1, got {deviation_sign}")
-    if n_x1 is None:
-        n_x1 = estimate_n_x1(tallies, truth, eps1)
     if n_x1 <= 0:
         raise ValueError("n_x1 must be positive to form the error rate")
-    mean = truth.e11_x_total
-    m_x1 = max(mean + deviation_sign * hoeffding_delta(mean, eps1), 0.0)
+    m_x1 = max(e11_x_total + deviation_sign * hoeffding_delta(e11_x_total, eps1), 0.0)
     e_x1 = min(max(m_x1 / n_x1, 0.0), 1.0)
     return m_x1, e_x1
 
@@ -174,10 +178,12 @@ class SinglePhotonEstimate:
         return sum(v for _, v in self.eps_m_x1_terms)
 
 
-def single_photon_bounds(tallies: TallySet, truth: SinglePhotonTruth,
-                         eps1: float, eps_cell: float,
+def single_photon_bounds(counts: PulseCounts, eps1: float, eps_cell: float,
                          deviation_sign: int = +1) -> SinglePhotonEstimate:
     """Run the validity gates and all three single-photon estimates.
+
+    counts are the expected statistics of one configuration at one
+    pulse count (channel.PulseStatistics.counts).
 
     Gates: the per-cell exposure condition on the signal-signal Z cell
     (the cell n_Z1 reads) and on the X-basis aggregate (the exposure
@@ -189,9 +195,8 @@ def single_photon_bounds(tallies: TallySet, truth: SinglePhotonTruth,
     quantity reads (three per-cell epsilons for the Z signal cell, times
     nine cells for the X aggregate).
     """
-    mu_z = exposure_mu(tallies, (SIGNAL, SIGNAL, "Z"), eps_cell)
-    x_total = tallies.basis_total("X")
-    mu_x = (x_total - math.sqrt(x_total / 2.0 * math.log(1.0 / eps_cell))) if x_total > 0 else 0.0
+    mu_z = _exposure(counts.z_signal, counts.z_total, eps_cell)
+    mu_x = _exposure(counts.x_total, counts.x_total, eps_cell)
     gates_ok = (check_chernoff_conditions(mu_z, eps_cell, eps_cell)
                 and check_chernoff_conditions(mu_x, eps_cell, eps_cell))
 
@@ -201,12 +206,12 @@ def single_photon_bounds(tallies: TallySet, truth: SinglePhotonTruth,
         return SinglePhotonEstimate(0.0, 0.0, 0.0, 0.0, valid=False,
                                     eps_n_z1_terms=gate_z, eps_n_x1_terms=gate_x)
 
-    n_z1 = estimate_n_z1(tallies, truth, eps1)
-    n_x1 = estimate_n_x1(tallies, truth, eps1)
+    n_z1 = estimate_n_z1(counts.s11_z_signal, eps1)
+    n_x1 = estimate_n_x1(counts.s11_x_total, eps1)
     if n_x1 <= 0 or n_z1 <= 0:
         return SinglePhotonEstimate(n_z1, n_x1, 0.0, 0.0, valid=False,
                                     eps_n_z1_terms=gate_z, eps_n_x1_terms=gate_x)
-    m_x1, e_x1 = estimate_m_x1_e_x1(tallies, truth, eps1, n_x1=n_x1,
+    m_x1, e_x1 = estimate_m_x1_e_x1(counts.e11_x_total, eps1, n_x1,
                                     deviation_sign=deviation_sign)
     return SinglePhotonEstimate(
         n_z1=n_z1, n_x1=n_x1, m_x1=m_x1, e_x1=e_x1, valid=True,

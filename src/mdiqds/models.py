@@ -27,17 +27,17 @@ import math
 from dataclasses import dataclass, field
 
 from .bounds import (
+    binary_entropy,
     hoeffding_delta,
     sampling_lambda,
     serfling_count_gamma,
     serfling_fraction_gamma,
 )
 from .channel import (
-    SIGNAL,
     IntensityConfig,
+    PulseCounts,
     PulseStatistics,
     SystemParams,
-    TallySet,
     pulse_statistics,
 )
 from .decoy import EpsTerms, single_photon_bounds
@@ -124,20 +124,27 @@ def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
     n_L1 is floored at 0 and clamped to L/2, e_L1 capped at 1; a
     triggered floor/cap marks the estimate infeasible.
     """
+    n_l1, e_l1, feasible = _keep_block(n_z1, e_z1, z_signal, length, eps_sf)
+    return KeepBlockEstimate(n_l1, e_l1, length, feasible, eps_sf, eps_sf)
+
+
+def _keep_block(n_z1: float, e_z1: float, z_signal: float, length: int,
+                eps_sf: float) -> tuple[float, float, bool]:
+    """project_to_keep's (n_L1, e_L1, feasible) as plain floats."""
     if not 2 <= length <= 2 * z_signal:
         raise ValueError(f"need 2 <= L <= 2*|Z|, got L={length}, |Z|={z_signal}")
     half = length / 2.0
     n_l1 = n_z1 * half / z_signal - sampling_lambda(z_signal, half, eps_sf)
     n_l1 = min(max(n_l1, 0.0), half)
     if n_l1 < 1.0:
-        return KeepBlockEstimate(0.0, 1.0, length, False, eps_sf, eps_sf)
+        return 0.0, 1.0, False
     e_l1 = e_z1 + sampling_lambda(n_z1, n_l1, eps_sf) / n_l1
     if e_l1 > 1.0:
-        return KeepBlockEstimate(n_l1, 1.0, length, False, eps_sf, eps_sf)
-    return KeepBlockEstimate(n_l1, e_l1, length, True, eps_sf, eps_sf)
+        return n_l1, 1.0, False
+    return n_l1, e_l1, True
 
 
-def single_photon_populations(tallies: TallySet, cfg: IntensityConfig,
+def single_photon_populations(counts: PulseCounts, cfg: IntensityConfig,
                               eps_sf: float) -> tuple[float, float, EpsTerms]:
     """Bounds on the single-photon preparation populations per basis.
 
@@ -145,16 +152,17 @@ def single_photon_populations(tallies: TallySet, cfg: IntensityConfig,
     N+_X1 = sum over cells of (a+b) e^{-a-b} N_{x,ab} + g(N_{x,ab},
     eps_sf), holding jointly with confidence 1 - 9 eps_sf.
 
-    Raises no error on a non-positive lower bound; callers treat it as
-    infeasible.
+    The pulse allocations N_{z,ss} and N_{x,ab} are read from counts
+    (channel.PulseStatistics.counts). Raises no error on a non-positive
+    lower bound; callers treat it as infeasible.
     """
-    n_z_ss = float(tallies.pulses_z[SIGNAL, SIGNAL])
+    n_z_ss = counts.z_signal_pulses
     a_s, b_s = cfg.a_s, cfg.b_s
     n_z1_lo = (a_s + b_s) * math.exp(-a_s - b_s) * n_z_ss - hoeffding_delta(n_z_ss, eps_sf)
     n_x1_hi = 0.0
     for i, a in enumerate(cfg.intensities_a):
         for j, b in enumerate(cfg.intensities_b):
-            n_x_ab = float(tallies.pulses_x[i, j])
+            n_x_ab = counts.pulses_x[3 * i + j]
             n_x1_hi += (a + b) * math.exp(-a - b) * n_x_ab + hoeffding_delta(n_x_ab, eps_sf)
     return n_z1_lo, n_x1_hi, (("single-photon populations", 9.0 * eps_sf),)
 
@@ -232,10 +240,13 @@ class _Pipeline:
     """Length-independent state of one estimation run.
 
     eps_n/eps_e are the sums of the eps_n_terms/eps_e_terms ledgers,
-    taken once so that outcome_at does only the work that depends on L.
+    taken once so that a length probe does only the work that depends
+    on L.
     """
 
     n_z1: float
+    n_x1: float
+    m_x1: float
     e_z1: float
     z_signal: float
     n_test: float
@@ -244,7 +255,6 @@ class _Pipeline:
     budget: SecurityBudget
     eps_n_terms: EpsTerms
     eps_e_terms: EpsTerms
-    estimates: dict
     eps_n: float = field(init=False)
     eps_e: float = field(init=False)
 
@@ -252,21 +262,42 @@ class _Pipeline:
         object.__setattr__(self, "eps_n", sum(v for _, v in self.eps_n_terms))
         object.__setattr__(self, "eps_e", sum(v for _, v in self.eps_e_terms))
 
+    def _at(self, length: int, n_l1: float, e_l1: float, keep_ok: bool) -> tuple:
+        """The security quantities at L, given the kept block's projection.
+
+        Returns (h_l1, p_e, e_keep, s_a, s_v, p_robust, p_repudiation,
+        p_forge, thresholds_ok, feasible); h_l1 = H2(e_L1) is computed
+        once for both the forger's error rate and the min-entropy.
+        """
+        budget = self.budget
+        e_keep = keep_error_bound(self.e_test, length, self.n_test, budget.eps_pe)
+        h_l1 = binary_entropy(e_l1)
+        p_e = eve_error_rate(n_l1, h_l1, length)
+        s_a, s_v, ordered = thresholds(e_keep, p_e)
+        p_rob, p_rep, p_forge = security_probabilities(
+            s_a, s_v, length, p_e, budget,
+            self.eps_n + budget.eps_sf, self.eps_e + budget.eps_sf)
+        feasible = (keep_ok and ordered
+                    and max(p_rob, p_rep, p_forge) <= budget.epsilon)
+        return h_l1, p_e, e_keep, s_a, s_v, p_rob, p_rep, p_forge, ordered, feasible
+
+    def feasible_at(self, length: int) -> bool:
+        """Whether signature length L meets the security level.
+
+        The length searches probe this; it builds no outcome object.
+        """
+        keep = _keep_block(self.n_z1, self.e_z1, self.z_signal, length,
+                           self.budget.eps_sf)
+        return self._at(length, *keep)[-1]
+
     def outcome_at(self, length: int) -> SecurityOutcome:
         keep = project_to_keep(self.n_z1, self.e_z1, self.z_signal, length,
                                self.budget.eps_sf)
-        eps_n = self.eps_n + keep.eps_n_term
-        eps_e = self.eps_e + keep.eps_e_term
-        e_keep = keep_error_bound(self.e_test, length, self.n_test, self.budget.eps_pe)
-        p_e = eve_error_rate(keep.n_l1, keep.e_l1, length)
-        s_a, s_v, ordered = thresholds(e_keep, p_e)
-        p_rob, p_rep, p_forge = security_probabilities(
-            s_a, s_v, length, p_e, self.budget, eps_n, eps_e)
-        feasible = (keep.feasible and ordered
-                    and max(p_rob, p_rep, p_forge) <= self.budget.epsilon)
+        (h_l1, p_e, e_keep, s_a, s_v, p_rob, p_rep, p_forge, ordered,
+         feasible) = self._at(length, keep.n_l1, keep.e_l1, keep.feasible)
         return SecurityOutcome(
             length=length, n_l1=keep.n_l1, e_l1=keep.e_l1,
-            h_min=min_entropy(keep.n_l1, keep.e_l1), p_e=p_e,
+            h_min=min_entropy(keep.n_l1, h_l1), p_e=p_e,
             e_test=self.e_test, e_keep=e_keep, s_a=s_a, s_v=s_v,
             p_robust=p_rob, p_repudiation=p_rep, p_forge=p_forge,
             thresholds_ok=ordered, feasible=feasible)
@@ -285,14 +316,12 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     channel is the per-pulse record of (params, cfg), scaled here to
     n_pulses.
     """
-    tallies = channel.tallies(n_pulses)
-    truth = channel.truth(n_pulses)
-    est = single_photon_bounds(tallies, truth, eps1=budget.eps_sf,
-                               eps_cell=budget.eps_sf)
+    counts = channel.counts(n_pulses)
+    est = single_photon_bounds(counts, eps1=budget.eps_sf, eps_cell=budget.eps_sf)
     if not est.valid:
         return "decoy validity gate failed"
     if x_derived:
-        pop_lo, pop_hi, pop_terms = single_photon_populations(tallies, cfg, budget.eps_sf)
+        pop_lo, pop_hi, pop_terms = single_photon_populations(counts, cfg, budget.eps_sf)
         if pop_lo <= 0 or pop_hi < 1:
             return "single-photon population bound non-positive"
         n_z1 = estimate_n_z1_from_x(est.n_x1, pop_lo, pop_hi, budget.eps_sf)
@@ -307,13 +336,15 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
                                      eps_m_x1=est.eps_m_x1,
                                      eps_n_x1=est.eps_n_x1,
                                      eps_gamma=budget.eps_sf)
-    if tallies.n_test < 1:
+    z_signal = counts.z_signal
+    n_test = channel.r_test * z_signal
+    if n_test < 1:
         return "error-test sample is empty"
     return _Pipeline(
-        n_z1=n_z1, e_z1=e_z1, z_signal=tallies.z_signal,
-        n_test=tallies.n_test, n_pool=tallies.n_pool, e_test=tallies.e_test,
-        budget=budget, eps_n_terms=eps_n_terms, eps_e_terms=e_terms,
-        estimates={"n_z1": n_z1, "n_x1": est.n_x1, "m_x1": est.m_x1, "e_z1": e_z1})
+        n_z1=n_z1, n_x1=est.n_x1, m_x1=est.m_x1, e_z1=e_z1, z_signal=z_signal,
+        n_test=n_test, n_pool=(1.0 - channel.r_test) * z_signal,
+        e_test=counts.z_signal_errors / z_signal,
+        budget=budget, eps_n_terms=eps_n_terms, eps_e_terms=e_terms)
 
 
 def _even_floor(x: float) -> int:
@@ -336,8 +367,7 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
         model=model, distance_km=params.distance_km, n_pulses=params.n_pulses,
         feasible=True, rate=rate, n_bits=n_bits, length=outcome.length,
         block_size=block_size, n_pool=pipe.n_pool, n_test=pipe.n_test,
-        n_z1=pipe.estimates["n_z1"], n_x1=pipe.estimates["n_x1"],
-        m_x1=pipe.estimates["m_x1"], e_z1=pipe.estimates["e_z1"],
+        n_z1=pipe.n_z1, n_x1=pipe.n_x1, m_x1=pipe.m_x1, e_z1=pipe.e_z1,
         n_l1=outcome.n_l1, e_l1=outcome.e_l1, h_min=outcome.h_min,
         e_test=outcome.e_test, e_keep=outcome.e_keep, p_e=outcome.p_e,
         s_a=outcome.s_a, s_v=outcome.s_v, p_robust=outcome.p_robust,
@@ -352,7 +382,7 @@ def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
     if isinstance(pipe, str):
         return _infeasible(model, params, cfg, pipe)
     l_max = _even_floor(pipe.n_pool / 2.0)
-    length = solve_signature_length(lambda L: pipe.outcome_at(L).feasible, l_max)
+    length = solve_signature_length(pipe.feasible_at, l_max)
     if length is None:
         return _infeasible(model, params, cfg, "no feasible signature length")
     outcome = pipe.outcome_at(length)
@@ -379,17 +409,23 @@ def run_smb2(params: SystemParams, cfg: IntensityConfig,
     return _run_smb("smb2", params, cfg, budget)
 
 
-def _sob_block_outcome(channel: PulseStatistics, cfg: IntensityConfig,
-                       budget: SecurityBudget,
-                       n_s: int) -> tuple[_Pipeline, SecurityOutcome] | None:
-    """Pipeline and outcome of one self-sufficient block of n_s pulse pairs."""
+def _sob_block(channel: PulseStatistics, cfg: IntensityConfig,
+               budget: SecurityBudget, n_s: int) -> tuple[_Pipeline, int] | None:
+    """Pipeline of one self-sufficient block of n_s pulse pairs and its L."""
     pipe = _build_pipeline(channel, cfg, budget, float(n_s), x_derived=False)
     if isinstance(pipe, str):
         return None
     length = _even_floor(pipe.n_pool / 2.0)
     if length < 2:
         return None
-    return pipe, pipe.outcome_at(length)
+    return pipe, length
+
+
+def _sob_block_feasible(channel: PulseStatistics, cfg: IntensityConfig,
+                        budget: SecurityBudget, n_s: int) -> bool:
+    """Whether a block of n_s pulse pairs can sign one bit securely."""
+    block = _sob_block(channel, cfg, budget, n_s)
+    return block is not None and block[0].feasible_at(block[1])
 
 
 def run_sob(params: SystemParams, cfg: IntensityConfig,
@@ -405,16 +441,13 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
     channel = pulse_statistics(params, cfg)
 
-    def feasible(n_s: int) -> bool:
-        got = _sob_block_outcome(channel, cfg, budget, n_s)
-        return got is not None and got[1].feasible
-
-    n_s = smallest_feasible(feasible, _SOB_BRACKET_START, int(params.n_pulses))
+    n_s = smallest_feasible(lambda n: _sob_block_feasible(channel, cfg, budget, n),
+                            _SOB_BRACKET_START, int(params.n_pulses))
     if n_s is None:
         return _infeasible("sob", params, cfg, "no feasible block size")
-    pipe, outcome = _sob_block_outcome(channel, cfg, budget, n_s)  # type: ignore[misc]
+    pipe, length = _sob_block(channel, cfg, budget, n_s)  # type: ignore[misc]
     n_bits = params.n_pulses / n_s
-    return _result_from("sob", params, cfg, pipe, outcome,
+    return _result_from("sob", params, cfg, pipe, pipe.outcome_at(length),
                         rate=1.0 / n_s, n_bits=n_bits, block_size=n_s)
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import binary_entropy, inverse_binary_entropy, test_sample_penalty
+from .bounds import inverse_binary_entropy, test_sample_penalty
 
 __all__ = [
     "SecurityBudget",
@@ -81,22 +81,27 @@ class SecurityOutcome:
         return max(self.p_robust, self.p_repudiation, self.p_forge)
 
 
-def min_entropy(n_l1: float, e_l1: float) -> float:
-    """Single-photon min-entropy n_L1 * (1 - H2(e_L1)), floored at 0."""
-    if not 0.0 <= e_l1 <= 1.0:
-        raise ValueError(f"e_l1 must be in [0, 1], got {e_l1}")
-    return max(n_l1 * (1.0 - binary_entropy(e_l1)), 0.0)
+def min_entropy(n_l1: float, h_l1: float) -> float:
+    """Single-photon min-entropy n_L1 * (1 - H2(e_L1)), floored at 0.
+
+    h_l1 is H2(e_L1), the binary entropy of the kept block's
+    single-photon error rate, which eve_error_rate reads too.
+    """
+    if not 0.0 <= h_l1 <= 1.0:
+        raise ValueError(f"h_l1 must be in [0, 1], got {h_l1}")
+    return max(n_l1 * (1.0 - h_l1), 0.0)
 
 
-def eve_error_rate(n_l1: float, e_l1: float, length: float) -> float:
+def eve_error_rate(n_l1: float, h_l1: float, length: float) -> float:
     """Minimum error rate p_E a forger must incur on the kept half.
 
-    Solves H2(p_E) = 2 n_L1 / L * (1 - H2(e_L1)) for p_E in [0, 0.5];
-    the right-hand side is clamped to [0, 1], with 1 mapping to 0.5.
+    Solves H2(p_E) = 2 n_L1 / L * (1 - H2(e_L1)) for p_E in [0, 0.5],
+    given h_l1 = H2(e_L1); the right-hand side is clamped to [0, 1],
+    with 1 mapping to 0.5.
     """
     if length < 2:
         raise ValueError(f"block length must be >= 2, got {length}")
-    rhs = 2.0 * n_l1 / length * (1.0 - binary_entropy(e_l1))
+    rhs = 2.0 * n_l1 / length * (1.0 - h_l1)
     rhs = min(max(rhs, 0.0), 1.0)
     return inverse_binary_entropy(rhs)
 

@@ -10,12 +10,15 @@ from mdiqds.channel import (
     PHOTON_CUTOFF,
     SIGNAL,
     IntensityConfig,
+    PulseStatistics,
     SystemParams,
     conditional_intensity_prob,
     expected_tallies,
+    pulse_statistics,
     sample_tallies,
     single_photon_truth,
 )
+from mdiqds.optimize import config_from_vector, qds_search_space
 
 CFG = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
 
@@ -195,6 +198,48 @@ class TestSinglePhotonTruth:
                 class_total *= p.n_pulses
                 rebuilt += conditional_intensity_prob(CFG, nn, mm, "Z") * class_total
         assert np.allclose(rebuilt, t.counts_z, rtol=1e-6)
+
+
+class TestPulseStatistics:
+    def test_counts_equal_table_cells_and_sums(self):
+        """counts(n) is the scalar view of tallies(n)/truth(n), bit for bit."""
+        rng = np.random.default_rng(4)
+        space = qds_search_space()
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        checked = 0
+        for _ in range(60):
+            cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+            params = params_at(float(rng.uniform(0.0, 300.0)),
+                               p_dc=float(rng.choice([0.0, 1e-8, 1e-7, 1e-3])),
+                               e_d=float(rng.uniform(0.0, 0.5)))
+            record = pulse_statistics(params, cfg)
+            for n in (1.0, float(rng.integers(2, 10**6)),
+                      float(10 ** rng.uniform(6, 150)), MAX_PULSES):
+                got = record.counts(n)
+                t, tr = record.tallies(n), record.truth(n)
+                want = dict(
+                    z_signal=t.counts_z[SIGNAL, SIGNAL],
+                    z_signal_errors=t.errors_z[SIGNAL, SIGNAL],
+                    z_signal_pulses=t.pulses_z[SIGNAL, SIGNAL],
+                    z_total=t.counts_z.sum(), x_total=t.counts_x.sum(),
+                    s11_z_signal=tr.s11_z[SIGNAL, SIGNAL],
+                    s11_x_total=tr.s11_x.sum(), e11_x_total=tr.e11_x.sum())
+                for name, value in want.items():
+                    assert getattr(got, name) == float(value), (name, n)
+                assert got.pulses_x == tuple(t.pulses_x.ravel().tolist())
+                checked += 1
+        assert checked == 240
+
+    def test_error_rate_above_yield_rejected(self):
+        record = pulse_statistics(params_at(50.0), CFG)
+        cell_err = list(record.cell_err)
+        cell_err[4] = record.cell_yield[4] * (1.0 + 1e-12)
+        fields = {f: getattr(record, f) for f in record.__dataclass_fields__}
+        fields["cell_err"] = tuple(cell_err)
+        with pytest.raises(ValueError, match="exceeds yield"):
+            PulseStatistics(**fields)
+        fields["cell_err"] = record.cell_yield  # equality is allowed
+        PulseStatistics(**fields)
 
 
 class TestSampledTallies:

@@ -258,6 +258,13 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--bounds", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "verify", "--trials", trials)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"error: trials must be >= 1, got {trials}\n"
+
 
 class TestSimulateProtocol:
     def test_report_lines(self, capsys):
@@ -266,3 +273,10 @@ class TestSimulateProtocol:
         assert code == 0
         for label in ("honest-abort", "repudiation", "forging"):
             assert label in out
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_non_positive_trials_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "simulate-protocol", "--trials", trials)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"error: trials must be >= 1, got {trials}\n"

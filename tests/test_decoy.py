@@ -10,6 +10,7 @@ from mdiqds.channel import (
     IntensityConfig,
     SystemParams,
     expected_tallies,
+    pulse_statistics,
     single_photon_truth,
 )
 
@@ -28,6 +29,11 @@ def tallies():
 @pytest.fixture(scope="module")
 def truth():
     return single_photon_truth(PARAMS, CFG)
+
+
+@pytest.fixture(scope="module")
+def counts():
+    return pulse_statistics(PARAMS, CFG).counts(PARAMS.n_pulses)
 
 
 class TestChernoffConditions:
@@ -76,85 +82,61 @@ class TestExposureMu:
 
 
 class TestEstimates:
-    def test_n_z1_known_value(self, tallies, truth):
-        scaled = type(truth)(
-            s11_z=np.zeros((3, 3)), s11_x=truth.s11_x,
-            e11_z=np.zeros((3, 3)), e11_x=truth.e11_x,
-            y11=truth.y11, e11_rate=truth.e11_rate)
-        scaled.s11_z[SIGNAL, SIGNAL] = 9e5
-        got = decoy.estimate_n_z1(tallies, scaled, EPS12)
+    def test_n_z1_known_value(self):
+        got = decoy.estimate_n_z1(9e5, EPS12)
         assert got == pytest.approx(9e5 - 7052.36400143, rel=1e-10)
 
-    def test_n_z1_zero_truth(self, tallies, truth):
-        empty = type(truth)(s11_z=np.zeros((3, 3)), s11_x=np.zeros((3, 3)),
-                            e11_z=np.zeros((3, 3)), e11_x=np.zeros((3, 3)),
-                            y11=0.0, e11_rate=0.0)
-        assert decoy.estimate_n_z1(tallies, empty, EPS12) == 0.0
+    def test_n_z1_zero_truth(self):
+        assert decoy.estimate_n_z1(0.0, EPS12) == 0.0
 
-    def test_n_z1_vanishing_confidence_exact(self, tallies, truth):
-        got = decoy.estimate_n_z1(tallies, truth, NEAR_ONE)
+    def test_n_z1_vanishing_confidence_exact(self, truth):
+        got = decoy.estimate_n_z1(float(truth.s11_z[SIGNAL, SIGNAL]), NEAR_ONE)
         assert got == pytest.approx(truth.s11_z[SIGNAL, SIGNAL], rel=1e-6)
 
-    def test_n_x1_single_cell_reduces_to_z_form(self, tallies, truth):
+    def test_n_x1_single_cell_reduces_to_z_form(self):
         # all X mass in one cell: the sum estimate collapses to the
         # single-cell estimate used on the Z side
         cells = np.zeros((3, 3))
         cells[1, 1] = 7.5e5
-        made_x = type(truth)(s11_z=truth.s11_z, s11_x=cells,
-                             e11_z=truth.e11_z, e11_x=truth.e11_x,
-                             y11=truth.y11, e11_rate=truth.e11_rate)
-        made_z = type(truth)(s11_z=np.zeros((3, 3)), s11_x=cells,
-                             e11_z=truth.e11_z, e11_x=truth.e11_x,
-                             y11=truth.y11, e11_rate=truth.e11_rate)
-        made_z.s11_z[SIGNAL, SIGNAL] = 7.5e5
-        assert (decoy.estimate_n_x1(tallies, made_x, EPS12)
-                == decoy.estimate_n_z1(tallies, made_z, EPS12))
+        assert (decoy.estimate_n_x1(float(cells.sum()), EPS12)
+                == decoy.estimate_n_z1(7.5e5, EPS12))
 
-    def test_n_x1_three_cell_hand_sum(self, tallies, truth):
+    def test_n_x1_three_cell_hand_sum(self):
         cells = np.zeros((3, 3))
         cells[0, 0], cells[0, 1], cells[1, 0] = 4e5, 3e4, 3e4
-        made = type(truth)(s11_z=truth.s11_z, s11_x=cells,
-                           e11_z=truth.e11_z, e11_x=truth.e11_x,
-                           y11=truth.y11, e11_rate=truth.e11_rate)
         total = 4.6e5
         expected = total - math.sqrt(2 * total * math.log(1e12))
-        assert decoy.estimate_n_x1(tallies, made, EPS12) == pytest.approx(expected, rel=1e-12)
+        assert decoy.estimate_n_x1(float(cells.sum()), EPS12) == pytest.approx(expected, rel=1e-12)
 
-    def test_m_x1_upper_direction_and_flag(self, tallies, truth):
-        up, e_up = decoy.estimate_m_x1_e_x1(tallies, truth, EPS12)
-        down, _ = decoy.estimate_m_x1_e_x1(tallies, truth, EPS12, deviation_sign=-1)
+    def test_m_x1_upper_direction_and_flag(self, truth):
+        n_x1 = decoy.estimate_n_x1(truth.s11_x_total, EPS12)
+        up, e_up = decoy.estimate_m_x1_e_x1(truth.e11_x_total, EPS12, n_x1)
+        down, _ = decoy.estimate_m_x1_e_x1(truth.e11_x_total, EPS12, n_x1, deviation_sign=-1)
         mean = truth.e11_x_total
         assert down < mean < up
         assert up - mean == pytest.approx(mean - down, rel=1e-9)
         assert 0.0 <= e_up <= 1.0
 
-    def test_m_x1_known_aggregate(self, tallies, truth):
+    def test_m_x1_known_aggregate(self):
         cells = np.full((3, 3), 1e4 / 9.0)
-        made = type(truth)(s11_z=truth.s11_z, s11_x=truth.s11_x,
-                           e11_z=truth.e11_z, e11_x=cells,
-                           y11=truth.y11, e11_rate=truth.e11_rate)
-        m, _ = decoy.estimate_m_x1_e_x1(tallies, made, EPS12, n_x1=1e6)
+        m, _ = decoy.estimate_m_x1_e_x1(float(cells.sum()), EPS12, n_x1=1e6)
         assert m == pytest.approx(1e4 + 743.384437769968, rel=1e-12)
 
-    def test_m_x1_no_errors(self, tallies, truth):
-        clean = type(truth)(s11_z=truth.s11_z, s11_x=truth.s11_x,
-                            e11_z=np.zeros((3, 3)), e11_x=np.zeros((3, 3)),
-                            y11=truth.y11, e11_rate=0.0)
-        m, e = decoy.estimate_m_x1_e_x1(tallies, clean, NEAR_ONE, n_x1=1e5)
+    def test_m_x1_no_errors(self):
+        m, e = decoy.estimate_m_x1_e_x1(0.0, NEAR_ONE, n_x1=1e5)
         assert m == pytest.approx(0.0, abs=1e-6)
         assert e == pytest.approx(0.0, abs=1e-11)
 
     def test_monotone_in_pulse_count(self):
+        record = pulse_statistics(PARAMS, CFG)
         values = []
         for n in (1e10, 1e11, 1e12, 1e13):
-            t = expected_tallies(PARAMS, CFG, n_pulses=n)
-            tr = single_photon_truth(PARAMS, CFG, n_pulses=n)
-            est = decoy.single_photon_bounds(t, tr, EPS12, EPS12)
+            est = decoy.single_photon_bounds(record.counts(n), EPS12, EPS12)
             values.append((est.n_z1, est.n_x1))
         assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(values, values[1:]))
 
-    def test_bundle_ledgers(self, tallies, truth):
-        est = decoy.single_photon_bounds(tallies, truth, EPS12, EPS12)
+    def test_bundle_ledgers(self, counts):
+        est = decoy.single_photon_bounds(counts, EPS12, EPS12)
         assert est.valid
         assert est.eps_n_z1 == pytest.approx(3 * EPS12 + EPS12)
         assert est.eps_n_x1 == pytest.approx(27 * EPS12 + EPS12)
@@ -163,9 +145,8 @@ class TestEstimates:
 
     def test_gate_failure_zeroes_estimates(self):
         thin = SystemParams(distance_km=300.0, n_pulses=1e6)
-        t = expected_tallies(thin, CFG)
-        tr = single_photon_truth(thin, CFG)
-        est = decoy.single_photon_bounds(t, tr, EPS12, EPS12)
+        est = decoy.single_photon_bounds(pulse_statistics(thin, CFG).counts(1e6),
+                                         EPS12, EPS12)
         assert not est.valid
         assert est.m_x1 == 0.0
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mdiqds import models
+from mdiqds import channel, models, security
 from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
 from mdiqds.cli import record_dict, render_csv
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
@@ -74,16 +74,17 @@ class TestSinglePhotonPopulations:
     def test_known_value(self):
         params = SystemParams(distance_km=10.0, n_pulses=1e10 / (0.5 * 0.5 * (1 / 3) ** 2))
         cfg = IntensityConfig.symmetric(a_s=0.25, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
-        tallies = expected_tallies(params, cfg)
-        assert tallies.pulses_z[0, 0] == pytest.approx(1e10, rel=1e-9)
-        lo, _, terms = models.single_photon_populations(tallies, cfg, EPS12)
+        counts = pulse_statistics(params, cfg).counts(params.n_pulses)
+        assert counts.z_signal_pulses == pytest.approx(1e10, rel=1e-9)
+        lo, _, terms = models.single_photon_populations(counts, cfg, EPS12)
         assert lo == pytest.approx(3031909914.125, rel=1e-9)
         assert terms[0][1] == pytest.approx(9 * EPS12)
 
     def test_vanishing_confidence_poisson_weights(self):
         params = SystemParams(distance_km=10.0, n_pulses=1e12)
         tallies = expected_tallies(params, CFG)
-        lo, hi, _ = models.single_photon_populations(tallies, CFG, NEAR_ONE)
+        counts = pulse_statistics(params, CFG).counts(params.n_pulses)
+        lo, hi, _ = models.single_photon_populations(counts, CFG, NEAR_ONE)
         a = CFG.a_s
         assert lo == pytest.approx(2 * a * math.exp(-2 * a) * tallies.pulses_z[0, 0], rel=1e-6)
         manual = sum((ai + bj) * math.exp(-ai - bj) * tallies.pulses_x[i, j]
@@ -96,8 +97,8 @@ class TestSinglePhotonPopulations:
         cfg = IntensityConfig.symmetric(a_s=0.002, a_d1=0.0015, a_d2=0.001,
                                         p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
         params = SystemParams(distance_km=10.0, n_pulses=1e7)
-        tallies = expected_tallies(params, cfg)
-        lo, _, _ = models.single_photon_populations(tallies, cfg, EPS12)
+        counts = pulse_statistics(params, cfg).counts(params.n_pulses)
+        lo, _, _ = models.single_photon_populations(counts, cfg, EPS12)
         assert lo <= 0.0
         assert not models.run_smb2(params, cfg).feasible
 
@@ -257,8 +258,7 @@ class TestRunners:
             budget = SecurityBudget(epsilon=params.epsilon)
             channel = pulse_statistics(params, cfg)
             grid = np.geomspace(1024, n_pulses, 40).astype(int)
-            sob = [models._sob_block_outcome(channel, cfg, budget, int(n)) for n in grid]
-            flags = [got is not None and got[1].feasible for got in sob]
+            flags = [models._sob_block_feasible(channel, cfg, budget, int(n)) for n in grid]
             assert flags == sorted(flags)
             curves += 1
             for x_derived in (False, True):
@@ -267,8 +267,9 @@ class TestRunners:
                     continue
                 cap = models._even_floor(pipe.n_pool / 2.0)
                 grid = sorted({models._even_floor(v) for v in np.geomspace(2, cap, 60)})
-                flags = [pipe.outcome_at(L).feasible for L in grid]
+                flags = [pipe.feasible_at(L) for L in grid]
                 assert flags == sorted(flags)
+                assert flags == [pipe.outcome_at(L).feasible for L in grid]
                 curves += 1
         assert curves >= 60
 
@@ -321,3 +322,27 @@ def test_engine_output_pinned():
     body = "".join(line for line in text.splitlines(keepends=True)
                    if not line.startswith("#"))
     assert hashlib.sha256(body.encode()).hexdigest() == ENGINE_OUTPUT_SHA256
+
+
+@pytest.mark.parametrize("model", models.MODELS)
+def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
+    """A rate evaluation scales the record to scalars on every probe."""
+    built = {"TallySet": 0, "SinglePhotonTruth": 0, "KeepBlockEstimate": 0,
+             "SecurityOutcome": 0}
+
+    def counting(cls):
+        original = cls.__init__
+
+        def init(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in (channel.TallySet, channel.SinglePhotonTruth, models.KeepBlockEstimate,
+                security.SecurityOutcome):
+        counting(cls)
+    cfg = CFG_SMB2 if model == "smb2" else CFG
+    result = models.run_model(model, SystemParams(distance_km=50.0, n_pulses=1e12), cfg)
+    assert result.feasible
+    assert built == {"TallySet": 0, "SinglePhotonTruth": 0, "KeepBlockEstimate": 1,
+                     "SecurityOutcome": 1}

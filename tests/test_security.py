@@ -4,6 +4,7 @@ import math
 import pytest
 
 from mdiqds import security
+from mdiqds.bounds import binary_entropy
 from mdiqds.security import SecurityBudget
 
 EPS12 = 1e-12
@@ -12,14 +13,14 @@ NEAR_ONE = 1.0 - 1e-15
 
 class TestMinEntropy:
     def test_uniform_error_gives_zero(self):
-        assert security.min_entropy(1e4, 0.5) == 0.0
+        assert security.min_entropy(1e4, binary_entropy(0.5)) == 0.0
 
     def test_error_free(self):
-        assert security.min_entropy(1e4, 0.0) == 1e4
+        assert security.min_entropy(1e4, binary_entropy(0.0)) == 1e4
 
     def test_known_value(self):
-        assert security.min_entropy(1e4, 0.11) == pytest.approx(5000.9, abs=0.5)
-        assert security.min_entropy(1e4, 0.11) == pytest.approx(5000.84041835472, rel=1e-12)
+        assert security.min_entropy(1e4, binary_entropy(0.11)) == pytest.approx(5000.9, abs=0.5)
+        assert security.min_entropy(1e4, binary_entropy(0.11)) == pytest.approx(5000.84041835472, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -28,14 +29,14 @@ class TestMinEntropy:
 
 class TestEveErrorRate:
     def test_saturated_rhs(self):
-        assert security.eve_error_rate(n_l1=1e4, e_l1=0.0, length=2e4) == 0.5
+        assert security.eve_error_rate(n_l1=1e4, h_l1=0.0, length=2e4) == 0.5
 
     def test_zero_rhs(self):
-        assert security.eve_error_rate(n_l1=0.0, e_l1=0.0, length=100) == 0.0
+        assert security.eve_error_rate(n_l1=0.0, h_l1=0.0, length=100) == 0.0
 
     def test_half_entropy_point(self):
         # n_L1/(L/2) = 0.5 with no errors solves H2(p) = 0.5
-        got = security.eve_error_rate(n_l1=2500.0, e_l1=0.0, length=10_000)
+        got = security.eve_error_rate(n_l1=2500.0, h_l1=0.0, length=10_000)
         assert got == pytest.approx(0.11003, abs=1e-4)
 
     def test_domain(self):

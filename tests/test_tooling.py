@@ -23,8 +23,8 @@ def test_bench_patch_point_resolves(module, name):
 # cannot find is skipped silently and its metrics read 0, so a rename must
 # fail here instead.
 TRACE_POINTS = {
-    "mdiqds.models": ("_build_pipeline", "_Pipeline.outcome_at", "single_photon_bounds",
-                      "eve_error_rate", "solve_signature_length"),
+    "mdiqds.models": ("_build_pipeline", "_Pipeline.outcome_at", "_Pipeline.feasible_at",
+                      "single_photon_bounds", "eve_error_rate", "solve_signature_length"),
     "mdiqds.security": ("inverse_binary_entropy",),
     "mdiqds.optimize": ("coordinate_descent", "rate_objective"),
 }
