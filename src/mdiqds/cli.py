@@ -119,7 +119,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value == int(value) and abs(value) < 1e16:
+        if value.is_integer() and abs(value) < 1e16:
             return str(int(value))
         return repr(value)
     return str(value)

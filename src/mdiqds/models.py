@@ -284,11 +284,15 @@ class _Pipeline:
     def feasible_at(self, length: int) -> bool:
         """Whether signature length L meets the security level.
 
-        The length searches probe this; it builds no outcome object.
+        The length searches probe this; it builds no outcome object, and
+        a failed keep-block projection answers False without running the
+        security chain.
         """
-        keep = _keep_block(self.n_z1, self.e_z1, self.z_signal, length,
-                           self.budget.eps_sf)
-        return self._at(length, *keep)[-1]
+        n_l1, e_l1, keep_ok = _keep_block(self.n_z1, self.e_z1, self.z_signal,
+                                          length, self.budget.eps_sf)
+        if not keep_ok:
+            return False
+        return self._at(length, n_l1, e_l1, keep_ok)[-1]
 
     def outcome_at(self, length: int) -> SecurityOutcome:
         keep = project_to_keep(self.n_z1, self.e_z1, self.z_signal, length,
@@ -411,21 +415,17 @@ def run_smb2(params: SystemParams, cfg: IntensityConfig,
 
 def _sob_block(channel: PulseStatistics, cfg: IntensityConfig,
                budget: SecurityBudget, n_s: int) -> tuple[_Pipeline, int] | None:
-    """Pipeline of one self-sufficient block of n_s pulse pairs and its L."""
+    """Pipeline and L of one block of n_s pulse pairs, or None.
+
+    None when the block fails a gate or cannot sign one bit securely.
+    """
     pipe = _build_pipeline(channel, cfg, budget, float(n_s), x_derived=False)
     if isinstance(pipe, str):
         return None
     length = _even_floor(pipe.n_pool / 2.0)
-    if length < 2:
+    if length < 2 or not pipe.feasible_at(length):
         return None
     return pipe, length
-
-
-def _sob_block_feasible(channel: PulseStatistics, cfg: IntensityConfig,
-                        budget: SecurityBudget, n_s: int) -> bool:
-    """Whether a block of n_s pulse pairs can sign one bit securely."""
-    block = _sob_block(channel, cfg, budget, n_s)
-    return block is not None and block[0].feasible_at(block[1])
 
 
 def run_sob(params: SystemParams, cfg: IntensityConfig,
@@ -440,12 +440,19 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
     channel = pulse_statistics(params, cfg)
+    feasible_blocks: dict[int, tuple[_Pipeline, int]] = {}
 
-    n_s = smallest_feasible(lambda n: _sob_block_feasible(channel, cfg, budget, n),
-                            _SOB_BRACKET_START, int(params.n_pulses))
+    def block_feasible(n: int) -> bool:
+        block = _sob_block(channel, cfg, budget, n)
+        if block is not None:
+            feasible_blocks[n] = block
+        return block is not None
+
+    # the search returns a size it probed feasible, so its block is kept
+    n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, int(params.n_pulses))
     if n_s is None:
         return _infeasible("sob", params, cfg, "no feasible block size")
-    pipe, length = _sob_block(channel, cfg, budget, n_s)  # type: ignore[misc]
+    pipe, length = feasible_blocks[n_s]
     n_bits = params.n_pulses / n_s
     return _result_from("sob", params, cfg, pipe, pipe.outcome_at(length),
                         rate=1.0 / n_s, n_bits=n_bits, block_size=n_s)

@@ -6,7 +6,8 @@ tries a step in both directions and halves the step until it finds an
 improvement or hits the minimum step; a full cycle that improves the
 objective by less than 1e-4 relative terminates the search. Candidate
 points are projected onto the feasible box/simplex before evaluation,
-and infeasible protocol configurations score 0 so the search can cross
+each distinct projected point is scored once per descent, and
+infeasible protocol configurations score 0 so the search can cross
 infeasible regions.
 
 Everything is deterministic given (space, seed); multi-start draws its
@@ -81,7 +82,11 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class OptimalPoint:
-    """Best point found, with the accepted-value history for auditing."""
+    """Best point found, with the accepted-value history for auditing.
+
+    evaluations is the number of objective calls the search made: one
+    per distinct projected point, however often the search revisits it.
+    """
 
     x: tuple[float, ...]
     value: float
@@ -110,10 +115,21 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
     repeatedly in an accepted direction while the objective keeps
     improving. Only strict improvements are accepted, so the value
     history is strictly increasing.
+
+    Each distinct projected point is scored once: a candidate the
+    descent has already scored takes its stored value, so the objective
+    must be deterministic.
     """
+    scores: dict[bytes, float] = {}
+
+    def score(point: np.ndarray) -> float:
+        key = point.tobytes()
+        if key not in scores:
+            scores[key] = float(objective(point))
+        return scores[key]
+
     x = _start_vector(space, seed)
-    f = float(objective(x))
-    evaluations = 1
+    f = score(x)
     history = [f]
     base = space.base_steps()
     cur_step = base.copy()
@@ -129,8 +145,7 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
                     cand = x.copy()
                     cand[i] += direction * step
                     cand = space.clip_project(cand)
-                    fc = float(objective(cand))
-                    evaluations += 1
+                    fc = score(cand)
                     if fc > f:
                         x, f = cand, fc
                         history.append(fc)
@@ -140,8 +155,7 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
                             cand = x.copy()
                             cand[i] += direction * step
                             cand = space.clip_project(cand)
-                            fc = float(objective(cand))
-                            evaluations += 1
+                            fc = score(cand)
                             if fc > f:
                                 x, f = cand, fc
                                 history.append(fc)
@@ -158,7 +172,7 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
             converged = True
             break
     return OptimalPoint(x=tuple(float(v) for v in x), value=f, cycles=cycle,
-                        converged=converged, evaluations=evaluations,
+                        converged=converged, evaluations=len(scores),
                         history=tuple(history))
 
 

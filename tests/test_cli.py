@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, main
+from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, _fmt, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -280,3 +280,13 @@ class TestSimulateProtocol:
         assert code == EXIT_INVALID
         assert out == ""
         assert err == f"error: trials must be >= 1, got {trials}\n"
+
+
+@pytest.mark.parametrize("value,text", [
+    (True, "true"), (3, "3"), (2.0, "2"), (0.5, "0.5"), (-0.0, "0"),
+    (1e16, "1e+16"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (float("nan"), "nan"),
+])
+def test_fmt_shortest_text(value, text):
+    """Integral floats below 1e16 print as integers, the rest as repr."""
+    assert _fmt(value) == text

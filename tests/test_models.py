@@ -258,7 +258,8 @@ class TestRunners:
             budget = SecurityBudget(epsilon=params.epsilon)
             channel = pulse_statistics(params, cfg)
             grid = np.geomspace(1024, n_pulses, 40).astype(int)
-            flags = [models._sob_block_feasible(channel, cfg, budget, int(n)) for n in grid]
+            flags = [models._sob_block(channel, cfg, budget, int(n)) is not None
+                     for n in grid]
             assert flags == sorted(flags)
             curves += 1
             for x_derived in (False, True):
@@ -346,3 +347,49 @@ def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
     assert result.feasible
     assert built == {"TallySet": 0, "SinglePhotonTruth": 0, "KeepBlockEstimate": 1,
                      "SecurityOutcome": 1}
+
+
+def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):
+    """run_sob reuses the block its search proved feasible."""
+    calls = {"builds": 0, "probes": 0}
+    build, search = models._build_pipeline, models.smallest_feasible
+
+    def counting_build(*args, **kwargs):
+        calls["builds"] += 1
+        return build(*args, **kwargs)
+
+    def counting_search(feasible, start, cap):
+        def probe(n):
+            calls["probes"] += 1
+            return feasible(n)
+        return search(probe, start, cap)
+
+    monkeypatch.setattr(models, "_build_pipeline", counting_build)
+    monkeypatch.setattr(models, "smallest_feasible", counting_search)
+    result = models.run_sob(SystemParams(distance_km=50.0, n_pulses=1e12), CFG)
+    assert result.feasible
+    assert calls["probes"] > 10
+    assert calls["builds"] == calls["probes"]
+
+
+def test_failed_projection_skips_security_chain(monkeypatch):
+    """feasible_at answers False on a failed keep-block projection at once."""
+    params = SystemParams(distance_km=50.0, n_pulses=1e12)
+    budget = SecurityBudget()
+    pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
+                                  params.n_pulses, x_derived=False)
+    assert not models._keep_block(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
+                                  budget.eps_sf)[2]
+    calls = []
+    eve = models.eve_error_rate
+
+    def counting_eve(*args):
+        calls.append(args)
+        return eve(*args)
+
+    monkeypatch.setattr(models, "eve_error_rate", counting_eve)
+    assert pipe.feasible_at(2) is False
+    assert calls == []
+    # the full chain, which outcome_at still runs, agrees
+    assert not pipe.outcome_at(2).feasible
+    assert len(calls) == 1

@@ -1,11 +1,16 @@
 """Coordinate-descent optimizer tests."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mdiqds import optimize
 from mdiqds.channel import IntensityConfig, SystemParams
 from mdiqds.models import run_smb1
 from mdiqds.optimize import (
+    MIN_STEP,
     REFERENCE_VECTOR,
+    OptimalPoint,
     SearchSpace,
     config_from_vector,
     coordinate_descent,
@@ -57,6 +62,154 @@ class TestCoordinateDescent:
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             SearchSpace(names=("x",), lower=(1.0,), upper=(0.0,))
+
+
+def reference_descent(objective, space, seed=0):
+    """coordinate_descent without the point memo, and its call list.
+
+    Every candidate is scored, repeats included.
+    """
+    calls = []
+
+    def scored(x):
+        calls.append(x.tobytes())
+        return float(objective(x))
+
+    x = optimize._start_vector(space, seed)
+    f = scored(x)
+    history = [f]
+    base = space.base_steps()
+    cur_step = base.copy()
+    converged = False
+    cycle = 0
+    for cycle in range(1, optimize._MAX_CYCLES + 1):
+        f_start = f
+        for i in range(len(space.names)):
+            step = min(base[i], cur_step[i] * 2.0)
+            while step >= MIN_STEP:
+                moved = False
+                for direction in (+1.0, -1.0):
+                    cand = x.copy()
+                    cand[i] += direction * step
+                    cand = space.clip_project(cand)
+                    fc = scored(cand)
+                    if fc > f:
+                        x, f = cand, fc
+                        history.append(fc)
+                        moved = True
+                        while True:
+                            cand = x.copy()
+                            cand[i] += direction * step
+                            cand = space.clip_project(cand)
+                            fc = scored(cand)
+                            if fc > f:
+                                x, f = cand, fc
+                                history.append(fc)
+                            else:
+                                break
+                        break
+                if moved:
+                    cur_step[i] = step
+                    break
+                step /= 2.0
+            else:
+                cur_step[i] = MIN_STEP
+        if f - f_start <= optimize._REL_TOL * abs(f_start):
+            converged = True
+            break
+    point = OptimalPoint(x=tuple(float(v) for v in x), value=f, cycles=cycle,
+                         converged=converged, evaluations=len(calls),
+                         history=tuple(history))
+    return point, calls
+
+
+def seeded_quadratic(seed, dim):
+    """Concave quadratic with a seeded centre and cross terms."""
+    rng = np.random.default_rng(seed)
+    centre = rng.uniform(size=dim)
+    a = rng.normal(size=(dim, dim))
+    hessian = a @ a.T + dim * np.eye(dim)
+
+    def f(v):
+        d = np.asarray(v) - centre
+        return float(-(d @ hessian @ d))
+    return f
+
+
+def seeded_terraces(seed, dim):
+    """Piecewise-constant objective: flat terraces make the search revisit."""
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(1.0, 3.0, size=dim)
+    centre = rng.uniform(size=dim)
+
+    def f(v):
+        return float(-np.floor(20.0 * np.abs(np.asarray(v) - centre)) @ weights)
+    return f
+
+
+def memo_cases():
+    """(name, objective, space, seed): seeded 2-D and qds_search_space() cases."""
+    cases = []
+    for seed in range(6):
+        free = SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0))
+        cases.append((f"terraces-2d-{seed}", seeded_terraces(seed, 2), free, seed))
+        qds = qds_search_space(initial=None)
+        cases.append((f"quadratic-qds-{seed}", seeded_quadratic(seed, 5), qds, seed))
+        cases.append((f"terraces-qds-{seed}", seeded_terraces(seed, 5), qds, seed))
+    # start on the upper bound of x with the optimum beyond it: clip_project
+    # maps every +step candidate back onto the current point
+    cases.append(("upper-bound-start", lambda v: float(v[0] - (v[1] - 0.3) ** 2),
+                  box2(initial=(1.0, 0.7)), 0))
+    cases.append(("qds-upper-bound-start", seeded_quadratic(9, 5),
+                  qds_search_space(initial=(1.0, 0.3, 0.5, 0.4, 0.999)), 0))
+    return cases
+
+
+MEMO_CASES = memo_cases()
+memo_case = pytest.mark.parametrize("name,objective,space,seed", MEMO_CASES,
+                                    ids=[case[0] for case in MEMO_CASES])
+
+
+class TestPointMemo:
+    @memo_case
+    def test_same_descent_as_without_memo(self, name, objective, space, seed):
+        reference, calls = reference_descent(objective, space, seed)
+        point = coordinate_descent(objective, space, seed)
+        # same x, value, cycles, converged and history; one call per point
+        assert point == replace(reference, evaluations=len(set(calls)))
+
+    def test_revisits_are_common_in_these_cases(self):
+        repeats = 0
+        for _, objective, space, seed in MEMO_CASES:
+            _, calls = reference_descent(objective, space, seed)
+            repeats += len(calls) - len(set(calls))
+        assert repeats > 100
+
+    @memo_case
+    def test_each_point_scored_once(self, name, objective, space, seed):
+        seen = []
+
+        def counting(x):
+            seen.append(x.tobytes())
+            return objective(x)
+
+        point = coordinate_descent(counting, space, seed)
+        assert len(seen) == len(set(seen))
+        assert point.evaluations == len(seen)
+
+    def test_rate_objective_same_descent_as_without_memo(self):
+        objective = rate_objective(SystemParams(distance_km=100.0, n_pulses=1e12), "smb1")
+        space = qds_search_space()
+        reference, calls = reference_descent(objective, space)
+        seen = []
+
+        def counting(x):
+            seen.append(x.tobytes())
+            return objective(x)
+
+        point = coordinate_descent(counting, space)
+        assert point == replace(reference, evaluations=len(seen))
+        assert len(seen) == len(set(seen)) == len(set(calls)) < len(calls)
 
 
 class TestMultiStart:
