@@ -5,12 +5,15 @@ Physical model
 Both senders sit distance_km/2 from the untrusted measurement node, each
 arm with transmittance eta = eta_d * 10^(-alpha * (distance_km/2) / 10)
 (detector efficiency folded in). Pulses carry Poissonian photon numbers
-set by the chosen intensity. A measurement succeeds when both arms
-produce a click, where a click is either a surviving photon (each photon
-arrives independently with probability eta) or a dark count (probability
-p_dc per gate). Coincidences caused by photons on both sides suffer the
-misalignment error e_d; any coincidence involving a dark-only click is
-random (error probability 1/2).
+set by the chosen intensity; both senders draw from the same intensities
+and selection probabilities (one IntensityConfig describes either), so
+every 3x3 cell table is symmetric under exchanging the senders. A
+measurement succeeds when both arms produce a click, where a click is
+either a surviving photon (each photon arrives independently with
+probability eta) or a dark count (probability p_dc per gate).
+Coincidences caused by photons on both sides suffer the misalignment
+error e_d; any coincidence involving a dark-only click is random (error
+probability 1/2).
 
 Photon-number sums are truncated at n, m <= PHOTON_CUTOFF; the neglected
 tail is below 1e-12 relative for intensities up to ~0.4 and below 1e-8
@@ -58,7 +61,7 @@ MAX_PULSES = 1e150
 
 # Intensity index convention used throughout: 0 = signal, 1 = strong
 # decoy, 2 = weak decoy.
-SIGNAL, DECOY1, DECOY2 = 0, 1, 2
+SIGNAL = 0
 
 
 @dataclass(frozen=True)
@@ -129,13 +132,11 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class IntensityConfig:
-    """Decoy intensities and selection probabilities for both senders.
+    """Decoy intensities and selection probabilities of the symmetric link.
 
-    Alice's fields are (a_s, a_d1, a_d2) with selection probabilities
-    (p_as, p_ad1, p_ad2) and basis probability p_z; the second sender
-    mirrors them (b_*). Omitted b-fields default to Alice's values,
-    which is the symmetric configuration used everywhere in this
-    package.
+    Both senders use the same intensities (a_s, a_d1, a_d2), selected
+    with probabilities (p_as, p_ad1, p_ad2), and choose the Z basis with
+    probability p_z; the one set of fields describes either sender.
     """
 
     a_s: float
@@ -145,77 +146,50 @@ class IntensityConfig:
     p_ad1: float
     p_ad2: float
     p_z: float
-    b_s: float = None  # type: ignore[assignment]
-    b_d1: float = None  # type: ignore[assignment]
-    b_d2: float = None  # type: ignore[assignment]
-    p_bs: float = None  # type: ignore[assignment]
-    p_bd1: float = None  # type: ignore[assignment]
-    p_bd2: float = None  # type: ignore[assignment]
-    p_z_b: float = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        mirror = {
-            "b_s": self.a_s, "b_d1": self.a_d1, "b_d2": self.a_d2,
-            "p_bs": self.p_as, "p_bd1": self.p_ad1, "p_bd2": self.p_ad2,
-            "p_z_b": self.p_z,
-        }
-        for name, value in mirror.items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
         # an infinite intensity passes the ordering check below
         for f in fields(self):
             value = getattr(self, f.name)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        for ints, who in (((self.a_s, self.a_d1, self.a_d2), "a"),
-                          ((self.b_s, self.b_d1, self.b_d2), "b")):
-            s, d1, d2 = ints
-            if not s > d1 > d2 >= 0.0:
-                raise ValueError(f"intensities must satisfy {who}_s > {who}_d1 > {who}_d2 >= 0, got {ints}")
-        for probs, who in ((self.probs_a, "a"), (self.probs_b, "b")):
-            if min(probs) <= 0.0:
-                raise ValueError(f"selection probabilities for {who} must be positive, got {probs}")
-            if not math.isclose(sum(probs), 1.0, rel_tol=0, abs_tol=1e-9):
-                raise ValueError(f"selection probabilities for {who} must sum to 1, got {sum(probs)}")
-        for pz in (self.p_z, self.p_z_b):
-            if not 0.0 < pz < 1.0:
-                raise ValueError(f"p_z must be in (0, 1), got {pz}")
+        if not self.a_s > self.a_d1 > self.a_d2 >= 0.0:
+            raise ValueError(f"intensities must satisfy a_s > a_d1 > a_d2 >= 0, "
+                             f"got {self.intensities}")
+        if min(self.probs) <= 0.0:
+            raise ValueError(f"selection probabilities must be positive, got {self.probs}")
+        if not math.isclose(sum(self.probs), 1.0, rel_tol=0, abs_tol=1e-9):
+            raise ValueError(f"selection probabilities must sum to 1, got {sum(self.probs)}")
+        if not 0.0 < self.p_z < 1.0:
+            raise ValueError(f"p_z must be in (0, 1), got {self.p_z}")
 
     @classmethod
     def symmetric(cls, a_s: float, a_d1: float, p_as: float, p_ad1: float,
                   p_z: float, a_d2: float = 5e-4) -> "IntensityConfig":
-        """Symmetric two-sender configuration; p_ad2 = 1 - p_as - p_ad1."""
+        """Configuration with p_ad2 = 1 - p_as - p_ad1."""
         return cls(a_s=a_s, a_d1=a_d1, a_d2=a_d2, p_as=p_as, p_ad1=p_ad1,
                    p_ad2=1.0 - p_as - p_ad1, p_z=p_z)
 
     @property
-    def intensities_a(self) -> tuple[float, float, float]:
+    def intensities(self) -> tuple[float, float, float]:
         return (self.a_s, self.a_d1, self.a_d2)
 
     @property
-    def intensities_b(self) -> tuple[float, float, float]:
-        return (self.b_s, self.b_d1, self.b_d2)
-
-    @property
-    def probs_a(self) -> tuple[float, float, float]:
+    def probs(self) -> tuple[float, float, float]:
         return (self.p_as, self.p_ad1, self.p_ad2)
-
-    @property
-    def probs_b(self) -> tuple[float, float, float]:
-        return (self.p_bs, self.p_bd1, self.p_bd2)
 
     def basis_pair_prob(self, basis: str) -> float:
         """Probability that both senders choose the given basis."""
         if basis == "Z":
-            return self.p_z * self.p_z_b
+            return self.p_z * self.p_z
         if basis == "X":
-            return (1.0 - self.p_z) * (1.0 - self.p_z_b)
+            return (1.0 - self.p_z) * (1.0 - self.p_z)
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
     def cell_pulse_fractions(self, basis: str) -> np.ndarray:
         """3x3 matrix of per-pulse allocation P_{W,ab} for basis W."""
         w = self.basis_pair_prob(basis)
-        return w * np.outer(self.probs_a, self.probs_b)
+        return w * np.outer(self.probs, self.probs)
 
 
 @dataclass
@@ -305,8 +279,7 @@ def _poisson_pmf(intensities: tuple[float, float, float], n_max: int) -> np.ndar
 
 @lru_cache(maxsize=512)
 def _pair_statistics(eta: float, p_dc: float, e_d: float,
-                     ints_a: tuple[float, float, float],
-                     ints_b: tuple[float, float, float]) -> tuple:
+                     intensities: tuple[float, float, float]) -> tuple:
     """Per-pulse yield and error-rate matrices over intensity cells.
 
     Returns (yield[3,3], err_rate_contrib[3,3], y11, e11) where the 3x3
@@ -320,10 +293,9 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     photon_pair = np.outer(q, q)
     err_nm = e_d * photon_pair + 0.5 * (yield_nm - photon_pair)
 
-    pmf_a = _poisson_pmf(ints_a, PHOTON_CUTOFF)
-    pmf_b = _poisson_pmf(ints_b, PHOTON_CUTOFF)
-    cell_yield = pmf_a @ yield_nm @ pmf_b.T
-    cell_err = pmf_a @ err_nm @ pmf_b.T
+    pmf = _poisson_pmf(intensities, PHOTON_CUTOFF)
+    cell_yield = pmf @ yield_nm @ pmf.T
+    cell_err = pmf @ err_nm @ pmf.T
     y11 = float(yield_nm[1, 1])
     e11 = float(err_nm[1, 1] / yield_nm[1, 1]) if yield_nm[1, 1] > 0 else 0.0
     return cell_yield, cell_err, y11, e11
@@ -345,9 +317,9 @@ def conditional_intensity_prob(cfg: IntensityConfig, n: int, m: int, basis: str)
     if n < 0 or m < 0:
         raise ValueError(f"photon numbers must be non-negative, got ({n}, {m})")
     pa = np.array([math.exp(-mu) * mu**n / math.factorial(n) if mu > 0 else (1.0 if n == 0 else 0.0)
-                   for mu in cfg.intensities_a])
+                   for mu in cfg.intensities])
     pb = np.array([math.exp(-mu) * mu**m / math.factorial(m) if mu > 0 else (1.0 if m == 0 else 0.0)
-                   for mu in cfg.intensities_b])
+                   for mu in cfg.intensities])
     joint = cfg.cell_pulse_fractions(basis) * np.outer(pa, pb)
     total = joint.sum()
     if total <= 0.0:
@@ -461,16 +433,14 @@ def _flat(matrix: np.ndarray) -> tuple[float, ...]:
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
     """Per-pulse-pair channel statistics of one link and configuration."""
     cell_yield, cell_err, y11, e11 = _pair_statistics(
-        params.arm_transmittance, params.p_dc, params.e_d,
-        cfg.intensities_a, cfg.intensities_b)
-    pa1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_a])
-    pb1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities_b])
+        params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
+    p1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities])
     return PulseStatistics(
         r_test=params.r_test,
         frac_z=_flat(cfg.cell_pulse_fractions("Z")),
         frac_x=_flat(cfg.cell_pulse_fractions("X")),
         cell_yield=_flat(cell_yield), cell_err=_flat(cell_err),
-        pair11=_flat(np.outer(pa1, pb1)), y11=y11, e11=e11,
+        pair11=_flat(np.outer(p1, p1)), y11=y11, e11=e11,
     )
 
 

@@ -125,9 +125,11 @@ def estimate_n_x1(s11_x_total: float, eps1: float) -> float:
     return max(s11_x_total - hoeffding_delta(s11_x_total, eps1), 0.0)
 
 
-def estimate_m_x1_e_x1(e11_x_total: float, eps1: float, n_x1: float,
-                       deviation_sign: int = +1) -> tuple[float, float]:
+def estimate_m_x1_e_x1(e11_x_total: float, eps1: float,
+                       n_x1: float) -> tuple[float, float]:
     """Upper bound on (1,1) error events in X, and the error rate.
+
+    m_X1 is the channel-model mean plus its Hoeffding fluctuation at eps1.
 
     Parameters
     ----------
@@ -135,19 +137,14 @@ def estimate_m_x1_e_x1(e11_x_total: float, eps1: float, n_x1: float,
         Channel-model mean of the (1,1) error events over all X cells.
     n_x1 : float
         Denominator for the rate, the n_X1 bound.
-    deviation_sign : int
-        +1 (default) adds the Hoeffding fluctuation so m_X1 is a
-        conservative upper bound; -1 subtracts it instead.
 
     Returns
     -------
     (m_x1, e_x1) with e_x1 = m_x1 / n_x1 clamped to [0, 1].
     """
-    if deviation_sign not in (+1, -1):
-        raise ValueError(f"deviation_sign must be +1 or -1, got {deviation_sign}")
     if n_x1 <= 0:
         raise ValueError("n_x1 must be positive to form the error rate")
-    m_x1 = max(e11_x_total + deviation_sign * hoeffding_delta(e11_x_total, eps1), 0.0)
+    m_x1 = max(e11_x_total + hoeffding_delta(e11_x_total, eps1), 0.0)
     e_x1 = min(max(m_x1 / n_x1, 0.0), 1.0)
     return m_x1, e_x1
 
@@ -178,8 +175,8 @@ class SinglePhotonEstimate:
         return sum(v for _, v in self.eps_m_x1_terms)
 
 
-def single_photon_bounds(counts: PulseCounts, eps1: float, eps_cell: float,
-                         deviation_sign: int = +1) -> SinglePhotonEstimate:
+def single_photon_bounds(counts: PulseCounts, eps1: float,
+                         eps_cell: float) -> SinglePhotonEstimate:
     """Run the validity gates and all three single-photon estimates.
 
     counts are the expected statistics of one configuration at one
@@ -211,8 +208,7 @@ def single_photon_bounds(counts: PulseCounts, eps1: float, eps_cell: float,
     if n_x1 <= 0 or n_z1 <= 0:
         return SinglePhotonEstimate(n_z1, n_x1, 0.0, 0.0, valid=False,
                                     eps_n_z1_terms=gate_z, eps_n_x1_terms=gate_x)
-    m_x1, e_x1 = estimate_m_x1_e_x1(counts.e11_x_total, eps1, n_x1,
-                                    deviation_sign=deviation_sign)
+    m_x1, e_x1 = estimate_m_x1_e_x1(counts.e11_x_total, eps1, n_x1)
     return SinglePhotonEstimate(
         n_z1=n_z1, n_x1=n_x1, m_x1=m_x1, e_x1=e_x1, valid=True,
         eps_n_z1_terms=gate_z + (("n_Z1 fluctuation", eps1),),

@@ -16,10 +16,12 @@ from the shared pool; smb1 bounds the signal-basis single-photon count
 directly from signal-basis data, while smb2 transfers the X-basis count
 onto the Z basis through the single-photon preparation populations.
 
-The two key-generation pairs (signer with each recipient) are assumed
+The two key-generation pairs (signer with each recipient) are
 statistically identical over the symmetric link, so one channel
 computation serves both and the max over recipients of any bound equals
-the single-pair value.
+the single-pair value. The type enforces that symmetry: an
+IntensityConfig holds one set of intensities and probabilities, which
+both senders use.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ from .security import (
 
 __all__ = [
     "MODELS",
-    "KeepBlockEstimate",
     "RateResult",
     "estimate_e_z1",
     "project_to_keep",
@@ -99,20 +100,8 @@ def estimate_e_z1(n_z1: float, n_x1: float, m_x1: float,
     return m_z1, m_z1 / n_z1, terms
 
 
-@dataclass(frozen=True)
-class KeepBlockEstimate:
-    """Single-photon quantities projected onto the kept half-signature."""
-
-    n_l1: float
-    e_l1: float
-    length: int
-    feasible: bool
-    eps_n_term: float
-    eps_e_term: float
-
-
 def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
-                    eps_sf: float) -> KeepBlockEstimate:
+                    eps_sf: float) -> tuple[float, float, bool]:
     """Project pool-level single-photon bounds onto one signature block.
 
     The L/2 kept bits are a without-replacement sample of the
@@ -121,16 +110,10 @@ def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
         n_L1 = n_Z1 * (L/2) / |Z| - Lambda(|Z|, L/2, eps_sf)
         e_L1 = e_Z1 + Lambda(n_Z1, n_L1, eps_sf) / n_L1
 
-    n_L1 is floored at 0 and clamped to L/2, e_L1 capped at 1; a
-    triggered floor/cap marks the estimate infeasible.
+    Returns (n_L1, e_L1, feasible). n_L1 is clamped to [0, L/2] and e_L1
+    capped at 1; n_L1 < 1 (reported as (0, 1)) or a capped e_L1 marks
+    the projection infeasible.
     """
-    n_l1, e_l1, feasible = _keep_block(n_z1, e_z1, z_signal, length, eps_sf)
-    return KeepBlockEstimate(n_l1, e_l1, length, feasible, eps_sf, eps_sf)
-
-
-def _keep_block(n_z1: float, e_z1: float, z_signal: float, length: int,
-                eps_sf: float) -> tuple[float, float, bool]:
-    """project_to_keep's (n_L1, e_L1, feasible) as plain floats."""
     if not 2 <= length <= 2 * z_signal:
         raise ValueError(f"need 2 <= L <= 2*|Z|, got L={length}, |Z|={z_signal}")
     half = length / 2.0
@@ -148,20 +131,20 @@ def single_photon_populations(counts: PulseCounts, cfg: IntensityConfig,
                               eps_sf: float) -> tuple[float, float, EpsTerms]:
     """Bounds on the single-photon preparation populations per basis.
 
-    N-_Z1 = (a_s + b_s) e^{-a_s-b_s} N_{z,ss} - g(N_{z,ss}, eps_sf) and
-    N+_X1 = sum over cells of (a+b) e^{-a-b} N_{x,ab} + g(N_{x,ab},
-    eps_sf), holding jointly with confidence 1 - 9 eps_sf.
+    N-_Z1 = 2 a_s e^{-2 a_s} N_{z,ss} - g(N_{z,ss}, eps_sf) (both senders
+    send a_s in the signal cell) and N+_X1 = sum over cells of
+    (a+b) e^{-a-b} N_{x,ab} + g(N_{x,ab}, eps_sf), holding jointly with
+    confidence 1 - 9 eps_sf.
 
     The pulse allocations N_{z,ss} and N_{x,ab} are read from counts
     (channel.PulseStatistics.counts). Raises no error on a non-positive
     lower bound; callers treat it as infeasible.
     """
     n_z_ss = counts.z_signal_pulses
-    a_s, b_s = cfg.a_s, cfg.b_s
-    n_z1_lo = (a_s + b_s) * math.exp(-a_s - b_s) * n_z_ss - hoeffding_delta(n_z_ss, eps_sf)
+    n_z1_lo = 2.0 * cfg.a_s * math.exp(-2.0 * cfg.a_s) * n_z_ss - hoeffding_delta(n_z_ss, eps_sf)
     n_x1_hi = 0.0
-    for i, a in enumerate(cfg.intensities_a):
-        for j, b in enumerate(cfg.intensities_b):
+    for i, a in enumerate(cfg.intensities):
+        for j, b in enumerate(cfg.intensities):
             n_x_ab = counts.pulses_x[3 * i + j]
             n_x1_hi += (a + b) * math.exp(-a - b) * n_x_ab + hoeffding_delta(n_x_ab, eps_sf)
     return n_z1_lo, n_x1_hi, (("single-photon populations", 9.0 * eps_sf),)
@@ -288,20 +271,20 @@ class _Pipeline:
         a failed keep-block projection answers False without running the
         security chain.
         """
-        n_l1, e_l1, keep_ok = _keep_block(self.n_z1, self.e_z1, self.z_signal,
-                                          length, self.budget.eps_sf)
+        n_l1, e_l1, keep_ok = project_to_keep(self.n_z1, self.e_z1, self.z_signal,
+                                              length, self.budget.eps_sf)
         if not keep_ok:
             return False
         return self._at(length, n_l1, e_l1, keep_ok)[-1]
 
     def outcome_at(self, length: int) -> SecurityOutcome:
-        keep = project_to_keep(self.n_z1, self.e_z1, self.z_signal, length,
-                               self.budget.eps_sf)
+        n_l1, e_l1, keep_ok = project_to_keep(self.n_z1, self.e_z1, self.z_signal,
+                                              length, self.budget.eps_sf)
         (h_l1, p_e, e_keep, s_a, s_v, p_rob, p_rep, p_forge, ordered,
-         feasible) = self._at(length, keep.n_l1, keep.e_l1, keep.feasible)
+         feasible) = self._at(length, n_l1, e_l1, keep_ok)
         return SecurityOutcome(
-            length=length, n_l1=keep.n_l1, e_l1=keep.e_l1,
-            h_min=min_entropy(keep.n_l1, h_l1), p_e=p_e,
+            length=length, n_l1=n_l1, e_l1=e_l1,
+            h_min=min_entropy(n_l1, h_l1), p_e=p_e,
             e_test=self.e_test, e_keep=e_keep, s_a=s_a, s_v=s_v,
             p_robust=p_rob, p_repudiation=p_rep, p_forge=p_forge,
             thresholds_ok=ordered, feasible=feasible)

@@ -162,6 +162,17 @@ def recipient_mismatches(km: KeyMaterial) -> tuple[int, int]:
     return bob, charlie
 
 
+def _check_length(length: int) -> None:
+    # below 2 the forger's unknown half L // 2 is empty: its frequency is 0/0
+    if length < 2:
+        raise ValueError(f"length must be >= 2, got {length}")
+
+
+def _check_rate(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 def simulate_honest(length: int, error_rate: float, s_a: float,
                     trials: int, seed: int = 0) -> TrialStats:
     """Abort frequency of honest runs at a given channel error rate.
@@ -171,6 +182,8 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
     bound is the Hoeffding tail exp(-2 L (s_a - rate)^2) when the rate
     sits below the threshold.
     """
+    _check_length(length)
+    _check_rate("error_rate", error_rate)
     rng = np.random.default_rng(seed)
     counts = rng.binomial(length, error_rate, size=trials)
     aborts = int((counts / length >= s_a).sum())
@@ -216,6 +229,7 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     success frequency is reported. The attached bound is
     2*exp(-(1/4)(s_v-s_a)^2 L).
     """
+    _check_length(length)
     if not 0.0 <= s_a < s_v:
         raise ValueError(f"need 0 <= s_a < s_v, got s_a={s_a}, s_v={s_v}")
     center = length * (s_a + s_v) / 2.0
@@ -226,13 +240,11 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
         grid = [mismatches]
     bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
     seq = np.random.SeedSequence(seed)
-    best: tuple[int, int, int, int] | None = None  # successes, accepts, rejects, m
-    for child, m in zip(seq.spawn(len(grid)), grid):
-        rng = np.random.default_rng(child)
-        got = _repudiation_batch(rng, length, m, s_a, s_v, trials, method)
-        if best is None or got[0] > best[0]:
-            best = (*got, m)
-    successes, accepts, rejects, m_best = best  # type: ignore[misc]
+    runs = [(*_repudiation_batch(np.random.default_rng(child), length, m,
+                                 s_a, s_v, trials, method), m)
+            for child, m in zip(seq.spawn(len(grid)), grid)]
+    # max keeps the first of equal success counts, so ties go to the lower m
+    successes, accepts, rejects, m_best = max(runs, key=lambda run: run[0])
     return _stats("repudiation", trials, successes, bound, seed,
                   {"mismatches": m_best, "bob_accepts": accepts,
                    "charlie_rejects": rejects, "length": length,
@@ -248,6 +260,8 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     attached bound is the Hoeffding tail exp(-2 (L/2) (p_e - s_v)^2)
     when p_e exceeds s_v (vacuous bound 1 otherwise).
     """
+    _check_length(length)
+    _check_rate("p_e", p_e)
     rng = np.random.default_rng(seed)
     half = length // 2
     errors = rng.binomial(half, p_e, size=trials)

@@ -293,12 +293,9 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
         point = multi_start(rate_objective(params, model, budget, a_d2),
                             space, k=starts, seed=seed)
         candidates.append(point.x)
-    out: dict[str, RateResult] = {}
-    for model in models:
-        best: RateResult | None = None
-        for vec in candidates:
-            result = run_model(model, params, config_from_vector(vec, a_d2), budget)
-            if best is None or result.rate > best.rate:
-                best = result
-        out[model] = best  # type: ignore[assignment]
-    return out
+    # a repeated candidate scores what its first copy did, and the max
+    # keeps the first of equal rates, so scoring it again changes nothing
+    distinct = list(dict.fromkeys(candidates))
+    return {model: max((run_model(model, params, config_from_vector(vec, a_d2), budget)
+                        for vec in distinct), key=lambda r: r.rate)
+            for model in models}

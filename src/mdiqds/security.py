@@ -76,10 +76,6 @@ class SecurityOutcome:
     thresholds_ok: bool
     feasible: bool
 
-    @property
-    def worst_probability(self) -> float:
-        return max(self.p_robust, self.p_repudiation, self.p_forge)
-
 
 def min_entropy(n_l1: float, h_l1: float) -> float:
     """Single-photon min-entropy n_L1 * (1 - H2(e_L1)), floored at 0.

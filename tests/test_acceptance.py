@@ -206,8 +206,8 @@ def test_criterion_6_numerical_identities():
         tallies = expected_tallies(p, REFERENCE_CFG)
         truth = single_photon_truth(p, REFERENCE_CFG)
         eta = p.arm_transmittance
-        for i, a in enumerate(REFERENCE_CFG.intensities_a):
-            for j, b in enumerate(REFERENCE_CFG.intensities_b):
+        for i, a in enumerate(REFERENCE_CFG.intensities):
+            for j, b in enumerate(REFERENCE_CFG.intensities):
                 succ, errs = sample_cell(rng, a, b, eta, p.p_dc, p.e_d, samples)
                 y_exp = tallies.counts_z[i, j] / tallies.pulses_z[i, j]
                 e_exp = tallies.errors_z[i, j] / tallies.pulses_z[i, j]

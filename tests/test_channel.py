@@ -30,11 +30,6 @@ def params_at(distance_km: float, **kw) -> SystemParams:
 
 
 class TestIntensityConfig:
-    def test_mirrors_by_default(self):
-        assert CFG.b_s == CFG.a_s
-        assert CFG.p_z_b == CFG.p_z
-        assert CFG.p_bd1 == CFG.p_ad1
-
     def test_invalid_ordering(self):
         with pytest.raises(ValueError):
             IntensityConfig.symmetric(a_s=0.05, a_d1=0.4, p_as=0.3, p_ad1=0.3, p_z=0.5)
@@ -45,7 +40,7 @@ class TestIntensityConfig:
         with pytest.raises(ValueError):
             IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=0.3, p_ad1=0.3, p_z=1.0)
 
-    @pytest.mark.parametrize("field", ["a_s", "a_d1", "a_d2", "p_as", "p_z", "b_s"])
+    @pytest.mark.parametrize("field", ["a_s", "a_d1", "a_d2", "p_as", "p_z"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_field_rejected(self, field, value):
         kw = dict(a_s=0.4, a_d1=0.05, a_d2=5e-4, p_as=1 / 3, p_ad1=1 / 3,
@@ -79,8 +74,8 @@ class TestConditionalIntensityProb:
         n, m = 1, 1
         got = conditional_intensity_prob(CFG, n, m, "X")
         weights = np.zeros((3, 3))
-        for i, (a, pa) in enumerate(zip(CFG.intensities_a, CFG.probs_a)):
-            for j, (b, pb) in enumerate(zip(CFG.intensities_b, CFG.probs_b)):
+        for i, (a, pa) in enumerate(zip(CFG.intensities, CFG.probs)):
+            for j, (b, pb) in enumerate(zip(CFG.intensities, CFG.probs)):
                 pois_a = math.exp(-a) * a**n / math.factorial(n)
                 pois_b = math.exp(-b) * b**m / math.factorial(m)
                 weights[i, j] = pa * pb * pois_a * pois_b
@@ -189,8 +184,8 @@ class TestSinglePhotonTruth:
         for nn in range(PHOTON_CUTOFF + 1):
             for mm in range(PHOTON_CUTOFF + 1):
                 class_total = 0.0
-                for i, (a, pa) in enumerate(zip(CFG.intensities_a, CFG.probs_a)):
-                    for j, (b, pb) in enumerate(zip(CFG.intensities_b, CFG.probs_b)):
+                for i, (a, pa) in enumerate(zip(CFG.intensities, CFG.probs)):
+                    for j, (b, pb) in enumerate(zip(CFG.intensities, CFG.probs)):
                         pois_a = math.exp(-a) * a**nn / math.factorial(nn)
                         pois_b = math.exp(-b) * b**mm / math.factorial(mm)
                         class_total += (CFG.basis_pair_prob("Z") * pa * pb
@@ -242,6 +237,22 @@ class TestPulseStatistics:
         PulseStatistics(**fields)
 
 
+def test_record_is_symmetric_in_the_senders():
+    """Both senders use one intensity set, so cell (i, j) equals cell (j, i)."""
+    rng = np.random.default_rng(7)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    for _ in range(20):
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        record = pulse_statistics(params_at(float(rng.uniform(0.0, 150.0))), cfg)
+        for name in ("frac_z", "frac_x", "pair11"):
+            cells = np.array(getattr(record, name)).reshape(3, 3)
+            assert np.array_equal(cells, cells.T), name
+        for name in ("cell_yield", "cell_err"):
+            cells = np.array(getattr(record, name)).reshape(3, 3)
+            assert np.allclose(cells, cells.T, rtol=1e-12, atol=0.0), name
+
+
 class TestSampledTallies:
     def test_reproducible_and_integer(self):
         p = params_at(50.0, n_pulses=1e10)
@@ -271,8 +282,8 @@ def test_monte_carlo_oracle_50km():
     eta = p.arm_transmittance
     rng = np.random.default_rng(20240517)
     samples = 400_000
-    for i, a in enumerate(CFG.intensities_a):
-        for j, b in enumerate(CFG.intensities_b):
+    for i, a in enumerate(CFG.intensities):
+        for j, b in enumerate(CFG.intensities):
             succ, errs = sample_cell(rng, a, b, eta, p.p_dc, p.e_d, samples)
             y_exp = t.counts_z[i, j] / t.pulses_z[i, j]
             e_exp = t.errors_z[i, j] / t.pulses_z[i, j]

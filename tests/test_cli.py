@@ -281,6 +281,25 @@ class TestSimulateProtocol:
         assert out == ""
         assert err == f"error: trials must be >= 1, got {trials}\n"
 
+    @pytest.mark.parametrize("length", ["0", "1", "-5"])
+    def test_degenerate_length_rejected(self, capsys, length):
+        code, out, err = run_cli(capsys, "simulate-protocol", "--trials", "100",
+                                 "--length", length)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"error: length must be >= 2, got {length}\n"
+
+    @pytest.mark.parametrize("flag,name,value", [
+        ("--error-rate", "error_rate", "2.0"), ("--error-rate", "error_rate", "-0.1"),
+        ("--error-rate", "error_rate", "nan"), ("--p-e", "p_e", "1.5"),
+    ])
+    def test_rate_outside_unit_interval_rejected(self, capsys, flag, name, value):
+        code, out, err = run_cli(capsys, "simulate-protocol", "--trials", "100",
+                                 flag, value)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"error: {name} must be in [0, 1], got {value}\n"
+
 
 @pytest.mark.parametrize("value,text", [
     (True, "true"), (3, "3"), (2.0, "2"), (0.5, "0.5"), (-0.0, "0"),

@@ -1,10 +1,11 @@
-"""Decoy-bound tests: gates, estimates, sign flag, Poisson coverage."""
+"""Decoy-bound tests: gates, estimates, Poisson coverage."""
 import math
 
 import numpy as np
 import pytest
 
 from mdiqds import decoy
+from mdiqds.bounds import hoeffding_delta
 from mdiqds.channel import (
     SIGNAL,
     IntensityConfig,
@@ -111,10 +112,10 @@ class TestEstimates:
     def test_m_x1_upper_direction_and_flag(self, truth):
         n_x1 = decoy.estimate_n_x1(truth.s11_x_total, EPS12)
         up, e_up = decoy.estimate_m_x1_e_x1(truth.e11_x_total, EPS12, n_x1)
-        down, _ = decoy.estimate_m_x1_e_x1(truth.e11_x_total, EPS12, n_x1, deviation_sign=-1)
         mean = truth.e11_x_total
-        assert down < mean < up
-        assert up - mean == pytest.approx(mean - down, rel=1e-9)
+        delta = hoeffding_delta(mean, EPS12)
+        assert delta > 0.0
+        assert up == mean + delta
         assert 0.0 <= e_up <= 1.0
 
     def test_m_x1_known_aggregate(self):

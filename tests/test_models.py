@@ -43,27 +43,27 @@ class TestEstimateEZ1:
 
 class TestProjectToKeep:
     def test_vanishing_confidence_is_exact_scaling(self):
-        keep = models.project_to_keep(5e5, 0.02, 1e6, 100_000, NEAR_ONE)
-        assert keep.n_l1 == pytest.approx(5e5 * 5e4 / 1e6, rel=1e-6)
-        assert keep.e_l1 == pytest.approx(0.02, abs=1e-6)
-        assert keep.feasible
+        n_l1, e_l1, feasible = models.project_to_keep(5e5, 0.02, 1e6, 100_000, NEAR_ONE)
+        assert n_l1 == pytest.approx(5e5 * 5e4 / 1e6, rel=1e-6)
+        assert e_l1 == pytest.approx(0.02, abs=1e-6)
+        assert feasible
 
     def test_full_population_sample(self):
-        keep = models.project_to_keep(5e5, 0.02, 1e6, 2_000_000, NEAR_ONE)
-        assert keep.n_l1 == pytest.approx(5e5, rel=1e-6)
+        n_l1, _, _ = models.project_to_keep(5e5, 0.02, 1e6, 2_000_000, NEAR_ONE)
+        assert n_l1 == pytest.approx(5e5, rel=1e-6)
 
     def test_known_values(self):
-        keep = models.project_to_keep(5e5, 0.02, 1e6, 100_000, EPS12)
-        assert keep.n_l1 == pytest.approx(24189.9151635299, rel=1e-10)
-        assert keep.e_l1 == pytest.approx(0.0433130219442579, rel=1e-10)
+        n_l1, e_l1, _ = models.project_to_keep(5e5, 0.02, 1e6, 100_000, EPS12)
+        assert n_l1 == pytest.approx(24189.9151635299, rel=1e-10)
+        assert e_l1 == pytest.approx(0.0433130219442579, rel=1e-10)
 
     def test_floor_marks_infeasible(self):
-        keep = models.project_to_keep(10.0, 0.02, 1e6, 100, EPS12)
-        assert not keep.feasible
+        _, _, feasible = models.project_to_keep(10.0, 0.02, 1e6, 100, EPS12)
+        assert not feasible
 
     def test_half_block_clamp(self):
-        keep = models.project_to_keep(1e6, 0.0, 1e6, 1000, NEAR_ONE)
-        assert keep.n_l1 <= 500.0
+        n_l1, _, _ = models.project_to_keep(1e6, 0.0, 1e6, 1000, NEAR_ONE)
+        assert n_l1 <= 500.0
 
     def test_length_domain(self):
         with pytest.raises(ValueError):
@@ -88,8 +88,8 @@ class TestSinglePhotonPopulations:
         a = CFG.a_s
         assert lo == pytest.approx(2 * a * math.exp(-2 * a) * tallies.pulses_z[0, 0], rel=1e-6)
         manual = sum((ai + bj) * math.exp(-ai - bj) * tallies.pulses_x[i, j]
-                     for i, ai in enumerate(CFG.intensities_a)
-                     for j, bj in enumerate(CFG.intensities_b))
+                     for i, ai in enumerate(CFG.intensities)
+                     for j, bj in enumerate(CFG.intensities))
         assert hi == pytest.approx(manual, rel=1e-6)
 
     def test_near_vacuum_lower_bound_infeasible(self):
@@ -328,8 +328,7 @@ def test_engine_output_pinned():
 @pytest.mark.parametrize("model", models.MODELS)
 def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
     """A rate evaluation scales the record to scalars on every probe."""
-    built = {"TallySet": 0, "SinglePhotonTruth": 0, "KeepBlockEstimate": 0,
-             "SecurityOutcome": 0}
+    built = {"TallySet": 0, "SinglePhotonTruth": 0, "SecurityOutcome": 0}
 
     def counting(cls):
         original = cls.__init__
@@ -339,14 +338,12 @@ def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
             original(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", init)
 
-    for cls in (channel.TallySet, channel.SinglePhotonTruth, models.KeepBlockEstimate,
-                security.SecurityOutcome):
+    for cls in (channel.TallySet, channel.SinglePhotonTruth, security.SecurityOutcome):
         counting(cls)
     cfg = CFG_SMB2 if model == "smb2" else CFG
     result = models.run_model(model, SystemParams(distance_km=50.0, n_pulses=1e12), cfg)
     assert result.feasible
-    assert built == {"TallySet": 0, "SinglePhotonTruth": 0, "KeepBlockEstimate": 1,
-                     "SecurityOutcome": 1}
+    assert built == {"TallySet": 0, "SinglePhotonTruth": 0, "SecurityOutcome": 1}
 
 
 def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):
@@ -378,8 +375,8 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     budget = SecurityBudget()
     pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
                                   params.n_pulses, x_derived=False)
-    assert not models._keep_block(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
-                                  budget.eps_sf)[2]
+    assert not models.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
+                                      budget.eps_sf)[2]
     calls = []
     eve = models.eve_error_rate
 

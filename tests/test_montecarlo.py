@@ -153,6 +153,17 @@ class TestValidateBound:
         assert a == mc.validate_bound("sampling_lambda", eps=0.01, trials=5_000, seed=17)
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda length: mc.simulate_honest(length, 0.02, 0.05, 100),
+    lambda length: mc.simulate_repudiation(length, 0.05, 0.15, 100),
+    lambda length: mc.simulate_forging(length, 0.3, 0.25, 100),
+], ids=["honest", "repudiation", "forging"])
+@pytest.mark.parametrize("length", [1, 0, -5])
+def test_simulators_reject_short_strings(simulate, length):
+    with pytest.raises(ValueError, match=f"length must be >= 2, got {length}"):
+        simulate(length)
+
+
 def test_wilson_upper_behaviour():
     assert mc.wilson_upper(0, 0) == 1.0
     assert mc.wilson_upper(0, 1000) < 0.01

@@ -270,6 +270,28 @@ class TestRateOptimization:
         reference = run_smb1(self.PARAMS, config_from_vector(REFERENCE_VECTOR))
         assert results["smb1"].rate >= reference.rate
 
+    def test_optimize_models_scores_each_distinct_candidate_once(self, monkeypatch):
+        """The pool holds REFERENCE_VECTOR twice when no warm start is given."""
+        optima, scored = [], []
+        search, run = optimize.multi_start, optimize.run_model
+
+        def recording_search(*args, **kwargs):
+            point = search(*args, **kwargs)
+            optima.append(point.x)
+            return point
+
+        def counting_run(model, params, cfg, budget=None):
+            scored.append((model, cfg))
+            return run(model, params, cfg, budget)
+
+        monkeypatch.setattr(optimize, "multi_start", recording_search)
+        monkeypatch.setattr(optimize, "run_model", counting_run)
+        models = ("smb1", "smb2")
+        optimize_models(self.PARAMS, models=models, seed=1)
+        distinct = {tuple(REFERENCE_VECTOR), *optima}
+        assert len(scored) == len(distinct) * len(models)
+        assert len(set(scored)) == len(scored)
+
     def test_repeated_objective_calls_are_deterministic(self):
         objective = rate_objective(self.PARAMS, "smb1")
         x = np.asarray(REFERENCE_VECTOR)

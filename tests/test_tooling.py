@@ -37,3 +37,28 @@ def test_trace_point_resolves(module, name):
     for attr in name.split("."):
         owner = getattr(owner, attr, None)
     assert callable(owner)
+
+
+# bench/run.py calls these directly, and reads the pair-statistics cache
+# through getattr(..., None): a break there reads as 0 cache hits or an
+# uncleared cache rather than an error, so it must fail here instead.
+BENCH_CALL_POINTS = {
+    "mdiqds.channel": ("_pair_statistics.cache_info", "_pair_statistics.cache_clear",
+                       "IntensityConfig.symmetric"),
+    "mdiqds.optimize": ("config_from_vector", "qds_search_space"),
+    "mdiqds.cli": ("record_dict", "render_csv"),
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in BENCH_CALL_POINTS.items()
+                                         for n in names])
+def test_bench_call_point_resolves(module, name):
+    owner = importlib.import_module(module)
+    for attr in name.split("."):
+        owner = getattr(owner, attr, None)
+    assert callable(owner)
+
+
+def test_bench_reference_vector_resolves():
+    from mdiqds.optimize import REFERENCE_VECTOR, qds_search_space
+    assert len(REFERENCE_VECTOR) == len(qds_search_space().names)
