@@ -42,6 +42,10 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY_FAILED = 3
 
+# JSON values each RunConfig field type accepts, and how an error names them
+_JSON_KINDS = {"bool": ((bool,), "true or false"), "int": ((int,), "an integer"),
+               "float": ((int, float), "a number"), "str": ((str,), "a string")}
+
 
 @dataclass
 class RunConfig:
@@ -95,10 +99,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
+        kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            types, what = _JSON_KINDS[kinds[key]]
+            # bool is an int subclass: only a bool field takes true/false
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ValueError(f"config key {key!r} must be {what}, got {value!r}")
         return cls(**data)
 
     def validate(self) -> None:

@@ -10,14 +10,14 @@ too thin to support the concentration argument, the configuration is
 reported as invalid and the caller must treat it as rate zero rather
 than use an unsound bound.
 
-Every deviation consumes a failure probability; the per-quantity sums
-are carried along as explicit (label, value) ledgers so the security
-layer can audit its aggregate budget.
+Every gate and deviation consumes a failure probability. Which ones a
+model spends, and how much, depends on the model and the security
+budget only; models.eps_ledgers lists them.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "estimate_m_x1_e_x1",
     "single_photon_bounds",
 ]
-
-EpsTerms = tuple[tuple[str, float], ...]
 
 
 def check_chernoff_conditions(mu_l: float, eps: float, eps_hat: float) -> bool:
@@ -151,28 +149,13 @@ def estimate_m_x1_e_x1(e11_x_total: float, eps1: float,
 
 @dataclass
 class SinglePhotonEstimate:
-    """Bundle of decoy bounds with their failure-probability ledgers."""
+    """Bundle of the three decoy bounds and the gates' verdict."""
 
     n_z1: float
     n_x1: float
     m_x1: float
     e_x1: float
     valid: bool
-    eps_n_z1_terms: EpsTerms = field(default_factory=tuple)
-    eps_n_x1_terms: EpsTerms = field(default_factory=tuple)
-    eps_m_x1_terms: EpsTerms = field(default_factory=tuple)
-
-    @property
-    def eps_n_z1(self) -> float:
-        return sum(v for _, v in self.eps_n_z1_terms)
-
-    @property
-    def eps_n_x1(self) -> float:
-        return sum(v for _, v in self.eps_n_x1_terms)
-
-    @property
-    def eps_m_x1(self) -> float:
-        return sum(v for _, v in self.eps_m_x1_terms)
 
 
 def single_photon_bounds(counts: PulseCounts, eps1: float,
@@ -187,31 +170,22 @@ def single_photon_bounds(counts: PulseCounts, eps1: float,
     behind the summed n_X1/m_X1 estimates). A failed gate, or a
     non-positive n_X1, yields valid=False with zeroed estimates.
 
-    The per-quantity failure ledgers include the estimate's own
-    fluctuation (eps1) plus the gate-condition budget of the basis the
-    quantity reads (three per-cell epsilons for the Z signal cell, times
-    nine cells for the X aggregate).
+    The failure probabilities these gates and fluctuations consume are
+    listed by models.eps_ledgers: each estimate's own fluctuation (eps1)
+    plus the gate-condition budget of the basis it reads (three per-cell
+    epsilons for the Z signal cell, times nine cells for the X
+    aggregate).
     """
     mu_z = _exposure(counts.z_signal, counts.z_total, eps_cell)
     mu_x = _exposure(counts.x_total, counts.x_total, eps_cell)
     gates_ok = (check_chernoff_conditions(mu_z, eps_cell, eps_cell)
                 and check_chernoff_conditions(mu_x, eps_cell, eps_cell))
-
-    gate_z: EpsTerms = (("z-cell exposure", 3 * eps_cell),)
-    gate_x: EpsTerms = (("x-cell exposures", 9 * 3 * eps_cell),)
     if not gates_ok:
-        return SinglePhotonEstimate(0.0, 0.0, 0.0, 0.0, valid=False,
-                                    eps_n_z1_terms=gate_z, eps_n_x1_terms=gate_x)
+        return SinglePhotonEstimate(0.0, 0.0, 0.0, 0.0, valid=False)
 
     n_z1 = estimate_n_z1(counts.s11_z_signal, eps1)
     n_x1 = estimate_n_x1(counts.s11_x_total, eps1)
     if n_x1 <= 0 or n_z1 <= 0:
-        return SinglePhotonEstimate(n_z1, n_x1, 0.0, 0.0, valid=False,
-                                    eps_n_z1_terms=gate_z, eps_n_x1_terms=gate_x)
+        return SinglePhotonEstimate(n_z1, n_x1, 0.0, 0.0, valid=False)
     m_x1, e_x1 = estimate_m_x1_e_x1(counts.e11_x_total, eps1, n_x1)
-    return SinglePhotonEstimate(
-        n_z1=n_z1, n_x1=n_x1, m_x1=m_x1, e_x1=e_x1, valid=True,
-        eps_n_z1_terms=gate_z + (("n_Z1 fluctuation", eps1),),
-        eps_n_x1_terms=gate_x + (("n_X1 fluctuation", eps1),),
-        eps_m_x1_terms=(("m_X1 fluctuation", eps1),),
-    )
+    return SinglePhotonEstimate(n_z1=n_z1, n_x1=n_x1, m_x1=m_x1, e_x1=e_x1, valid=True)

@@ -42,7 +42,7 @@ from .channel import (
     SystemParams,
     pulse_statistics,
 )
-from .decoy import EpsTerms, single_photon_bounds
+from .decoy import single_photon_bounds
 from .security import (
     SecurityBudget,
     SecurityOutcome,
@@ -58,6 +58,7 @@ from .security import (
 __all__ = [
     "MODELS",
     "RateResult",
+    "eps_ledgers",
     "estimate_e_z1",
     "project_to_keep",
     "single_photon_populations",
@@ -76,28 +77,28 @@ MODELS = ("sob", "smb1", "smb2")
 # above the found block size.
 _SOB_BRACKET_START = 1024
 
+EpsTerms = tuple[tuple[str, float], ...]
+
 
 def estimate_e_z1(n_z1: float, n_x1: float, m_x1: float,
-                  eps_m_x1: float, eps_n_x1: float,
-                  eps_gamma: float) -> tuple[float, float, EpsTerms]:
+                  eps_gamma: float) -> tuple[float, float]:
     """Signal-basis single-photon error bound from the X-basis sample.
 
     m_Z1 = min(ceil(n_Z1 * m_X1/n_X1 + (n_Z1 + n_X1) * gamma), n_Z1)
     with the fractional Serfling deviation gamma(n_Z1, n_X1, eps_gamma);
-    e_Z1 = m_Z1 / n_Z1 (0 when n_Z1 = 0). The returned ledger carries
-    the failure probabilities of the two inputs plus the sampling step.
+    e_Z1 = m_Z1 / n_Z1 (0 when n_Z1 = 0). Returns (m_Z1, e_Z1); the
+    failure probabilities of the inputs and of the sampling step are
+    listed by eps_ledgers.
     """
     if n_x1 <= 0:
         raise ValueError("n_x1 must be positive")
     if n_z1 < 0 or m_x1 < 0:
         raise ValueError("counts must be non-negative")
-    terms: EpsTerms = (("m_X1 estimate", eps_m_x1), ("n_X1 estimate", eps_n_x1),
-                       ("z-error sampling step", eps_gamma))
     if n_z1 == 0:
-        return 0.0, 0.0, terms
+        return 0.0, 0.0
     raw = n_z1 * (m_x1 / n_x1) + (n_z1 + n_x1) * serfling_fraction_gamma(n_z1, n_x1, eps_gamma)
     m_z1 = min(float(math.ceil(raw)), n_z1)
-    return m_z1, m_z1 / n_z1, terms
+    return m_z1, m_z1 / n_z1
 
 
 def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
@@ -128,7 +129,7 @@ def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
 
 
 def single_photon_populations(counts: PulseCounts, cfg: IntensityConfig,
-                              eps_sf: float) -> tuple[float, float, EpsTerms]:
+                              eps_sf: float) -> tuple[float, float]:
     """Bounds on the single-photon preparation populations per basis.
 
     N-_Z1 = 2 a_s e^{-2 a_s} N_{z,ss} - g(N_{z,ss}, eps_sf) (both senders
@@ -147,7 +148,7 @@ def single_photon_populations(counts: PulseCounts, cfg: IntensityConfig,
         for j, b in enumerate(cfg.intensities):
             n_x_ab = counts.pulses_x[3 * i + j]
             n_x1_hi += (a + b) * math.exp(-a - b) * n_x_ab + hoeffding_delta(n_x_ab, eps_sf)
-    return n_z1_lo, n_x1_hi, (("single-photon populations", 9.0 * eps_sf),)
+    return n_z1_lo, n_x1_hi
 
 
 def estimate_n_z1_from_x(n_x1: float, n_z1_pop_lo: float, n_x1_pop_hi: float,
@@ -167,6 +168,37 @@ def estimate_n_z1_from_x(n_x1: float, n_z1_pop_lo: float, n_x1_pop_hi: float,
 def signed_bits(n_pool: float, length: float) -> float:
     """Bits signable from a pool: each bit consumes 2L pool bits."""
     return n_pool / (2.0 * length)
+
+
+def eps_ledgers(budget: SecurityBudget, x_derived: bool) -> tuple[EpsTerms, EpsTerms]:
+    """The (label, value) failure-probability ledgers of one model.
+
+    Returns (n_terms, e_terms): what the single-photon count bound and
+    the error-rate bound of the kept block each spend, from the decoy
+    gates through the keep-block projection. They depend on the budget
+    and on whether n_Z1 is transferred from the X basis (smb2), not on
+    the data, so one pair serves every probe of a rate evaluation.
+    """
+    eps = budget.eps_sf
+    if x_derived:
+        n_terms: EpsTerms = (("x-cell exposures", 9 * 3 * eps), ("n_X1 fluctuation", eps),
+                             ("single-photon populations", 9.0 * eps),
+                             ("x-to-z count transfer", eps))
+    else:
+        n_terms = (("z-cell exposure", 3 * eps), ("n_Z1 fluctuation", eps))
+    e_terms: EpsTerms = (("m_X1 estimate", eps), ("n_X1 estimate", 9 * 3 * eps + eps),
+                         ("z-error sampling step", eps))
+    return (n_terms + (("keep-block count projection", eps),),
+            e_terms + (("keep-block error projection", eps),))
+
+
+def _ledger_total(terms: EpsTerms) -> float:
+    # left to right on purpose: builtin sum() of floats is compensated from
+    # Python 3.12 on, which moves the last digit of P_forge
+    total = 0.0
+    for _, value in terms:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -211,20 +243,20 @@ class RateResult:
 
     @property
     def eps_n(self) -> float:
-        return sum(v for _, v in self.eps_n_terms)
+        return _ledger_total(self.eps_n_terms)
 
     @property
     def eps_e(self) -> float:
-        return sum(v for _, v in self.eps_e_terms)
+        return _ledger_total(self.eps_e_terms)
 
 
 @dataclass(frozen=True)
 class _Pipeline:
     """Length-independent state of one estimation run.
 
-    eps_n/eps_e are the sums of the eps_n_terms/eps_e_terms ledgers,
-    taken once so that a length probe does only the work that depends
-    on L.
+    eps_n/eps_e are the totals of the model's eps_ledgers, taken once
+    per rate evaluation, so that a length probe does only the work that
+    depends on L.
     """
 
     n_z1: float
@@ -236,14 +268,8 @@ class _Pipeline:
     n_pool: float
     e_test: float
     budget: SecurityBudget
-    eps_n_terms: EpsTerms
-    eps_e_terms: EpsTerms
-    eps_n: float = field(init=False)
-    eps_e: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps_n", sum(v for _, v in self.eps_n_terms))
-        object.__setattr__(self, "eps_e", sum(v for _, v in self.eps_e_terms))
+    eps_n: float
+    eps_e: float
 
     def _at(self, length: int, n_l1: float, e_l1: float, keep_ok: bool) -> tuple:
         """The security quantities at L, given the kept block's projection.
@@ -258,8 +284,7 @@ class _Pipeline:
         p_e = eve_error_rate(n_l1, h_l1, length)
         s_a, s_v, ordered = thresholds(e_keep, p_e)
         p_rob, p_rep, p_forge = security_probabilities(
-            s_a, s_v, length, p_e, budget,
-            self.eps_n + budget.eps_sf, self.eps_e + budget.eps_sf)
+            s_a, s_v, length, p_e, budget, self.eps_n, self.eps_e)
         feasible = (keep_ok and ordered
                     and max(p_rob, p_rep, p_forge) <= budget.epsilon)
         return h_l1, p_e, e_keep, s_a, s_v, p_rob, p_rep, p_forge, ordered, feasible
@@ -289,40 +314,29 @@ class _Pipeline:
             p_robust=p_rob, p_repudiation=p_rep, p_forge=p_forge,
             thresholds_ok=ordered, feasible=feasible)
 
-    def full_eps_terms(self) -> tuple[EpsTerms, EpsTerms]:
-        proj_n: EpsTerms = (("keep-block count projection", self.budget.eps_sf),)
-        proj_e: EpsTerms = (("keep-block error projection", self.budget.eps_sf),)
-        return self.eps_n_terms + proj_n, self.eps_e_terms + proj_e
-
 
 def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
-                    budget: SecurityBudget, n_pulses: float,
-                    x_derived: bool) -> _Pipeline | str:
+                    budget: SecurityBudget, n_pulses: float, x_derived: bool,
+                    eps_n: float, eps_e: float) -> _Pipeline | str:
     """Assemble the length-independent estimation state, or a failure reason.
 
     channel is the per-pulse record of (params, cfg), scaled here to
-    n_pulses.
+    n_pulses; eps_n/eps_e are the totals of eps_ledgers(budget, x_derived).
     """
     counts = channel.counts(n_pulses)
     est = single_photon_bounds(counts, eps1=budget.eps_sf, eps_cell=budget.eps_sf)
     if not est.valid:
         return "decoy validity gate failed"
     if x_derived:
-        pop_lo, pop_hi, pop_terms = single_photon_populations(counts, cfg, budget.eps_sf)
+        pop_lo, pop_hi = single_photon_populations(counts, cfg, budget.eps_sf)
         if pop_lo <= 0 or pop_hi < 1:
             return "single-photon population bound non-positive"
         n_z1 = estimate_n_z1_from_x(est.n_x1, pop_lo, pop_hi, budget.eps_sf)
         if n_z1 <= 0:
             return "x-derived signal-basis single-photon bound is zero"
-        eps_n_terms = (est.eps_n_x1_terms + pop_terms
-                       + (("x-to-z count transfer", budget.eps_sf),))
     else:
         n_z1 = est.n_z1
-        eps_n_terms = est.eps_n_z1_terms
-    _, e_z1, e_terms = estimate_e_z1(n_z1, est.n_x1, est.m_x1,
-                                     eps_m_x1=est.eps_m_x1,
-                                     eps_n_x1=est.eps_n_x1,
-                                     eps_gamma=budget.eps_sf)
+    _, e_z1 = estimate_e_z1(n_z1, est.n_x1, est.m_x1, eps_gamma=budget.eps_sf)
     z_signal = counts.z_signal
     n_test = channel.r_test * z_signal
     if n_test < 1:
@@ -331,7 +345,7 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
         n_z1=n_z1, n_x1=est.n_x1, m_x1=est.m_x1, e_z1=e_z1, z_signal=z_signal,
         n_test=n_test, n_pool=(1.0 - channel.r_test) * z_signal,
         e_test=counts.z_signal_errors / z_signal,
-        budget=budget, eps_n_terms=eps_n_terms, eps_e_terms=e_terms)
+        budget=budget, eps_n=eps_n, eps_e=eps_e)
 
 
 def _even_floor(x: float) -> int:
@@ -347,9 +361,9 @@ def _infeasible(model: str, params: SystemParams, cfg: IntensityConfig,
 
 
 def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
-                 pipe: _Pipeline, outcome: SecurityOutcome, rate: float,
-                 n_bits: float, block_size: int | None = None) -> RateResult:
-    eps_n_terms, eps_e_terms = pipe.full_eps_terms()
+                 pipe: _Pipeline, ledgers: tuple[EpsTerms, EpsTerms],
+                 outcome: SecurityOutcome, rate: float, n_bits: float,
+                 block_size: int | None = None) -> RateResult:
     return RateResult(
         model=model, distance_km=params.distance_km, n_pulses=params.n_pulses,
         feasible=True, rate=rate, n_bits=n_bits, length=outcome.length,
@@ -359,13 +373,16 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
         e_test=outcome.e_test, e_keep=outcome.e_keep, p_e=outcome.p_e,
         s_a=outcome.s_a, s_v=outcome.s_v, p_robust=outcome.p_robust,
         p_repudiation=outcome.p_repudiation, p_forge=outcome.p_forge,
-        eps_n_terms=eps_n_terms, eps_e_terms=eps_e_terms, config=cfg)
+        eps_n_terms=ledgers[0], eps_e_terms=ledgers[1], config=cfg)
 
 
 def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
              budget: SecurityBudget) -> RateResult:
-    pipe = _build_pipeline(pulse_statistics(params, cfg), cfg, budget,
-                           params.n_pulses, x_derived=(model == "smb2"))
+    x_derived = model == "smb2"
+    ledgers = eps_ledgers(budget, x_derived)
+    eps_n, eps_e = map(_ledger_total, ledgers)
+    pipe = _build_pipeline(pulse_statistics(params, cfg), cfg, budget, params.n_pulses,
+                           x_derived, eps_n, eps_e)
     if isinstance(pipe, str):
         return _infeasible(model, params, cfg, pipe)
     l_max = _even_floor(pipe.n_pool / 2.0)
@@ -374,7 +391,7 @@ def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
         return _infeasible(model, params, cfg, "no feasible signature length")
     outcome = pipe.outcome_at(length)
     n_bits = signed_bits(pipe.n_pool, length)
-    return _result_from(model, params, cfg, pipe, outcome,
+    return _result_from(model, params, cfg, pipe, ledgers, outcome,
                         rate=n_bits / params.n_pulses, n_bits=n_bits)
 
 
@@ -396,13 +413,13 @@ def run_smb2(params: SystemParams, cfg: IntensityConfig,
     return _run_smb("smb2", params, cfg, budget)
 
 
-def _sob_block(channel: PulseStatistics, cfg: IntensityConfig,
-               budget: SecurityBudget, n_s: int) -> tuple[_Pipeline, int] | None:
+def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityBudget,
+               n_s: int, eps_n: float, eps_e: float) -> tuple[_Pipeline, int] | None:
     """Pipeline and L of one block of n_s pulse pairs, or None.
 
     None when the block fails a gate or cannot sign one bit securely.
     """
-    pipe = _build_pipeline(channel, cfg, budget, float(n_s), x_derived=False)
+    pipe = _build_pipeline(channel, cfg, budget, float(n_s), False, eps_n, eps_e)
     if isinstance(pipe, str):
         return None
     length = _even_floor(pipe.n_pool / 2.0)
@@ -423,10 +440,12 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
     channel = pulse_statistics(params, cfg)
+    ledgers = eps_ledgers(budget, x_derived=False)
+    eps_n, eps_e = map(_ledger_total, ledgers)
     feasible_blocks: dict[int, tuple[_Pipeline, int]] = {}
 
     def block_feasible(n: int) -> bool:
-        block = _sob_block(channel, cfg, budget, n)
+        block = _sob_block(channel, cfg, budget, n, eps_n, eps_e)
         if block is not None:
             feasible_blocks[n] = block
         return block is not None
@@ -437,7 +456,7 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
         return _infeasible("sob", params, cfg, "no feasible block size")
     pipe, length = feasible_blocks[n_s]
     n_bits = params.n_pulses / n_s
-    return _result_from("sob", params, cfg, pipe, pipe.outcome_at(length),
+    return _result_from("sob", params, cfg, pipe, ledgers, pipe.outcome_at(length),
                         rate=1.0 / n_s, n_bits=n_bits, block_size=n_s)
 
 

@@ -184,6 +184,7 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
     """
     _check_length(length)
     _check_rate("error_rate", error_rate)
+    _check_rate("s_a", s_a)
     rng = np.random.default_rng(seed)
     counts = rng.binomial(length, error_rate, size=trials)
     aborts = int((counts / length >= s_a).sum())
@@ -230,8 +231,8 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     2*exp(-(1/4)(s_v-s_a)^2 L).
     """
     _check_length(length)
-    if not 0.0 <= s_a < s_v:
-        raise ValueError(f"need 0 <= s_a < s_v, got s_a={s_a}, s_v={s_v}")
+    if not 0.0 <= s_a < s_v <= 1.0:
+        raise ValueError(f"need 0 <= s_a < s_v <= 1, got s_a={s_a}, s_v={s_v}")
     center = length * (s_a + s_v) / 2.0
     if mismatches is None:
         grid = sorted({min(max(int(round(center * u)), 0), length)
@@ -262,6 +263,7 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     """
     _check_length(length)
     _check_rate("p_e", p_e)
+    _check_rate("s_v", s_v)
     rng = np.random.default_rng(seed)
     half = length // 2
     errors = rng.binomial(half, p_e, size=trials)

@@ -207,6 +207,19 @@ class TestConfigRoundTrip:
         code, _, err = run_cli(capsys, "rate", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("document", [
+        "5", "null", '["a_s"]', '{"a_s": "x"}', '{"pulses": "1e12"}', '{"pulses": true}',
+        '{"starts": "3"}', '{"starts": 2.5, "optimize": true}', '{"seed": false}',
+        '{"optimize": "no"}', '{"optimize": 0}', '{"model": 1}', '{"format": null}',
+    ])
+    def test_wrong_typed_values_rejected(self, capsys, tmp_path, document):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(document)
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: config ")
+
 
 class TestOptimize:
     @pytest.mark.slow
@@ -292,6 +305,7 @@ class TestSimulateProtocol:
     @pytest.mark.parametrize("flag,name,value", [
         ("--error-rate", "error_rate", "2.0"), ("--error-rate", "error_rate", "-0.1"),
         ("--error-rate", "error_rate", "nan"), ("--p-e", "p_e", "1.5"),
+        ("--s-a", "s_a", "-0.1"),
     ])
     def test_rate_outside_unit_interval_rejected(self, capsys, flag, name, value):
         code, out, err = run_cli(capsys, "simulate-protocol", "--trials", "100",
@@ -299,6 +313,13 @@ class TestSimulateProtocol:
         assert code == EXIT_INVALID
         assert out == ""
         assert err == f"error: {name} must be in [0, 1], got {value}\n"
+
+    def test_verifier_threshold_above_one_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "simulate-protocol", "--trials", "1000",
+                                 "--s-v", "5")
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: need 0 <= s_a < s_v <= 1, got s_a=0.05, s_v=5.0\n"
 
 
 @pytest.mark.parametrize("value,text", [

@@ -1,6 +1,9 @@
 """Pipeline tests for the three estimation models."""
+import functools
 import hashlib
 import math
+import operator
+import sys
 
 import numpy as np
 import pytest
@@ -19,26 +22,33 @@ CFG = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z
 CFG_SMB2 = IntensityConfig.symmetric(a_s=0.3, a_d1=0.05, p_as=0.95, p_ad1=0.03, p_z=0.9)
 
 
+def eps_totals(budget: SecurityBudget, x_derived: bool) -> tuple[float, float]:
+    """The (eps_n, eps_e) totals a rate evaluation hands its pipelines."""
+    return tuple(models._ledger_total(terms)
+                 for terms in models.eps_ledgers(budget, x_derived))
+
+
 class TestEstimateEZ1:
     def test_no_errors_vanishing_confidence(self):
-        m_z1, e_z1, _ = models.estimate_e_z1(1e6, 1e6, 0.0, EPS12, EPS12, NEAR_ONE)
+        m_z1, e_z1 = models.estimate_e_z1(1e6, 1e6, 0.0, NEAR_ONE)
         assert m_z1 <= 1.0  # only the ceiling survives
         assert e_z1 <= 1e-6
 
     def test_cap_at_n_z1(self):
-        m_z1, e_z1, _ = models.estimate_e_z1(1e4, 10.0, 1e6, EPS12, EPS12, EPS12)
+        m_z1, e_z1 = models.estimate_e_z1(1e4, 10.0, 1e6, EPS12)
         assert m_z1 == 1e4
         assert e_z1 == 1.0
 
     def test_known_value(self):
-        m_z1, e_z1, terms = models.estimate_e_z1(1e6, 1e6, 2e4, EPS12, EPS12, EPS12)
+        m_z1, e_z1 = models.estimate_e_z1(1e6, 1e6, 2e4, EPS12)
         assert m_z1 == 25257.0
         assert e_z1 == pytest.approx(0.025257, rel=1e-9)
-        assert sum(v for _, v in terms) == pytest.approx(3 * EPS12)
+        _, e_terms = models.eps_ledgers(SecurityBudget(eps_sf=EPS12), x_derived=False)
+        assert e_terms[2] == ("z-error sampling step", EPS12)
 
     def test_requires_x_sample(self):
         with pytest.raises(ValueError):
-            models.estimate_e_z1(1e4, 0.0, 10.0, EPS12, EPS12, EPS12)
+            models.estimate_e_z1(1e4, 0.0, 10.0, EPS12)
 
 
 class TestProjectToKeep:
@@ -76,15 +86,16 @@ class TestSinglePhotonPopulations:
         cfg = IntensityConfig.symmetric(a_s=0.25, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
         counts = pulse_statistics(params, cfg).counts(params.n_pulses)
         assert counts.z_signal_pulses == pytest.approx(1e10, rel=1e-9)
-        lo, _, terms = models.single_photon_populations(counts, cfg, EPS12)
+        lo, _ = models.single_photon_populations(counts, cfg, EPS12)
         assert lo == pytest.approx(3031909914.125, rel=1e-9)
-        assert terms[0][1] == pytest.approx(9 * EPS12)
+        n_terms, _ = models.eps_ledgers(SecurityBudget(eps_sf=EPS12), x_derived=True)
+        assert dict(n_terms)["single-photon populations"] == pytest.approx(9 * EPS12)
 
     def test_vanishing_confidence_poisson_weights(self):
         params = SystemParams(distance_km=10.0, n_pulses=1e12)
         tallies = expected_tallies(params, CFG)
         counts = pulse_statistics(params, CFG).counts(params.n_pulses)
-        lo, hi, _ = models.single_photon_populations(counts, CFG, NEAR_ONE)
+        lo, hi = models.single_photon_populations(counts, CFG, NEAR_ONE)
         a = CFG.a_s
         assert lo == pytest.approx(2 * a * math.exp(-2 * a) * tallies.pulses_z[0, 0], rel=1e-6)
         manual = sum((ai + bj) * math.exp(-ai - bj) * tallies.pulses_x[i, j]
@@ -98,7 +109,7 @@ class TestSinglePhotonPopulations:
                                         p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
         params = SystemParams(distance_km=10.0, n_pulses=1e7)
         counts = pulse_statistics(params, cfg).counts(params.n_pulses)
-        lo, _, _ = models.single_photon_populations(counts, cfg, EPS12)
+        lo, _ = models.single_photon_populations(counts, cfg, EPS12)
         assert lo <= 0.0
         assert not models.run_smb2(params, cfg).feasible
 
@@ -179,8 +190,9 @@ class TestRunners:
         """Returned length is feasible while length - 2 is not."""
         params = SystemParams(distance_km=100.0, n_pulses=1e14)
         r = models.run_smb1(params, CFG)
-        pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, SecurityBudget(),
-                                      1e14, x_derived=False)
+        budget = SecurityBudget()
+        pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
+                                      1e14, False, *eps_totals(budget, False))
         assert pipe.outcome_at(r.length).feasible
         assert not pipe.outcome_at(r.length - 2).feasible
 
@@ -258,12 +270,14 @@ class TestRunners:
             budget = SecurityBudget(epsilon=params.epsilon)
             channel = pulse_statistics(params, cfg)
             grid = np.geomspace(1024, n_pulses, 40).astype(int)
-            flags = [models._sob_block(channel, cfg, budget, int(n)) is not None
+            flags = [models._sob_block(channel, cfg, budget, int(n),
+                                       *eps_totals(budget, False)) is not None
                      for n in grid]
             assert flags == sorted(flags)
             curves += 1
             for x_derived in (False, True):
-                pipe = models._build_pipeline(channel, cfg, budget, n_pulses, x_derived)
+                pipe = models._build_pipeline(channel, cfg, budget, n_pulses, x_derived,
+                                              *eps_totals(budget, x_derived))
                 if isinstance(pipe, str):
                     continue
                 cap = models._even_floor(pipe.n_pool / 2.0)
@@ -325,6 +339,61 @@ def test_engine_output_pinned():
     assert hashlib.sha256(body.encode()).hexdigest() == ENGINE_OUTPUT_SHA256
 
 
+def _neumaier_sum(values, start=0):
+    """Compensated float sum, as builtin sum() computes it from Python 3.12 on."""
+    total, compensation = start, 0.0
+    for value in values:
+        step = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - step) + value
+        else:
+            compensation += (value - step) + total
+        total = step
+    return total + compensation
+
+
+def test_engine_output_independent_of_builtin_sum(monkeypatch):
+    """The pinned output holds whichever float sum() the interpreter has."""
+    for name, module in list(sys.modules.items()):
+        if name == "mdiqds" or name.startswith("mdiqds."):
+            monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
+    test_engine_output_pinned()
+
+
+def test_feasible_results_carry_the_models_ledger():
+    """Every feasible result holds its model's eps_ledgers, totalled left to right."""
+    budget = SecurityBudget(eps_sf=1e-10, eps_pe=1e-11)
+    eps = budget.eps_sf
+    rng = np.random.default_rng(5)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    feasible = {model: 0 for model in models.MODELS}
+    for _ in range(8):
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        for distance in (0.0, 50.0, 100.0):
+            params = SystemParams(distance_km=distance, n_pulses=1e13)
+            for model in models.MODELS:
+                r = models.run_model(model, params, cfg, budget)
+                if not r.feasible:
+                    continue
+                feasible[model] += 1
+                n_terms, e_terms = models.eps_ledgers(budget, model == "smb2")
+                assert (r.eps_n_terms, r.eps_e_terms) == (n_terms, e_terms)
+                assert r.eps_n == functools.reduce(operator.add, (v for _, v in n_terms))
+                assert r.eps_e == functools.reduce(operator.add, (v for _, v in e_terms))
+                # each decoy estimate spends its gates plus its own fluctuation
+                gated = dict(r.eps_n_terms)
+                if model == "smb2":
+                    assert gated["x-cell exposures"] == 27 * eps
+                    assert gated["n_X1 fluctuation"] == eps
+                else:
+                    assert gated["z-cell exposure"] == 3 * eps
+                    assert gated["n_Z1 fluctuation"] == eps
+                assert dict(r.eps_e_terms)["n_X1 estimate"] == pytest.approx(27 * eps + eps)
+                assert dict(r.eps_e_terms)["m_X1 estimate"] == eps
+    assert min(feasible.values()) > 0, feasible
+
+
 @pytest.mark.parametrize("model", models.MODELS)
 def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
     """A rate evaluation scales the record to scalars on every probe."""
@@ -374,7 +443,7 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     params = SystemParams(distance_km=50.0, n_pulses=1e12)
     budget = SecurityBudget()
     pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
-                                  params.n_pulses, x_derived=False)
+                                  params.n_pulses, False, *eps_totals(budget, False))
     assert not models.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
                                       budget.eps_sf)[2]
     calls = []

@@ -164,6 +164,18 @@ def test_simulators_reject_short_strings(simulate, length):
         simulate(length)
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda threshold: mc.simulate_honest(2000, 0.02, threshold, 100),
+    lambda threshold: mc.simulate_repudiation(2000, 0.05, threshold, 100),
+    lambda threshold: mc.simulate_forging(2000, 0.3, threshold, 100),
+], ids=["honest-s_a", "repudiation-s_v", "forging-s_v"])
+@pytest.mark.parametrize("threshold", [5.0, -0.1, math.nan])
+def test_simulators_reject_thresholds_outside_unit_interval(simulate, threshold):
+    """Thresholds are mismatch fractions, so they lie in [0, 1]."""
+    with pytest.raises(ValueError, match="s_[av]"):
+        simulate(threshold)
+
+
 def test_wilson_upper_behaviour():
     assert mc.wilson_upper(0, 0) == 1.0
     assert mc.wilson_upper(0, 1000) < 0.01
