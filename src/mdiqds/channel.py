@@ -345,9 +345,10 @@ class PulseCounts(NamedTuple):
     pulses_x: tuple[float, ...]  # pulses_x, row-major over the 9 cells
 
 
-def _sum9(c: list[float]) -> float:
+def _sum9(c0: float, c1: float, c2: float, c3: float, c4: float, c5: float,
+          c6: float, c7: float, c8: float) -> float:
     """Sum of 9 floats in the order numpy's pairwise add.reduce uses."""
-    return (((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))) + c[8]
+    return (((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))) + c8
 
 
 @dataclass(frozen=True)
@@ -380,18 +381,34 @@ class PulseStatistics:
             raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
 
     def counts(self, n: float) -> PulseCounts:
-        """The scalars the estimation chain reads, at n pulses."""
+        """The scalars the estimation chain reads, at n pulses.
+
+        Straight-line code with no intermediate lists (every rate probe
+        calls this), each product in the order the tables form it.
+        """
+        y0, y1, y2, y3, y4, y5, y6, y7, y8 = self.cell_yield
+        z0, z1, z2, z3, z4, z5, z6, z7, z8 = self.frac_z
+        x0, x1, x2, x3, x4, x5, x6, x7, x8 = self.frac_x
+        w0, w1, w2, w3, w4, w5, w6, w7, w8 = self.pair11
         y11, e11 = self.y11, self.e11
-        pulses_z0 = n * self.frac_z[0]
-        counts_z = [(n * f) * y for f, y in zip(self.frac_z, self.cell_yield)]
-        pulses_x = tuple([n * f for f in self.frac_x])
-        counts_x = [p * y for p, y in zip(pulses_x, self.cell_yield)]
-        s11_x = [(p * w) * y11 for p, w in zip(pulses_x, self.pair11)]
+        pulses_x = p0, p1, p2, p3, p4, p5, p6, p7, p8 = (
+            n * x0, n * x1, n * x2, n * x3, n * x4, n * x5, n * x6, n * x7, n * x8)
+        s0, s1, s2, s3, s4, s5, s6, s7, s8 = (
+            (p0 * w0) * y11, (p1 * w1) * y11, (p2 * w2) * y11, (p3 * w3) * y11,
+            (p4 * w4) * y11, (p5 * w5) * y11, (p6 * w6) * y11, (p7 * w7) * y11,
+            (p8 * w8) * y11)
+        pulses_z0 = n * z0
+        count_z0 = pulses_z0 * y0
         return PulseCounts(
-            counts_z[0], pulses_z0 * self.cell_err[0], pulses_z0,
-            _sum9(counts_z), _sum9(counts_x),
-            (pulses_z0 * self.pair11[0]) * y11,
-            _sum9(s11_x), _sum9([s * e11 for s in s11_x]),
+            count_z0, pulses_z0 * self.cell_err[0], pulses_z0,
+            _sum9(count_z0, (n * z1) * y1, (n * z2) * y2, (n * z3) * y3, (n * z4) * y4,
+                  (n * z5) * y5, (n * z6) * y6, (n * z7) * y7, (n * z8) * y8),
+            _sum9(p0 * y0, p1 * y1, p2 * y2, p3 * y3, p4 * y4, p5 * y5, p6 * y6,
+                  p7 * y7, p8 * y8),
+            (pulses_z0 * w0) * y11,
+            _sum9(s0, s1, s2, s3, s4, s5, s6, s7, s8),
+            _sum9(s0 * e11, s1 * e11, s2 * e11, s3 * e11, s4 * e11, s5 * e11,
+                  s6 * e11, s7 * e11, s8 * e11),
             pulses_x)
 
     def tallies(self, n: float) -> TallySet:

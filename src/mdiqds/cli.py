@@ -119,6 +119,7 @@ class RunConfig:
             raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
         if self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
+        _check_seed(self.seed)
         # constructing the dataclasses runs their range checks
         self.system_params()
         self.intensity_config()
@@ -366,8 +367,15 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's generators reject a negative seed with a bare message
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     _check_trials(args.trials)
+    _check_seed(args.seed)
     if args.bounds == "all":
         bound_ids = list(BOUND_IDS)
     else:
@@ -403,6 +411,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_simulate_protocol(args: argparse.Namespace) -> int:
     _check_trials(args.trials)
+    _check_seed(args.seed)
     honest = simulate_honest(args.length, args.error_rate, args.s_a,
                              args.trials, args.seed)
     rep = simulate_repudiation(args.length, args.s_a, args.s_v,

@@ -8,13 +8,21 @@ three failure probabilities against the security level.
 
 They differ in two places. The sign-one-bit model ("sob") dedicates a
 whole block of N_s pulse pairs to a single signed bit, with the entire
-key pool forming that bit's signature material, and searches for the
-smallest self-sufficient N_s; its rate 1/N_s is independent of the total
-pulse count. The two sign-multiple-bits models ("smb1", "smb2") solve
-for the smallest secure signature length L and sign n_pool/(2L) bits
-from the shared pool; smb1 bounds the signal-basis single-photon count
-directly from signal-basis data, while smb2 transfers the X-basis count
-onto the Z basis through the single-photon preparation populations.
+key pool forming that bit's signature material, and bisects for a
+self-sufficient N_s whose predecessor is not; its rate 1/N_s is
+independent of the total pulse count. (sob feasibility is not monotone
+at the scale of single pulses: the ceil in estimate_e_z1 makes e_Z1 jump
+by 1/n_Z1, so a feasible size can sit a little below the one found.)
+The two sign-multiple-bits models ("smb1", "smb2") solve for the
+smallest secure signature length L and sign n_pool/(2L) bits from the
+shared pool; smb1 bounds the signal-basis single-photon count directly
+from signal-basis data, while smb2 transfers the X-basis count onto the
+Z basis through the single-photon preparation populations.
+
+Every runner takes a floor: an evaluation that provably cannot reach a
+rate above it stops its N_s or L search early and returns an infeasible
+result (reason FLOOR_REASON). A floor of 0 never stops a search, and a
+search that is not stopped returns exactly what it would without one.
 
 The two key-generation pairs (signer with each recipient) are
 statistically identical over the symmetric link, so one channel
@@ -27,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .bounds import (
     binary_entropy,
@@ -56,6 +65,7 @@ from .security import (
 )
 
 __all__ = [
+    "FLOOR_REASON",
     "MODELS",
     "RateResult",
     "eps_ledgers",
@@ -71,6 +81,9 @@ __all__ = [
 ]
 
 MODELS = ("sob", "smb1", "smb2")
+
+# reason of a floored evaluation whose rate cannot exceed its floor
+FLOOR_REASON = "rate not above floor"
 
 # Fixed, pulse-count-independent start of the geometric block-size
 # bracket; keeps the sign-one-bit search identical for every total N
@@ -250,13 +263,13 @@ class RateResult:
         return _ledger_total(self.eps_e_terms)
 
 
-@dataclass(frozen=True)
-class _Pipeline:
+class _Pipeline(NamedTuple):
     """Length-independent state of one estimation run.
 
     eps_n/eps_e are the totals of the model's eps_ledgers, taken once
     per rate evaluation, so that a length probe does only the work that
-    depends on L.
+    depends on L. A NamedTuple, built positionally: the block-size search
+    builds one per probe.
     """
 
     n_z1: float
@@ -341,11 +354,37 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     n_test = channel.r_test * z_signal
     if n_test < 1:
         return "error-test sample is empty"
-    return _Pipeline(
-        n_z1=n_z1, n_x1=est.n_x1, m_x1=est.m_x1, e_z1=e_z1, z_signal=z_signal,
-        n_test=n_test, n_pool=(1.0 - channel.r_test) * z_signal,
-        e_test=counts.z_signal_errors / z_signal,
-        budget=budget, eps_n=eps_n, eps_e=eps_e)
+    # positional, in _Pipeline's field order
+    return _Pipeline(n_z1, est.n_x1, est.m_x1, e_z1, z_signal, n_test,
+                     (1.0 - channel.r_test) * z_signal,
+                     counts.z_signal_errors / z_signal, budget, eps_n, eps_e)
+
+
+def _rate_stop(rate: Callable[[int], float], floor: float, cap: int) -> int | None:
+    """Smallest n in [1, cap] with rate(n) <= floor, or None if there is none.
+
+    rate is a float rate proportional to 1/n, non-increasing in n under
+    rounding too, so rate(1) / floor is the answer up to rounding: the
+    search checks it and its neighbour, and gallops and bisects only if
+    rounding moved the answer further. A floor <= 0 has no stop.
+    """
+    if not floor > 0.0 or cap < 1 or rate(cap) > floor:
+        return None
+    lo, hi = 0, min(cap, max(1, math.ceil(min(rate(1) / floor, cap))))
+    step = 1
+    while rate(hi) > floor:  # invariant: lo == 0 or rate(lo) > floor
+        lo, hi, step = hi, min(hi + step, cap), 2 * step
+    step = 1
+    while hi - step > lo and rate(hi - step) <= floor:
+        hi, step = hi - step, 2 * step
+    lo = max(lo, hi - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if rate(mid) <= floor:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _even_floor(x: float) -> int:
@@ -377,7 +416,7 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
 
 
 def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget) -> RateResult:
+             budget: SecurityBudget, floor: float) -> RateResult:
     x_derived = model == "smb2"
     ledgers = eps_ledgers(budget, x_derived)
     eps_n, eps_e = map(_ledger_total, ledgers)
@@ -385,32 +424,38 @@ def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
                            x_derived, eps_n, eps_e)
     if isinstance(pipe, str):
         return _infeasible(model, params, cfg, pipe)
-    l_max = _even_floor(pipe.n_pool / 2.0)
-    length = solve_signature_length(pipe.feasible_at, l_max)
+    n_pool, n_pulses = pipe.n_pool, params.n_pulses
+    l_max = _even_floor(n_pool / 2.0)
+    stop = _rate_stop(lambda k: signed_bits(n_pool, 2 * k) / n_pulses, floor, l_max // 2)
+    length = solve_signature_length(pipe.feasible_at, l_max, stop=stop)
     if length is None:
-        return _infeasible(model, params, cfg, "no feasible signature length")
+        reason = "no feasible signature length" if stop is None else FLOOR_REASON
+        return _infeasible(model, params, cfg, reason)
     outcome = pipe.outcome_at(length)
-    n_bits = signed_bits(pipe.n_pool, length)
+    n_bits = signed_bits(n_pool, length)
     return _result_from(model, params, cfg, pipe, ledgers, outcome,
-                        rate=n_bits / params.n_pulses, n_bits=n_bits)
+                        rate=n_bits / n_pulses, n_bits=n_bits)
 
 
 def run_smb1(params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget | None = None) -> RateResult:
+             budget: SecurityBudget | None = None, floor: float = 0.0) -> RateResult:
     """Sign-multiple-bits rate with direct signal-basis estimation.
 
     The signature length is the smallest even L the solver accepts, so
-    the result depends on the inputs alone.
+    the result depends on the inputs alone. floor is as in run_model.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    return _run_smb("smb1", params, cfg, budget)
+    return _run_smb("smb1", params, cfg, budget, floor)
 
 
 def run_smb2(params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget | None = None) -> RateResult:
-    """Sign-multiple-bits rate with X-basis-derived signal estimation."""
+             budget: SecurityBudget | None = None, floor: float = 0.0) -> RateResult:
+    """Sign-multiple-bits rate with X-basis-derived signal estimation.
+
+    floor is as in run_model.
+    """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    return _run_smb("smb2", params, cfg, budget)
+    return _run_smb("smb2", params, cfg, budget, floor)
 
 
 def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityBudget,
@@ -429,14 +474,17 @@ def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityB
 
 
 def run_sob(params: SystemParams, cfg: IntensityConfig,
-            budget: SecurityBudget | None = None) -> RateResult:
-    """Sign-one-bit rate: minimal self-sufficient block of N_s pulse pairs.
+            budget: SecurityBudget | None = None, floor: float = 0.0) -> RateResult:
+    """Sign-one-bit rate: a self-sufficient block of N_s pulse pairs.
 
     Within one block the whole key pool backs the single bit (L =
     n_pool/2 per message value). The block size comes from the same
-    monotone search as the signature length (smallest_feasible), started
-    at a fixed size, so the result does not depend on the total pulse
-    count once it exceeds the found block size.
+    bisection as the signature length (smallest_feasible), started at a
+    fixed size, so the result does not depend on the total pulse count
+    once it exceeds the found block size. N_s is feasible and N_s - 1 is
+    not, but since sob feasibility is not monotone in single pulses (see
+    the module docstring) a smaller feasible block may exist. floor is
+    as in run_model.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
     channel = pulse_statistics(params, cfg)
@@ -450,10 +498,13 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
             feasible_blocks[n] = block
         return block is not None
 
+    cap = int(params.n_pulses)
+    stop = _rate_stop(lambda n: 1.0 / n, floor, cap)
     # the search returns a size it probed feasible, so its block is kept
-    n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, int(params.n_pulses))
+    n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, cap, stop)
     if n_s is None:
-        return _infeasible("sob", params, cfg, "no feasible block size")
+        reason = "no feasible block size" if stop is None else FLOOR_REASON
+        return _infeasible("sob", params, cfg, reason)
     pipe, length = feasible_blocks[n_s]
     n_bits = params.n_pulses / n_s
     return _result_from("sob", params, cfg, pipe, ledgers, pipe.outcome_at(length),
@@ -461,10 +512,17 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
 
 
 def run_model(model: str, params: SystemParams, cfg: IntensityConfig,
-              budget: SecurityBudget | None = None) -> RateResult:
-    """Dispatch by model name ('sob', 'smb1' or 'smb2')."""
+              budget: SecurityBudget | None = None, floor: float = 0.0) -> RateResult:
+    """Dispatch by model name ('sob', 'smb1' or 'smb2').
+
+    floor is a rate the caller already holds. Where the result's rate
+    exceeds it, the result is exactly that of floor 0. Otherwise the
+    result may instead be infeasible, with rate 0 and reason
+    FLOOR_REASON: the N_s or L search stops once every size it has
+    left gives a rate <= floor. The default 0 never stops.
+    """
     try:
         runner = {"sob": run_sob, "smb1": run_smb1, "smb2": run_smb2}[model]
     except KeyError:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}") from None
-    return runner(params, cfg, budget)
+    return runner(params, cfg, budget, floor)

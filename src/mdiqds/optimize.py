@@ -10,12 +10,21 @@ each distinct projected point is scored once per descent, and
 infeasible protocol configurations score 0 so the search can cross
 infeasible regions.
 
+An objective is called as objective(x, floor). It returns the exact
+value at x when that value exceeds floor, and otherwise any value
+<= floor; floor = -inf asks for the exact value. The descent passes its
+incumbent value, which a candidate must beat to be accepted, so a rate
+objective can stop its N_s or L search as soon as the candidate provably
+cannot beat it (see models.run_model). The result is the same as with
+exact values everywhere.
+
 Everything is deterministic given (space, seed); multi-start draws its
 extra starting points from per-start seeded generators and evaluates
 them in a fixed order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -106,8 +115,11 @@ def _start_vector(space: SearchSpace, seed: int) -> np.ndarray:
     return space.clip_project(lo + rng.uniform(size=len(space.names)) * (hi - lo))
 
 
-def coordinate_descent(objective: Callable[[np.ndarray], float],
-                       space: SearchSpace, seed: int = 0) -> OptimalPoint:
+Objective = Callable[[np.ndarray, float], float]
+
+
+def coordinate_descent(objective: Objective, space: SearchSpace,
+                       seed: int = 0) -> OptimalPoint:
     """Cyclic coordinate descent with backtracking step halving.
 
     Each coordinate visit starts from (twice) the step that last worked
@@ -116,20 +128,26 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
     improving. Only strict improvements are accepted, so the value
     history is strictly increasing.
 
+    The start is scored exactly; every candidate is scored with the
+    incumbent value f as its floor (see the module docstring), and a
+    value <= f is rejected whether exact or not, so the search takes the
+    path it would take on exact values.
+
     Each distinct projected point is scored once: a candidate the
     descent has already scored takes its stored value, so the objective
-    must be deterministic.
+    must be deterministic. A stored stand-in value was <= the floor it
+    was scored at, and f never decreases, so it stays rejected.
     """
     scores: dict[bytes, float] = {}
 
-    def score(point: np.ndarray) -> float:
+    def score(point: np.ndarray, floor: float) -> float:
         key = point.tobytes()
         if key not in scores:
-            scores[key] = float(objective(point))
+            scores[key] = float(objective(point, floor))
         return scores[key]
 
     x = _start_vector(space, seed)
-    f = score(x)
+    f = score(x, -math.inf)
     history = [f]
     base = space.base_steps()
     cur_step = base.copy()
@@ -145,7 +163,7 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
                     cand = x.copy()
                     cand[i] += direction * step
                     cand = space.clip_project(cand)
-                    fc = score(cand)
+                    fc = score(cand, f)
                     if fc > f:
                         x, f = cand, fc
                         history.append(fc)
@@ -155,7 +173,7 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
                             cand = x.copy()
                             cand[i] += direction * step
                             cand = space.clip_project(cand)
-                            fc = score(cand)
+                            fc = score(cand, f)
                             if fc > f:
                                 x, f = cand, fc
                                 history.append(fc)
@@ -176,7 +194,7 @@ def coordinate_descent(objective: Callable[[np.ndarray], float],
                         history=tuple(history))
 
 
-def multi_start(objective: Callable[[np.ndarray], float], space: SearchSpace,
+def multi_start(objective: Objective, space: SearchSpace,
                 k: int, seed: int = 0) -> OptimalPoint:
     """Best of k coordinate-descent runs; start 0 is the plain run.
 
@@ -184,6 +202,8 @@ def multi_start(objective: Callable[[np.ndarray], float], space: SearchSpace,
     zero plateau (local search cannot leave it) is repaired by halving
     towards the first run's solution until the objective turns positive,
     keeping every start useful while staying deterministic in the seed.
+    The objective follows the module's (x, floor) contract; the repair
+    check asks for exact values.
     """
     if k < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
@@ -196,7 +216,7 @@ def multi_start(objective: Callable[[np.ndarray], float], space: SearchSpace,
         x0 = space.clip_project(lo + rng.uniform(size=len(space.names)) * (hi - lo))
         if results[0].value > 0.0:
             for _ in range(8):
-                if objective(x0) > 0.0:
+                if objective(x0, -math.inf) > 0.0:
                     break
                 x0 = space.clip_project(0.5 * (x0 + anchor))
         start_space = replace(space, initial=tuple(float(v) for v in x0))
@@ -246,23 +266,25 @@ def config_from_vector(x: Sequence[float], a_d2: float = 5e-4) -> IntensityConfi
 
 def rate_objective(params: SystemParams, model: str,
                    budget: SecurityBudget | None = None,
-                   a_d2: float = 5e-4) -> Callable[[np.ndarray], float]:
-    """Objective config-vector -> signature rate; 0 on any infeasibility.
+                   a_d2: float = 5e-4) -> Objective:
+    """Objective (config-vector, floor) -> signature rate; 0 on any infeasibility.
 
-    The objective keeps no state between calls: each value depends on x
-    alone.
+    floor goes to the model's runner, which returns the exact rate when
+    it exceeds floor and may otherwise stop early with rate 0 <= floor,
+    as the module's objective contract allows. The objective keeps no
+    state between calls: each value depends on (x, floor) alone.
     """
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray, floor: float) -> float:
         try:
             cfg = config_from_vector(x, a_d2)
         except ValueError:
             return 0.0
         if model in ("smb1", "smb2"):
             runner = run_smb1 if model == "smb1" else run_smb2
-            result = runner(params, cfg, budget)
+            result = runner(params, cfg, budget, floor=floor)
         else:
-            result = run_model(model, params, cfg, budget)
+            result = run_model(model, params, cfg, budget, floor=floor)
         return result.rate
 
     return objective
@@ -278,7 +300,10 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
     the plain reference vector and at the supplied warm start, and keeps
     its own argmax. The pooling costs a handful of extra evaluations and
     removes spurious cross-model rate inversions caused by one local
-    search stopping short of a configuration another search found.
+    search stopping short of a configuration another search found. Each
+    candidate is scored with the best rate so far as its floor, so one
+    that cannot beat it stops early; only a strictly higher rate
+    replaces the best, so the first of equal rates is kept.
 
     Parameters
     ----------
@@ -293,9 +318,15 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
         point = multi_start(rate_objective(params, model, budget, a_d2),
                             space, k=starts, seed=seed)
         candidates.append(point.x)
-    # a repeated candidate scores what its first copy did, and the max
-    # keeps the first of equal rates, so scoring it again changes nothing
-    distinct = list(dict.fromkeys(candidates))
-    return {model: max((run_model(model, params, config_from_vector(vec, a_d2), budget)
-                        for vec in distinct), key=lambda r: r.rate)
-            for model in models}
+    # a repeated candidate scores what its first copy did, and only a
+    # higher rate replaces the best, so scoring it again changes nothing
+    distinct = [config_from_vector(vec, a_d2) for vec in dict.fromkeys(candidates)]
+    results = {}
+    for model in models:
+        best = run_model(model, params, distinct[0], budget)
+        for cfg in distinct[1:]:
+            result = run_model(model, params, cfg, budget, floor=best.rate)
+            if result.rate > best.rate:
+                best = result
+        results[model] = best
+    return results

@@ -1,12 +1,15 @@
-"""Security layer: min-entropy, thresholds, failure bounds, monotone search.
+"""Security layer: min-entropy, thresholds, failure bounds, block search.
 
 Given the single-photon quantities projected onto one signature block,
 this module evaluates the three protocol failure probabilities
 (robustness, repudiation, forging), derives the acceptance/verification
 thresholds from the forger's minimum error rate, and holds the one
-monotone search (smallest_feasible) that finds both the smallest even
-block length meeting the target security level and the sign-one-bit
-model's smallest self-sufficient block size.
+bracketing bisection (smallest_feasible) that finds both the even block
+length meeting the target security level and the sign-one-bit model's
+self-sufficient block size. Where feasibility is monotone that is the
+smallest feasible size; where it is not (sob's block size, at the scale
+of single pulses), it is the bisection's transition: a feasible size
+whose predecessor is infeasible.
 
 The forging bound's tail term p_F (the probability that a forger forced
 to error rate at least p_E on the L/2 unknown bits still lands below the
@@ -151,19 +154,31 @@ def security_probabilities(s_a: float, s_v: float, length: float, p_e: float,
     return p_robust, p_repudiation, p_forge
 
 
-def smallest_feasible(feasible: Callable[[int], bool], start: int,
-                      cap: int) -> int | None:
-    """Smallest n in [1, cap] accepted by feasible, or None.
+def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
+                      stop: int | None = None) -> int | None:
+    """A feasible n in [1, cap] whose predecessor is infeasible, or None.
 
-    Assumes feasibility is monotone in n. The cap is probed first, so an
-    infeasible search costs one probe; the bracket then grows upward from
-    start (>= 1) by factors of 4 and a bisection closes it.
+    The cap is probed first, so an infeasible search costs one probe; the
+    bracket (lo, hi] then grows upward from start (>= 1) by factors of 4
+    and a bisection closes it on an infeasible lo (or 0) and a feasible
+    hi = lo + 1. Under monotone feasibility that is the smallest feasible
+    n; otherwise it is the transition this bisection lands on.
+
+    The answer always lies in the bracket, so a search with a stop gives
+    up, returning None, as soon as lo + 1 >= stop: every answer left is
+    then >= stop. It makes the unstopped search's probes up to that
+    point, in the same order, and returns the same answer when that
+    answer is below stop.
     """
-    if cap < 1 or not feasible(cap):
+    if stop is None:
+        stop = cap + 1  # every answer is at most cap
+    if cap < 1 or stop <= 1 or not feasible(cap):
         return None
     lo, hi = 0, start  # lo: exclusive edge, treated as infeasible
     while hi < cap and not feasible(hi):
         lo, hi = hi, hi * 4
+        if lo + 1 >= stop:
+            return None
     hi = min(hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -171,15 +186,19 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int,
             hi = mid
         else:
             lo = mid
+            if lo + 1 >= stop:
+                return None
     return hi
 
 
-def solve_signature_length(feasible_at: Callable[[int], bool],
-                           l_max: int) -> int | None:
-    """Smallest even L in [2, l_max] accepted by feasible_at, or None.
+def solve_signature_length(feasible_at: Callable[[int], bool], l_max: int, *,
+                           stop: int | None = None) -> int | None:
+    """Even L in [2, l_max] accepted by feasible_at, or None.
 
     Searches the half-length k = L/2 with smallest_feasible from k = 1,
-    assuming feasibility is monotone in L.
+    so the answer is the smallest accepted L where feasibility is
+    monotone in L. stop is a half-length: the search returns None once
+    every L left is >= 2 * stop.
     """
-    k = smallest_feasible(lambda k: feasible_at(2 * k), 1, l_max // 2)
+    k = smallest_feasible(lambda k: feasible_at(2 * k), 1, l_max // 2, stop)
     return None if k is None else 2 * k

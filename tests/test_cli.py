@@ -330,3 +330,19 @@ class TestSimulateProtocol:
 def test_fmt_shortest_text(value, text):
     """Integral floats below 1e16 print as integers, the rest as repr."""
     assert _fmt(value) == text
+
+
+@pytest.mark.parametrize("argv,seed", [
+    (("rate", "--seed", "-1"), -1),
+    (("sweep", "--optimize", "--starts", "2", "--seed", "-2", "--values", "50"), -2),
+    (("verify", "--trials", "100", "--seed", "-1"), -1),
+    (("simulate-protocol", "--trials", "100", "--seed", "-1"), -1),
+    (("rate", "--config", "{config}"), -1),
+])
+def test_negative_seed_rejected(capsys, tmp_path, argv, seed):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": -1}))
+    code, out, err = run_cli(capsys, *(a.format(config=config) for a in argv))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == f"error: seed must be >= 0, got {seed}\n"

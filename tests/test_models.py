@@ -424,11 +424,11 @@ def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):
         calls["builds"] += 1
         return build(*args, **kwargs)
 
-    def counting_search(feasible, start, cap):
+    def counting_search(feasible, start, cap, stop=None):
         def probe(n):
             calls["probes"] += 1
             return feasible(n)
-        return search(probe, start, cap)
+        return search(probe, start, cap, stop)
 
     monkeypatch.setattr(models, "_build_pipeline", counting_build)
     monkeypatch.setattr(models, "smallest_feasible", counting_search)
@@ -459,3 +459,84 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     # the full chain, which outcome_at still runs, agrees
     assert not pipe.outcome_at(2).feasible
     assert len(calls) == 1
+
+
+def test_sob_feasibility_not_monotone_at_integer_scale():
+    """The ceil in estimate_e_z1 makes e_Z1 jump by 1/n_Z1, so a block a
+    little below the one the bisection returns can be feasible."""
+    params = SystemParams(distance_km=75.0, n_pulses=1e13)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    budget = SecurityBudget(epsilon=params.epsilon)
+    record = pulse_statistics(params, cfg)
+
+    def feasible(n_s):
+        return models._sob_block(record, cfg, budget, n_s,
+                                 *eps_totals(budget, False)) is not None
+
+    result = models.run_sob(params, cfg)
+    assert result.block_size == 61_741_560_275
+    # the bisection's transition: feasible, with an infeasible predecessor
+    assert feasible(61_741_560_275) and not feasible(61_741_560_274)
+    # yet a smaller block is feasible, just below an infeasible one
+    assert feasible(61_741_068_698) and not feasible(61_741_068_699)
+
+
+def sob_rate(n_s):
+    return 1.0 / n_s
+
+
+def smb_rate(n_pool, n_pulses):
+    return lambda k: models.signed_bits(n_pool, 2 * k) / n_pulses
+
+
+class TestRateStop:
+    """_rate_stop finds the smallest size whose rate is <= the floor."""
+
+    def test_stop_is_exact_over_seeded_floors(self):
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(400):
+            cap = int(10 ** rng.uniform(1.0, 20.0))
+            if rng.uniform() < 0.5:
+                rate = sob_rate
+            else:
+                n_pulses = 10 ** rng.uniform(9.0, 16.0)
+                rate = smb_rate(n_pulses * rng.uniform(1e-4, 1e-2), n_pulses)
+            size = int(10 ** rng.uniform(0.0, math.log10(cap)))
+            # the rate at some size: exactly (a tie), or moved by a few ulp or 1e-6
+            floor = rate(max(size, 1))
+            move = rng.choice(["tie", "ulp", "rel"])
+            if move == "ulp":
+                for _ in range(int(rng.integers(1, 4))):
+                    floor = math.nextafter(floor, rng.choice([0.0, math.inf]))
+            elif move == "rel":
+                floor *= 1.0 + rng.uniform(-1e-6, 1e-6)
+            stop = models._rate_stop(rate, floor, cap)
+            if stop is None:
+                assert rate(cap) > floor
+                continue
+            assert 1 <= stop <= cap
+            assert rate(stop) <= floor
+            assert stop == 1 or floor < rate(stop - 1)
+            checked += 1
+        assert checked >= 300
+
+    def test_no_stop_without_a_positive_floor(self):
+        for floor in (0.0, -1.0, -math.inf, math.nan):
+            assert models._rate_stop(sob_rate, floor, 10**6) is None
+
+    @pytest.mark.parametrize("model", models.MODELS)
+    def test_floor_gives_the_exact_result_or_a_stand_in(self, model):
+        """A floor just below the rate changes nothing; one at the rate stops."""
+        cfg = CFG_SMB2 if model == "smb2" else CFG
+        for distance in (0.0, 50.0, 100.0):
+            params = SystemParams(distance_km=distance, n_pulses=1e13)
+            exact = models.run_model(model, params, cfg)
+            assert exact.feasible
+            below = math.nextafter(exact.rate, 0.0)
+            assert models.run_model(model, params, cfg, floor=below) == exact
+            for floor in (exact.rate, 2.0 * exact.rate):
+                stopped = models.run_model(model, params, cfg, floor=floor)
+                assert not stopped.feasible
+                assert stopped.rate == 0.0
+                assert stopped.reason == models.FLOOR_REASON

@@ -1,10 +1,11 @@
 """Coordinate-descent optimizer tests."""
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mdiqds import optimize
+from mdiqds import models, optimize
 from mdiqds.channel import IntensityConfig, SystemParams
 from mdiqds.models import run_smb1
 from mdiqds.optimize import (
@@ -28,13 +29,13 @@ def box2(initial=(0.9, 0.1)) -> SearchSpace:
 
 class TestCoordinateDescent:
     def test_constant_objective_returns_start(self):
-        point = coordinate_descent(lambda x: 1.0, box2())
+        point = coordinate_descent(lambda x, floor: 1.0, box2())
         assert point.x == (0.9, 0.1)
         assert point.converged
         assert point.cycles == 1
 
     def test_concave_quadratic_with_cross_term(self):
-        def f(v):
+        def f(v, floor):
             dx, dy = v[0] - 0.3, v[1] - 0.6
             return -(dx * dx) - 2.0 * dy * dy - 0.5 * dx * dy
 
@@ -44,7 +45,7 @@ class TestCoordinateDescent:
         assert point.converged
 
     def test_monotone_accepted_values(self):
-        def f(v):
+        def f(v, floor):
             return -(v[0] - 0.4) ** 2 - (v[1] - 0.2) ** 2
 
         point = coordinate_descent(f, box2())
@@ -52,7 +53,7 @@ class TestCoordinateDescent:
 
     def test_deterministic_given_seed(self):
         space = SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0))
-        f = lambda v: -(v[0] - 0.5) ** 2 - (v[1] - 0.5) ** 2  # noqa: E731
+        f = lambda v, floor: -(v[0] - 0.5) ** 2 - (v[1] - 0.5) ** 2  # noqa: E731
         a = coordinate_descent(f, space, seed=17)
         b = coordinate_descent(f, space, seed=17)
         assert a == b
@@ -65,15 +66,15 @@ class TestCoordinateDescent:
 
 
 def reference_descent(objective, space, seed=0):
-    """coordinate_descent without the point memo, and its call list.
+    """coordinate_descent without the point memo or floors, and its call list.
 
-    Every candidate is scored, repeats included.
+    Every candidate is scored exactly (floor -inf), repeats included.
     """
     calls = []
 
     def scored(x):
         calls.append(x.tobytes())
-        return float(objective(x))
+        return float(objective(x, -math.inf))
 
     x = optimize._start_vector(space, seed)
     f = scored(x)
@@ -130,7 +131,7 @@ def seeded_quadratic(seed, dim):
     a = rng.normal(size=(dim, dim))
     hessian = a @ a.T + dim * np.eye(dim)
 
-    def f(v):
+    def f(v, floor):
         d = np.asarray(v) - centre
         return float(-(d @ hessian @ d))
     return f
@@ -142,7 +143,7 @@ def seeded_terraces(seed, dim):
     weights = rng.uniform(1.0, 3.0, size=dim)
     centre = rng.uniform(size=dim)
 
-    def f(v):
+    def f(v, floor):
         return float(-np.floor(20.0 * np.abs(np.asarray(v) - centre)) @ weights)
     return f
 
@@ -158,7 +159,7 @@ def memo_cases():
         cases.append((f"terraces-qds-{seed}", seeded_terraces(seed, 5), qds, seed))
     # start on the upper bound of x with the optimum beyond it: clip_project
     # maps every +step candidate back onto the current point
-    cases.append(("upper-bound-start", lambda v: float(v[0] - (v[1] - 0.3) ** 2),
+    cases.append(("upper-bound-start", lambda v, floor: float(v[0] - (v[1] - 0.3) ** 2),
                   box2(initial=(1.0, 0.7)), 0))
     cases.append(("qds-upper-bound-start", seeded_quadratic(9, 5),
                   qds_search_space(initial=(1.0, 0.3, 0.5, 0.4, 0.999)), 0))
@@ -189,9 +190,9 @@ class TestPointMemo:
     def test_each_point_scored_once(self, name, objective, space, seed):
         seen = []
 
-        def counting(x):
+        def counting(x, floor):
             seen.append(x.tobytes())
-            return objective(x)
+            return objective(x, floor)
 
         point = coordinate_descent(counting, space, seed)
         assert len(seen) == len(set(seen))
@@ -203,9 +204,9 @@ class TestPointMemo:
         reference, calls = reference_descent(objective, space)
         seen = []
 
-        def counting(x):
+        def counting(x, floor):
             seen.append(x.tobytes())
-            return objective(x)
+            return objective(x, floor)
 
         point = coordinate_descent(counting, space)
         assert point == replace(reference, evaluations=len(seen))
@@ -214,7 +215,7 @@ class TestPointMemo:
 
 class TestMultiStart:
     @staticmethod
-    def bumps(v):
+    def bumps(v, floor):
         # two separated maxima, the better one away from the default start
         big = 2.0 * np.exp(-40.0 * ((v[0] - 0.8) ** 2 + (v[1] - 0.8) ** 2))
         small = 1.0 * np.exp(-40.0 * ((v[0] - 0.15) ** 2 + (v[1] - 0.15) ** 2))
@@ -245,7 +246,7 @@ class TestRateOptimization:
 
     def test_improves_on_reference(self):
         objective = rate_objective(self.PARAMS, "smb1")
-        reference_rate = objective(np.asarray(REFERENCE_VECTOR))
+        reference_rate = objective(np.asarray(REFERENCE_VECTOR), -math.inf)
         point = coordinate_descent(objective, qds_search_space())
         assert reference_rate > 0.0
         assert point.value >= reference_rate
@@ -254,11 +255,11 @@ class TestRateOptimization:
         objective = rate_objective(self.PARAMS, "smb1")
         seen: list[np.ndarray] = []
 
-        def checked(x):
+        def checked(x, floor):
             seen.append(np.array(x))
             cfg = config_from_vector(x)  # raises if the invariants break
             assert isinstance(cfg, IntensityConfig)
-            return objective(x)
+            return objective(x, floor)
 
         coordinate_descent(checked, qds_search_space())
         assert len(seen) > 10
@@ -280,9 +281,9 @@ class TestRateOptimization:
             optima.append(point.x)
             return point
 
-        def counting_run(model, params, cfg, budget=None):
+        def counting_run(model, params, cfg, budget=None, floor=0.0):
             scored.append((model, cfg))
-            return run(model, params, cfg, budget)
+            return run(model, params, cfg, budget, floor)
 
         monkeypatch.setattr(optimize, "multi_start", recording_search)
         monkeypatch.setattr(optimize, "run_model", counting_run)
@@ -295,9 +296,9 @@ class TestRateOptimization:
     def test_repeated_objective_calls_are_deterministic(self):
         objective = rate_objective(self.PARAMS, "smb1")
         x = np.asarray(REFERENCE_VECTOR)
-        first = objective(x)
-        objective(np.asarray((0.3, 0.1, 0.5, 0.2, 0.7)))
-        again = objective(x)
+        first = objective(x, -math.inf)
+        objective(np.asarray((0.3, 0.1, 0.5, 0.2, 0.7)), -math.inf)
+        again = objective(x, -math.inf)
         assert first == again
 
     def test_custom_weak_decoy_intensity(self):
@@ -316,3 +317,73 @@ def test_multistart_agreement_at_150km():
     values = np.asarray(point.start_values)
     assert values.min() > 0.0
     assert (values.max() - values.min()) / values.max() <= 0.02
+
+
+class TestFlooredEvaluations:
+    """Objectives scored against the incumbent give the exact-value results."""
+
+    PARAMS = SystemParams(distance_km=80.0, n_pulses=1e13)
+
+    @pytest.mark.parametrize("model", ("sob", "smb1", "smb2"))
+    def test_descent_same_as_exact_reference(self, model):
+        objective = rate_objective(self.PARAMS, model)
+        # seeded random starts off every model's zero plateau
+        for seed in (2, 3):
+            space = qds_search_space(initial=None)
+            reference, calls = reference_descent(objective, space, seed)
+            point = coordinate_descent(objective, space, seed)
+            assert point == replace(reference, evaluations=len(set(calls)))
+            assert point.value > 0.0
+
+    def test_optimize_models_same_as_unbounded_pooling(self, monkeypatch):
+        optima, pooled = [], []
+        search, run = optimize.multi_start, optimize.run_model
+
+        def recording_search(*args, **kwargs):
+            point = search(*args, **kwargs)
+            optima.append(point.x)
+            return point
+
+        def recording_run(model, params, cfg, budget=None, floor=0.0):
+            result = run(model, params, cfg, budget, floor)
+            if len(optima) == 3:  # after the three descents: a pooled call
+                pooled.append((floor, result.reason))
+            return result
+
+        monkeypatch.setattr(optimize, "multi_start", recording_search)
+        monkeypatch.setattr(optimize, "run_model", recording_run)
+        warm = (0.35, 0.12, 0.6, 0.2, 0.8)
+        results = optimize_models(self.PARAMS, initial=warm)
+        pool = list(dict.fromkeys([tuple(REFERENCE_VECTOR), warm, *optima]))
+        for model in ("sob", "smb1", "smb2"):
+            unbounded = max((run(model, self.PARAMS, config_from_vector(vec))
+                             for vec in pool), key=lambda r: r.rate)
+            assert results[model] == unbounded
+        # the pooling scored every candidate, and stopped some early
+        assert len(pooled) == 3 * len(pool)
+        assert any(reason == models.FLOOR_REASON for _, reason in pooled)
+
+
+# smb1's optimum at 75 km (1e13 pulses) in `mdiqds sweep --optimize --model all
+# --pulses 1e13 --start 0 --stop 150 --step 25`: the warm start of its 100 km point
+SWEEP_WARM_100KM = (0.27617950439453126, 0.25000000000000006, 0.9980000010010001,
+                    0.000999998999000001, 0.9699218750000004)
+
+
+def test_floor_saves_sob_block_probes_in_a_warm_descent(monkeypatch):
+    """A warm sob descent makes >= 25% fewer block probes with floors than without."""
+    calls = {"probes": 0}
+    block = models._sob_block
+
+    def counting_block(*args):
+        calls["probes"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(models, "_sob_block", counting_block)
+    objective = rate_objective(SystemParams(distance_km=100.0, n_pulses=1e13), "sob")
+    space = qds_search_space(initial=SWEEP_WARM_100KM)
+    floored = coordinate_descent(objective, space)
+    probes_floored, calls["probes"] = calls["probes"], 0
+    exact = coordinate_descent(lambda x, floor: objective(x, 0.0), space)
+    assert floored == exact
+    assert probes_floored <= 0.75 * calls["probes"]

@@ -1,6 +1,7 @@
 """Security-layer tests: entropy bounds, thresholds, probabilities, solver."""
 import math
 
+import numpy as np
 import pytest
 
 from mdiqds import security
@@ -146,6 +147,69 @@ class TestSolveSignatureLength:
         feasible = {6, 8, 12}.union(range(64, 10_001))
         got = security.solve_signature_length(lambda L: L in feasible, 10_000)
         assert got == 6
+
+    def test_answer_is_a_transition_of_a_non_monotone_predicate(self):
+        # feasible from 9 on, except at 10: the bracket (4, 16] bisects
+        # through 10 onto 11, a feasible size whose predecessor is not,
+        # although 9 is smaller and feasible
+        got = security.smallest_feasible(lambda n: n >= 9 and n != 10, 1, 100)
+        assert got == 11
+
+
+def seeded_predicate(rng, cap):
+    """A monotone threshold, or a threshold with a dense seeded hole pattern."""
+    threshold = int(rng.integers(1, cap + 2))
+    if rng.uniform() < 0.25:
+        return lambda n: n >= threshold
+    a, b, m = (int(v) for v in rng.integers(1, 10_007, size=3))
+    share = rng.uniform(0.2, 0.9)
+    return lambda n: n >= threshold and (a * n + b) % m < share * m
+
+
+class TestStoppedSearch:
+    """smallest_feasible with a stop, over non-monotone predicates."""
+
+    def test_stop_keeps_a_prefix_of_the_probes_and_the_answer_below_it(self):
+        rng = np.random.default_rng(2024)
+        outcomes = {"answer": 0, "stopped": 0, "infeasible": 0}
+        for _ in range(600):
+            cap = int(10 ** rng.uniform(0.0, 7.0))
+            start = int(rng.choice([1, 1024, int(rng.integers(1, cap + 1))]))
+            predicate = seeded_predicate(rng, cap)
+            full: list[int] = []
+            answer = security.smallest_feasible(lambda n: full.append(n) or predicate(n),
+                                                start, cap)
+            # the answer is a feasible size whose predecessor is not
+            if answer is not None:
+                assert predicate(answer)
+                assert answer == 1 or answer - 1 in full and not predicate(answer - 1)
+            stop = int(rng.integers(1, cap + 3))
+            if answer is not None and rng.uniform() < 0.3:
+                stop = answer + int(rng.integers(-1, 2))  # stops next to the answer
+            probes: list[int] = []
+            got = security.smallest_feasible(lambda n: probes.append(n) or predicate(n),
+                                             start, cap, stop)
+            assert probes == full[:len(probes)]
+            if answer is not None and answer < stop:
+                assert got == answer
+                assert probes == full
+                outcomes["answer"] += 1
+            else:
+                assert got is None
+                outcomes["stopped" if answer is not None else "infeasible"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_stop_at_or_below_one_probes_nothing(self):
+        probes: list[int] = []
+        for stop in (-3, 0, 1):
+            assert security.smallest_feasible(lambda n: probes.append(n) or True,
+                                              1, 100, stop) is None
+        assert probes == []
+
+    def test_solve_signature_length_takes_a_half_length_stop(self):
+        # L = 36 is the answer: its half-length 18 is below stop 19 only
+        assert security.solve_signature_length(lambda L: L >= 36, 10_000, stop=19) == 36
+        assert security.solve_signature_length(lambda L: L >= 36, 10_000, stop=18) is None
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

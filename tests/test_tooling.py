@@ -62,3 +62,50 @@ def test_bench_call_point_resolves(module, name):
 def test_bench_reference_vector_resolves():
     from mdiqds.optimize import REFERENCE_VECTOR, qds_search_space
     assert len(REFERENCE_VECTOR) == len(qds_search_space().names)
+
+
+# bench/tracing.py counts a solve as hinted when solve_signature_length gets
+# a second positional argument (the length hint it once took), and bench/run.py
+# gauges the host after each optimize.run_smb1 call: a floored evaluation must
+# pass its stop by keyword and still go through that name.
+def test_floored_smb1_passes_its_stop_by_keyword(monkeypatch):
+    from mdiqds import models
+    from mdiqds.channel import SystemParams
+    from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector
+
+    solves = []
+    solve = models.solve_signature_length
+
+    def recording(feasible_at, *args, **kwargs):
+        solves.append((args, kwargs))
+        return solve(feasible_at, *args, **kwargs)
+
+    monkeypatch.setattr(models, "solve_signature_length", recording)
+    params = SystemParams(distance_km=50.0, n_pulses=1e13)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    exact = models.run_smb1(params, cfg)
+    assert models.run_smb1(params, cfg, floor=0.5 * exact.rate) == exact
+    assert len(solves) == 2
+    for args, kwargs in solves:
+        assert len(args) == 1
+    assert solves[0][1] == {"stop": None}
+    assert solves[1][1]["stop"] is not None
+
+
+def test_floored_descent_calls_run_smb1_by_its_name(monkeypatch):
+    from mdiqds import optimize
+    from mdiqds.channel import SystemParams
+
+    floors = []
+    run = optimize.run_smb1
+
+    def recording(*args, **kwargs):
+        floors.append(kwargs["floor"])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "run_smb1", recording)
+    objective = optimize.rate_objective(SystemParams(distance_km=100.0, n_pulses=1e12),
+                                        "smb1")
+    point = optimize.coordinate_descent(objective, optimize.qds_search_space())
+    assert len(floors) == point.evaluations
+    assert sum(floor > 0.0 for floor in floors) >= 0.9 * len(floors)
