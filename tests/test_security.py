@@ -155,6 +155,12 @@ class TestSolveSignatureLength:
         got = security.smallest_feasible(lambda n: n >= 9 and n != 10, 1, 100)
         assert got == 11
 
+    def test_budget_validation(self):
+        with pytest.raises(ValueError):
+            SecurityBudget(epsilon=0.0)
+        with pytest.raises(ValueError):
+            SecurityBudget(eps_pe=1.0)
+
 
 def seeded_predicate(rng, cap):
     """A monotone threshold, or a threshold with a dense seeded hole pattern."""
@@ -210,9 +216,3 @@ class TestStoppedSearch:
         # L = 36 is the answer: its half-length 18 is below stop 19 only
         assert security.solve_signature_length(lambda L: L >= 36, 10_000, stop=19) == 36
         assert security.solve_signature_length(lambda L: L >= 36, 10_000, stop=18) is None
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SecurityBudget(epsilon=0.0)
-        with pytest.raises(ValueError):
-            SecurityBudget(eps_pe=1.0)
