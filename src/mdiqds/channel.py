@@ -282,9 +282,10 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
                      intensities: tuple[float, float, float]) -> tuple:
     """Per-pulse yield and error-rate matrices over intensity cells.
 
-    Returns (yield[3,3], err_rate_contrib[3,3], y11, e11) where the 3x3
-    matrices are already averaged over photon numbers but not yet
-    weighted by basis/intensity selection probabilities.
+    Returns (yield, err_rate_contrib, y11, e11) where yield and
+    err_rate_contrib are row-major 9-tuples over the 3x3 cells, already
+    averaged over photon numbers but not yet weighted by basis/intensity
+    selection probabilities.
     """
     n = np.arange(PHOTON_CUTOFF + 1)
     q = 1.0 - (1.0 - eta) ** n                      # photon-click prob given n photons
@@ -298,7 +299,7 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     cell_err = pmf @ err_nm @ pmf.T
     y11 = float(yield_nm[1, 1])
     e11 = float(err_nm[1, 1] / yield_nm[1, 1]) if yield_nm[1, 1] > 0 else 0.0
-    return cell_yield, cell_err, y11, e11
+    return _flat(cell_yield), _flat(cell_err), y11, e11
 
 
 def conditional_intensity_prob(cfg: IntensityConfig, n: int, m: int, basis: str) -> np.ndarray:
@@ -448,16 +449,24 @@ def _flat(matrix: np.ndarray) -> tuple[float, ...]:
 
 
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
-    """Per-pulse-pair channel statistics of one link and configuration."""
+    """Per-pulse-pair channel statistics of one link and configuration.
+
+    Every rate evaluation builds one, so the 9-cell tuples are formed in
+    plain floats, each product in the order of the numpy tables
+    (cell_pulse_fractions' w * outer(p, p) and the outer product of the
+    single-photon weights); the cells come from _pair_statistics' cache.
+    """
     cell_yield, cell_err, y11, e11 = _pair_statistics(
         params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
-    p1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities])
+    probs = cfg.probs
+    w_z, w_x = cfg.basis_pair_prob("Z"), cfg.basis_pair_prob("X")
+    p1 = [mu * math.exp(-mu) for mu in cfg.intensities]
     return PulseStatistics(
         r_test=params.r_test,
-        frac_z=_flat(cfg.cell_pulse_fractions("Z")),
-        frac_x=_flat(cfg.cell_pulse_fractions("X")),
-        cell_yield=_flat(cell_yield), cell_err=_flat(cell_err),
-        pair11=_flat(np.outer(p1, p1)), y11=y11, e11=e11,
+        frac_z=tuple(w_z * (pa * pb) for pa in probs for pb in probs),
+        frac_x=tuple(w_x * (pa * pb) for pa in probs for pb in probs),
+        cell_yield=cell_yield, cell_err=cell_err,
+        pair11=tuple(a * b for a in p1 for b in p1), y11=y11, e11=e11,
     )
 
 

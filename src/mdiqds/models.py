@@ -417,6 +417,13 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
 
 def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
              budget: SecurityBudget, floor: float) -> RateResult:
+    """smb1 (direct) or smb2 (x-derived) rate: the smallest feasible even L.
+
+    A positive floor turns into a half-length stop: only L below 2 * stop
+    gives a rate above the floor, so the solve starts at the largest such
+    L and searches down from it, and returns None at once when that L is
+    infeasible. Every length probe goes through solve_signature_length.
+    """
     x_derived = model == "smb2"
     ledgers = eps_ledgers(budget, x_derived)
     eps_n, eps_e = map(_ledger_total, ledgers)
@@ -520,6 +527,14 @@ def run_model(model: str, params: SystemParams, cfg: IntensityConfig,
     result may instead be infeasible, with rate 0 and reason
     FLOOR_REASON: the N_s or L search stops once every size it has
     left gives a rate <= floor. The default 0 never stops.
+
+    For sob the floored search makes a prefix of the unfloored search's
+    probes, so its exactness needs no assumption. For smb1/smb2 the
+    floored L solve probes downward from the largest length that could
+    beat the floor, and gives the unfloored answer because smb
+    feasibility is monotone in L (the pool-level e_Z1 is fixed, so no
+    ceil enters the L chain); tests/test_models.py checks that property
+    over seeded pipelines.
     """
     try:
         runner = {"sob": run_sob, "smb1": run_smb1, "smb2": run_smb2}[model]

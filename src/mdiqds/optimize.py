@@ -305,15 +305,21 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
     that cannot beat it stops early; only a strictly higher rate
     replaces the best, so the first of equal rates is kept.
 
+    The reference vector is pooled as projected into the search space
+    of a_d2 (unchanged at the default a_d2), so a weak decoy above its
+    a_d1 still gives a valid configuration.
+
     Parameters
     ----------
     initial : sequence of float, optional
         Warm-start vector (e.g. the optimum of a neighbouring sweep
-        point); the reference vector is used when omitted.
+        point); the projected reference vector is used when omitted.
     """
-    start = tuple(REFERENCE_VECTOR) if initial is None else tuple(initial)
-    space = qds_search_space(initial=start, a_d2=a_d2)
-    candidates: list[tuple[float, ...]] = [tuple(REFERENCE_VECTOR), start]
+    space = qds_search_space(a_d2=a_d2)
+    reference = tuple(float(v) for v in space.clip_project(np.asarray(REFERENCE_VECTOR)))
+    start = reference if initial is None else tuple(initial)
+    space = replace(space, initial=start)
+    candidates: list[tuple[float, ...]] = [reference, start]
     for model in models:
         point = multi_start(rate_objective(params, model, budget, a_d2),
                             space, k=starts, seed=seed)

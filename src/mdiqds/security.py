@@ -3,13 +3,16 @@
 Given the single-photon quantities projected onto one signature block,
 this module evaluates the three protocol failure probabilities
 (robustness, repudiation, forging), derives the acceptance/verification
-thresholds from the forger's minimum error rate, and holds the one
-bracketing bisection (smallest_feasible) that finds both the even block
-length meeting the target security level and the sign-one-bit model's
-self-sufficient block size. Where feasibility is monotone that is the
+thresholds from the forger's minimum error rate, and holds the searches
+for the even block length meeting the target security level and for the
+sign-one-bit model's self-sufficient block size. One bracketing
+bisection (smallest_feasible) serves the block size and every length
+solve without a stop. Where feasibility is monotone it returns the
 smallest feasible size; where it is not (sob's block size, at the scale
-of single pulses), it is the bisection's transition: a feasible size
-whose predecessor is infeasible.
+of single pulses), it returns the bisection's transition: a feasible
+size whose predecessor is infeasible. A length solve with a stop
+searches down from the stop instead, which relies on feasibility being
+monotone in L.
 
 The forging bound's tail term p_F (the probability that a forger forced
 to error rate at least p_E on the L/2 unknown bits still lands below the
@@ -162,7 +165,9 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
     bracket (lo, hi] then grows upward from start (>= 1) by factors of 4
     and a bisection closes it on an infeasible lo (or 0) and a feasible
     hi = lo + 1. Under monotone feasibility that is the smallest feasible
-    n; otherwise it is the transition this bisection lands on.
+    n; otherwise it is the transition this bisection lands on. It serves
+    sob's block size, whose feasibility is not monotone, and the length
+    solves that have no stop.
 
     The answer always lies in the bracket, so a search with a stop gives
     up, returning None, as soon as lo + 1 >= stop: every answer left is
@@ -179,7 +184,15 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
         lo, hi = hi, hi * 4
         if lo + 1 >= stop:
             return None
-    hi = min(hi, cap)
+    return _bisect(feasible, lo, min(hi, cap), stop)
+
+
+def _bisect(feasible: Callable[[int], bool], lo: int, hi: int, stop: int) -> int | None:
+    """Close the bracket (lo, hi] with lo infeasible (or 0) and hi feasible.
+
+    Returns the feasible n = lo + 1 the bisection ends on, or None as
+    soon as lo + 1 >= stop.
+    """
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if feasible(mid):
@@ -193,12 +206,36 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
 
 def solve_signature_length(feasible_at: Callable[[int], bool], l_max: int, *,
                            stop: int | None = None) -> int | None:
-    """Even L in [2, l_max] accepted by feasible_at, or None.
+    """Smallest even L in [2, l_max] accepted by feasible_at, or None.
 
-    Searches the half-length k = L/2 with smallest_feasible from k = 1,
-    so the answer is the smallest accepted L where feasibility is
-    monotone in L. stop is a half-length: the search returns None once
-    every L left is >= 2 * stop.
+    The search runs over the half-length k = L/2 and assumes feasibility
+    monotone in L. The sign-multiple-bits pipelines have that property:
+    their pool-level e_Z1 is fixed, so no ceil enters the L chain, and
+    2 n_L1 / L = n_Z1/|Z| - 2 Lambda(|Z|, L/2) / L rises with L. Then
+    e_L1 falls and p_E rises, E_keep falls and L (p_E - E_keep)^2
+    rises, and P_rep and P_forge fall (tests/test_models.py checks this
+    over seeded pipelines).
+
+    Without a stop, smallest_feasible brackets upward from k = 1. A stop
+    is a half-length: only k < stop is wanted, so the search probes
+    h = min(l_max // 2, stop - 1) once and returns None when h is
+    infeasible (or below 1): no length left can beat the floor behind
+    the stop. Otherwise it gallops down from h in steps of 1, 2, 4, ...
+    to the first infeasible probe (or 0) and bisects that short bracket.
+    Under monotone feasibility both paths return the same L whenever
+    k < stop, and the stopped one makes no probe at or above the stop.
     """
-    k = smallest_feasible(lambda k: feasible_at(2 * k), 1, l_max // 2, stop)
+    def feasible(k: int) -> bool:
+        return feasible_at(2 * k)
+
+    if stop is None:
+        k = smallest_feasible(feasible, 1, l_max // 2)
+    else:
+        k = min(l_max // 2, stop - 1)
+        if k < 1 or not feasible(k):
+            return None
+        step = 1
+        while k - step > 0 and feasible(k - step):
+            k, step = k - step, 2 * step
+        k = _bisect(feasible, max(0, k - step), k, stop)
     return None if k is None else 2 * k

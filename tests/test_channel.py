@@ -1,4 +1,5 @@
 """Channel-model tests: linearity, limits, Bayes posterior, MC oracle."""
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mdiqds.channel import (
     IntensityConfig,
     PulseStatistics,
     SystemParams,
+    _pair_statistics,
     conditional_intensity_prob,
     expected_tallies,
     pulse_statistics,
@@ -235,6 +237,54 @@ class TestPulseStatistics:
             PulseStatistics(**fields)
         fields["cell_err"] = record.cell_yield  # equality is allowed
         PulseStatistics(**fields)
+
+
+def numpy_record(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
+    """The record as formed from numpy tables: the reference for pulse_statistics."""
+    cell_yield, cell_err, y11, e11 = _pair_statistics(
+        params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
+    probs = np.asarray(cfg.probs)
+    p1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities])
+    return PulseStatistics(
+        r_test=params.r_test,
+        frac_z=tuple((cfg.basis_pair_prob("Z") * np.outer(probs, probs)).ravel().tolist()),
+        frac_x=tuple((cfg.basis_pair_prob("X") * np.outer(probs, probs)).ravel().tolist()),
+        cell_yield=cell_yield, cell_err=cell_err,
+        pair11=tuple(np.outer(p1, p1).ravel().tolist()), y11=y11, e11=e11)
+
+
+def test_record_bit_identical_to_numpy_tables():
+    """pulse_statistics' plain-float cells equal the numpy tables' bit for bit."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        a_d2 = float(rng.choice([0.0, 5e-4, rng.uniform(0.0, 0.05)]))
+        space = qds_search_space(a_d2=a_d2)
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)),
+                                 a_d2)
+        params = params_at(float(rng.uniform(0.0, 300.0)),
+                           p_dc=float(rng.choice([0.0, 1e-8, 1e-7, 1e-3])),
+                           e_d=float(rng.uniform(0.0, 0.5)),
+                           r_test=float(rng.uniform(0.01, 0.5)))
+        got, want = pulse_statistics(params, cfg), numpy_record(params, cfg)
+        for f in dataclasses.fields(PulseStatistics):
+            value, reference = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(reference, tuple):
+                assert [v.hex() for v in value] == [v.hex() for v in reference], f.name
+            else:
+                assert value.hex() == reference.hex(), f.name
+
+
+def test_pair_statistics_caches_flat_tuples():
+    _pair_statistics.cache_clear()
+    record = pulse_statistics(params_at(50.0), CFG)
+    assert _pair_statistics.cache_info().misses == 1
+    assert pulse_statistics(params_at(50.0), CFG) == record
+    assert _pair_statistics.cache_info().hits == 1
+    cell_yield, cell_err, _, _ = _pair_statistics(
+        params_at(50.0).arm_transmittance, 1e-7, 0.03, CFG.intensities)
+    assert cell_yield is record.cell_yield and cell_err is record.cell_err
+    assert len(cell_yield) == 9 and all(type(v) is float for v in cell_yield)
 
 
 def test_record_is_symmetric_in_the_senders():

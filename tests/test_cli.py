@@ -237,6 +237,17 @@ class TestOptimize:
         assert optimized >= plain > 0
 
 
+    def test_weak_decoy_above_the_reference_decoy(self, capsys):
+        # rate accepts this configuration; optimize must not reject it
+        code, out, err = run_cli(capsys, "optimize", "--model", "smb1",
+                                 "--a-d2", "0.06", "--a-d1", "0.1", "--a-s", "0.5",
+                                 "--distance-km", "50", "--format", "json")
+        assert code == 0, err
+        rec = json.loads(out)["records"][0]
+        assert rec["a_d2"] == 0.06
+        assert rec["feasible"] is True
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "20000", "--seed", "1")

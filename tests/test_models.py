@@ -288,6 +288,50 @@ class TestRunners:
                 curves += 1
         assert curves >= 60
 
+    def test_smb_feasibility_switches_once_in_length(self):
+        """The floored L solve is exact only if smb feasibility is monotone in L.
+
+        Over seeded smb1/smb2 pipelines (varied link, pulse count and
+        budget), feasibility over log-spaced half-lengths and a window
+        around the cold answer switches at most once, from infeasible to
+        feasible, and exactly at that answer.
+        """
+        rng = np.random.default_rng(579)
+        space = qds_search_space()
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        seen = {"solved": 0, "no length": 0}
+        for _ in range(120):
+            cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+            params = SystemParams(distance_km=float(rng.uniform(0.0, 250.0)),
+                                  n_pulses=float(10 ** rng.uniform(9.0, 17.0)),
+                                  e_d=float(rng.uniform(0.0, 0.05)),
+                                  p_dc=float(10 ** rng.uniform(-9.0, -5.0)))
+            budget = SecurityBudget(epsilon=float(10 ** rng.uniform(-10.0, -2.0)),
+                                    eps_pe=float(10 ** rng.uniform(-15.0, -9.0)),
+                                    eps_sf=float(10 ** rng.uniform(-15.0, -9.0)))
+            x_derived = bool(rng.uniform() < 0.5)
+            pipe = models._build_pipeline(pulse_statistics(params, cfg), cfg, budget,
+                                          params.n_pulses, x_derived,
+                                          *eps_totals(budget, x_derived))
+            if isinstance(pipe, str):
+                continue
+            l_max = models._even_floor(pipe.n_pool / 2.0)
+            if l_max < 2:
+                continue
+            answer = security.solve_signature_length(pipe.feasible_at, l_max)
+            k_max = l_max // 2
+            halves = {int(k) for k in np.geomspace(1, k_max, 400)}
+            if answer is not None:
+                halves.update(range(max(1, answer // 2 - 500),
+                                    min(k_max, answer // 2 + 500) + 1))
+            halves = sorted(halves)
+            flags = [pipe.feasible_at(2 * k) for k in halves]
+            assert flags == sorted(flags)
+            first = next((2 * k for k, ok in zip(halves, flags) if ok), None)
+            assert first == answer
+            seen["solved" if answer is not None else "no length"] += 1
+        assert min(seen.values()) >= 15, seen
+
     def test_max_feasible_distance_grows_with_pulse_count(self):
         def max_feasible(n_pulses: float) -> float:
             best = 0.0

@@ -307,6 +307,17 @@ class TestRateOptimization:
         assert results["smb1"].feasible
         assert results["smb1"].config.a_d2 == 1e-3
 
+    def test_weak_decoy_above_the_reference_decoy(self):
+        """a_d2 above the reference vector's a_d1 still pools a valid reference."""
+        params = SystemParams(distance_km=50.0, n_pulses=1e12)
+        results = optimize_models(params, models=("smb1",), a_d2=0.06,
+                                  initial=(0.5, 0.1, 1 / 3, 1 / 3, 0.5))
+        assert results["smb1"].feasible
+        assert results["smb1"].config.a_d2 == 0.06
+        # the reference vector is used as projected, also as the default start
+        results = optimize_models(params, models=("smb1",), a_d2=0.06)
+        assert results["smb1"].feasible
+
 
 @pytest.mark.slow
 def test_multistart_agreement_at_150km():
@@ -387,3 +398,23 @@ def test_floor_saves_sob_block_probes_in_a_warm_descent(monkeypatch):
     exact = coordinate_descent(lambda x, floor: objective(x, 0.0), space)
     assert floored == exact
     assert probes_floored <= 0.75 * calls["probes"]
+
+
+@pytest.mark.parametrize("model", ("smb1", "smb2"))
+def test_floor_saves_length_probes_in_a_warm_descent(model, monkeypatch):
+    """A warm smb descent makes <= 25% of the length probes with floors."""
+    calls = {"probes": 0}
+    feasible_at = models._Pipeline.feasible_at
+
+    def counting_feasible_at(self, length):
+        calls["probes"] += 1
+        return feasible_at(self, length)
+
+    monkeypatch.setattr(models._Pipeline, "feasible_at", counting_feasible_at)
+    objective = rate_objective(SystemParams(distance_km=100.0, n_pulses=1e13), model)
+    space = qds_search_space(initial=SWEEP_WARM_100KM)
+    floored = coordinate_descent(objective, space)
+    probes_floored, calls["probes"] = calls["probes"], 0
+    exact = coordinate_descent(lambda x, floor: objective(x, 0.0), space)
+    assert floored == exact
+    assert probes_floored <= 0.25 * calls["probes"]

@@ -216,3 +216,61 @@ class TestStoppedSearch:
         # L = 36 is the answer: its half-length 18 is below stop 19 only
         assert security.solve_signature_length(lambda L: L >= 36, 10_000, stop=19) == 36
         assert security.solve_signature_length(lambda L: L >= 36, 10_000, stop=18) is None
+
+
+class TestFlooredLengthSolve:
+    """solve_signature_length with a stop, over monotone threshold predicates."""
+
+    def test_cold_answer_below_the_stop_else_one_probe(self):
+        rng = np.random.default_rng(2501)
+        outcomes = {"answer": 0, "stopped": 0, "infeasible": 0}
+        for _ in range(600):
+            l_max = int(10 ** rng.uniform(0.0, 12.0))
+            threshold = int(10 ** rng.uniform(0.0, math.log10(l_max + 1)))
+            if rng.uniform() < 0.15:
+                threshold = l_max + int(rng.integers(1, 3))  # no length is feasible
+            cold = security.solve_signature_length(lambda L: L >= threshold, l_max)
+            stop = int(10 ** rng.uniform(0.0, math.log10(l_max + 2)))
+            if cold is not None and rng.uniform() < 0.3:
+                stop = cold // 2 + int(rng.integers(-1, 3))  # stops next to the answer
+            probes: list[int] = []
+            got = security.solve_signature_length(
+                lambda L: probes.append(L) or L >= threshold, l_max, stop=stop)
+            top = min(l_max // 2, stop - 1)
+            if cold is not None and cold < 2 * stop:
+                assert got == cold
+                # a gallop and a bisection over the gap below the first probe
+                gap = top - cold // 2
+                assert probes[0] == 2 * top
+                assert len(probes) <= 2 * gap.bit_length() + 2
+                outcomes["answer"] += 1
+            else:
+                assert got is None
+                assert probes == ([2 * top] if top >= 1 else [])
+                outcomes["stopped" if cold is not None else "infeasible"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
+    def test_without_a_stop_the_probes_are_the_bracketing_search(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            l_max = int(10 ** rng.uniform(0.0, 12.0))
+            threshold = int(rng.integers(1, l_max + 3))
+            probes: list[int] = []
+            security.solve_signature_length(
+                lambda L: probes.append(L) or L >= threshold, l_max)
+            halves: list[int] = []
+            security.smallest_feasible(
+                lambda k: halves.append(k) or 2 * k >= threshold, 1, l_max // 2)
+            assert probes == [2 * k for k in halves]
+
+    def test_answer_at_the_first_probe_and_at_the_bottom(self):
+        probes: list[int] = []
+        got = security.solve_signature_length(lambda L: probes.append(L) or L >= 36,
+                                              10_000, stop=19)
+        assert got == 36
+        assert probes == [36, 34]  # feasible at 2 * (stop - 1), infeasible below it
+        probes.clear()
+        got = security.solve_signature_length(lambda L: probes.append(L) or True,
+                                              10_000, stop=100)
+        assert got == 2
+        assert probes[0] == 198 and probes[-1] == 2

@@ -1,5 +1,6 @@
 """Guards for names that tooling outside the package relies on."""
 import importlib
+import math
 
 import pytest
 
@@ -109,3 +110,37 @@ def test_floored_descent_calls_run_smb1_by_its_name(monkeypatch):
     point = optimize.coordinate_descent(objective, optimize.qds_search_space())
     assert len(floors) == point.evaluations
     assert sum(floor > 0.0 for floor in floors) >= 0.9 * len(floors)
+
+
+# bench/tracing.py counts length probes by wrapping the feasible_at that
+# models.solve_signature_length receives: every probe of an smb evaluation
+# must go through that argument, floored or not.
+@pytest.mark.parametrize("runner", ("run_smb1", "run_smb2"))
+def test_every_length_probe_goes_through_solve_signature_length(runner, monkeypatch):
+    from mdiqds import models
+    from mdiqds.channel import IntensityConfig, SystemParams
+
+    calls = {"direct": 0, "solve": 0}
+    feasible_at, solve = models._Pipeline.feasible_at, models.solve_signature_length
+
+    def direct(self, length):
+        calls["direct"] += 1
+        return feasible_at(self, length)
+
+    def counted_solve(feasible_at, *args, **kwargs):
+        def probe(length):
+            calls["solve"] += 1
+            return feasible_at(length)
+        return solve(probe, *args, **kwargs)
+
+    monkeypatch.setattr(models._Pipeline, "feasible_at", direct)
+    monkeypatch.setattr(models, "solve_signature_length", counted_solve)
+    run = getattr(models, runner)
+    params = SystemParams(distance_km=50.0, n_pulses=1e13)
+    cfg = IntensityConfig.symmetric(a_s=0.3, a_d1=0.05, p_as=0.95, p_ad1=0.03, p_z=0.9)
+    exact = run(params, cfg)
+    assert exact.feasible
+    for floor in (0.5 * exact.rate, math.nextafter(exact.rate, 0.0), exact.rate,
+                  2.0 * exact.rate):
+        run(params, cfg, floor=floor)
+    assert calls["direct"] == calls["solve"] > 0
