@@ -23,7 +23,6 @@ from .channel import (
     SinglePhotonTruth,
     SystemParams,
     TallySet,
-    conditional_intensity_prob,
     expected_tallies,
     sample_tallies,
     single_photon_truth,

@@ -46,7 +46,6 @@ __all__ = [
     "PulseStatistics",
     "TallySet",
     "SinglePhotonTruth",
-    "conditional_intensity_prob",
     "expected_tallies",
     "pulse_statistics",
     "sample_tallies",
@@ -186,15 +185,10 @@ class IntensityConfig:
             return (1.0 - self.p_z) * (1.0 - self.p_z)
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
-    def cell_pulse_fractions(self, basis: str) -> np.ndarray:
-        """3x3 matrix of per-pulse allocation P_{W,ab} for basis W."""
-        w = self.basis_pair_prob(basis)
-        return w * np.outer(self.probs, self.probs)
-
 
 @dataclass
 class TallySet:
-    """Detection statistics and pool bookkeeping for one configuration.
+    """Detection statistics of one configuration, per intensity cell.
 
     counts_*/errors_* are 3x3 matrices over (Alice intensity, Bob
     intensity) with index order (signal, decoy1, decoy2); pulses_* hold
@@ -202,8 +196,6 @@ class TallySet:
     the default mode and integer draws in sampled mode.
     """
 
-    n_pulses: float
-    r_test: float
     counts_z: np.ndarray
     counts_x: np.ndarray
     errors_z: np.ndarray
@@ -217,41 +209,22 @@ class TallySet:
             if (errs > counts + 1e-9).any():
                 raise ValueError(f"error counts exceed event counts in basis {basis}")
 
-    @property
-    def z_signal(self) -> float:
-        """|Z^{a_s,b_s}|: events in the signal-signal Z cell."""
-        return float(self.counts_z[SIGNAL, SIGNAL])
-
-    @property
-    def n_test(self) -> float:
-        return self.r_test * self.z_signal
-
-    @property
-    def n_pool(self) -> float:
-        return (1.0 - self.r_test) * self.z_signal
-
-
 
 @dataclass
 class SinglePhotonTruth:
     """Channel-model truth about the (1,1)-photon-pair component.
 
     s11_* are 3x3 expected counts of successful events caused by both
-    senders emitting exactly one photon; e11_* are the expected error
-    counts among those events. y11/e11_rate are the per-(1,1)-pair yield
-    and error rate (cell independent in this channel model).
+    senders emitting exactly one photon; e11_x holds the expected error
+    counts among the X-basis ones. y11/e11_rate are the per-(1,1)-pair
+    yield and error rate (cell independent in this channel model).
     """
 
     s11_z: np.ndarray
     s11_x: np.ndarray
-    e11_z: np.ndarray
     e11_x: np.ndarray
     y11: float
     e11_rate: float
-
-    @property
-    def s11_z_total(self) -> float:
-        return float(self.s11_z.sum())
 
     @property
     def s11_x_total(self) -> float:
@@ -300,32 +273,6 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     y11 = float(yield_nm[1, 1])
     e11 = float(err_nm[1, 1] / yield_nm[1, 1]) if yield_nm[1, 1] > 0 else 0.0
     return _flat(cell_yield), _flat(cell_err), y11, e11
-
-
-def conditional_intensity_prob(cfg: IntensityConfig, n: int, m: int, basis: str) -> np.ndarray:
-    """Posterior intensity-pair probabilities p_{a,b|nm,W}.
-
-    Bayes rule over the selection probabilities and Poisson emission:
-    p_{a,b|nm,W} = P_W(a,b) Pois(n|a) Pois(m|b) / sum over (a',b').
-    The returned 3x3 table sums to 1.
-
-    Raises
-    ------
-    ValueError
-        If n or m is negative, or the posterior is degenerate (zero
-        total mass, e.g. photons claimed from all-zero intensities).
-    """
-    if n < 0 or m < 0:
-        raise ValueError(f"photon numbers must be non-negative, got ({n}, {m})")
-    pa = np.array([math.exp(-mu) * mu**n / math.factorial(n) if mu > 0 else (1.0 if n == 0 else 0.0)
-                   for mu in cfg.intensities])
-    pb = np.array([math.exp(-mu) * mu**m / math.factorial(m) if mu > 0 else (1.0 if m == 0 else 0.0)
-                   for mu in cfg.intensities])
-    joint = cfg.cell_pulse_fractions(basis) * np.outer(pa, pb)
-    total = joint.sum()
-    if total <= 0.0:
-        raise ValueError(f"degenerate posterior: no intensity pair can emit ({n}, {m}) photons")
-    return joint / total
 
 
 class PulseCounts(NamedTuple):
@@ -418,8 +365,6 @@ class PulseStatistics:
         pulses_x = n * _cells(self.frac_x)
         cell_yield, cell_err = _cells(self.cell_yield), _cells(self.cell_err)
         return TallySet(
-            n_pulses=n,
-            r_test=self.r_test,
             counts_z=pulses_z * cell_yield,
             counts_x=pulses_x * cell_yield,
             errors_z=pulses_z * cell_err,
@@ -433,11 +378,8 @@ class PulseStatistics:
         pair11 = _cells(self.pair11)
         s11_z = n * _cells(self.frac_z) * pair11 * self.y11
         s11_x = n * _cells(self.frac_x) * pair11 * self.y11
-        return SinglePhotonTruth(
-            s11_z=s11_z, s11_x=s11_x,
-            e11_z=s11_z * self.e11, e11_x=s11_x * self.e11,
-            y11=self.y11, e11_rate=self.e11,
-        )
+        return SinglePhotonTruth(s11_z=s11_z, s11_x=s11_x, e11_x=s11_x * self.e11,
+                                 y11=self.y11, e11_rate=self.e11)
 
 
 def _cells(values: tuple[float, ...]) -> np.ndarray:
@@ -452,9 +394,10 @@ def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatist
     """Per-pulse-pair channel statistics of one link and configuration.
 
     Every rate evaluation builds one, so the 9-cell tuples are formed in
-    plain floats, each product in the order of the numpy tables
-    (cell_pulse_fractions' w * outer(p, p) and the outer product of the
-    single-photon weights); the cells come from _pair_statistics' cache.
+    plain floats, each product in the order of the numpy tables (the
+    basis weight times outer(p, p) of the selection probabilities, and
+    the outer product of the single-photon weights); the cells come from
+    _pair_statistics' cache.
     """
     cell_yield, cell_err, y11, e11 = _pair_statistics(
         params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
@@ -504,8 +447,7 @@ def sample_tallies(params: SystemParams, cfg: IntensityConfig,
         errors = rng.binomial(counts.astype(np.int64), rate).astype(float)
         out[f"counts_{basis}"] = counts
         out[f"errors_{basis}"] = errors
-    return TallySet(n_pulses=mean.n_pulses, r_test=mean.r_test,
-                    pulses_z=mean.pulses_z, pulses_x=mean.pulses_x, **out)
+    return TallySet(pulses_z=mean.pulses_z, pulses_x=mean.pulses_x, **out)
 
 
 def single_photon_truth(params: SystemParams, cfg: IntensityConfig,

@@ -296,18 +296,6 @@ def _point_records(cfg: RunConfig, distance_km: float, pulses: float,
     return records, warm
 
 
-def cmd_rate(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
-    if args.dump_config:
-        _emit(json.dumps(cfg.to_dict(), indent=2) + "\n", args.dump_config)
-    records, _ = _point_records(cfg, cfg.distance_km, cfg.pulses, None)
-    render = render_csv if cfg.format == "csv" else render_json
-    _emit(render(records, cfg.seed, cfg.optimize), args.out)
-    if args.strict and not any(r["feasible"] for r in records):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
 def _axis_values(args: argparse.Namespace) -> list[float]:
     if args.values:
         values = [float(v) for v in args.values.split(",") if v.strip()]
@@ -320,8 +308,12 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
             raise ValueError(f"step must be positive, got {args.step}")
         # start + i*step, not a running sum, so the end point does not drift
         stop = args.stop + 1e-9 * max(1.0, abs(args.stop))
-        count = math.floor((stop - args.start) / args.step) + 1
-        values = [args.start + i * args.step for i in range(count)]
+        span = (stop - args.start) / args.step
+        # a tiny step, or bounds whose difference overflows, make it infinite
+        if not math.isfinite(span):
+            raise ValueError(f"sweep from {args.start} to {args.stop} in steps of "
+                             f"{args.step} has no finite point count")
+        values = [args.start + i * args.step for i in range(math.floor(span) + 1)]
     if not values:
         raise ValueError("sweep range is empty")
     if sorted(values) != values:
@@ -329,33 +321,31 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
     return values
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_points(args: argparse.Namespace) -> int:
+    """rate, optimize and sweep: records at each (distance, pulses) point.
+
+    rate and optimize evaluate the one configured point; sweep walks its
+    axis, each optimized point starting from the previous point's best
+    configuration.
+    """
     cfg = load_config(args)
+    if args.command == "optimize":
+        cfg.optimize = True
     if args.dump_config:
         _emit(json.dumps(cfg.to_dict(), indent=2) + "\n", args.dump_config)
-    values = _axis_values(args)
+    if args.command != "sweep":
+        points = [(cfg.distance_km, cfg.pulses)]
+    elif args.axis == "distance":
+        points = [(value, cfg.pulses) for value in _axis_values(args)]
+    else:
+        points = [(cfg.distance_km, value) for value in _axis_values(args)]
     records: list[dict] = []
     warm: tuple[float, ...] | None = None
-    for value in values:
-        distance = value if args.axis == "distance" else cfg.distance_km
-        pulses = value if args.axis == "pulses" else cfg.pulses
+    for distance, pulses in points:
         point, warm = _point_records(cfg, distance, pulses, warm)
         records.extend(point)
     render = render_csv if cfg.format == "csv" else render_json
     _emit(render(records, cfg.seed, cfg.optimize), args.out)
-    if args.strict and not any(r["feasible"] for r in records):
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def cmd_optimize(args: argparse.Namespace) -> int:
-    cfg = load_config(args)
-    cfg.optimize = True
-    if args.dump_config:
-        _emit(json.dumps(cfg.to_dict(), indent=2) + "\n", args.dump_config)
-    records, _ = _point_records(cfg, cfg.distance_km, cfg.pulses, None)
-    render = render_csv if cfg.format == "csv" else render_json
-    _emit(render(records, cfg.seed, True), args.out)
     if args.strict and not any(r["feasible"] for r in records):
         return EXIT_INFEASIBLE
     return EXIT_OK
@@ -432,9 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         handler = {
-            "rate": cmd_rate,
-            "sweep": cmd_sweep,
-            "optimize": cmd_optimize,
+            "rate": cmd_points,
+            "sweep": cmd_points,
+            "optimize": cmd_points,
             "verify": cmd_verify,
             "simulate-protocol": cmd_simulate_protocol,
         }[args.command]

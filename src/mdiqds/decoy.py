@@ -5,10 +5,14 @@ a lower bound on the single-photon counts in the signal-signal Z cell
 (n_Z1) and across the X basis (n_X1), and an upper bound on the
 single-photon error count in X (m_X1), each a Hoeffding fluctuation away
 from its channel-model mean. Chernoff-style validity conditions on the
-per-cell exposure mu_L gate the whole estimate: when a consumed cell is
-too thin to support the concentration argument, the configuration is
-reported as invalid and the caller must treat it as rate zero rather
-than use an unsound bound.
+exposure mu_L of the signal-signal Z cell and of the X-basis aggregate
+gate the whole estimate: when either is too thin to support the
+concentration argument, the configuration is reported as invalid and
+the caller must treat it as rate zero rather than use an unsound bound.
+
+All three models share this one chain, and it reads only the scalars of
+channel.PulseCounts; the 3x3 tables (channel.TallySet and
+SinglePhotonTruth) are oracles for the tests, not inputs here.
 
 Every gate and deviation consumes a failure probability. Which ones a
 model spends, and how much, depends on the model and the security
@@ -19,20 +23,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bounds import hoeffding_delta
-from .channel import PulseCounts, TallySet
+from .channel import PulseCounts
 
 __all__ = [
-    "DecoyDecomposition",
     "SinglePhotonEstimate",
     "check_chernoff_conditions",
-    "exposure_mu",
-    "decoy_decomposition",
     "estimate_n_z1",
     "estimate_n_x1",
-    "estimate_m_x1_e_x1",
+    "estimate_m_x1",
     "single_photon_bounds",
 ]
 
@@ -48,61 +47,17 @@ def check_chernoff_conditions(mu_l: float, eps: float, eps_hat: float) -> bool:
     return mu_l >= (32.0 / 3.0) * math.log(2.0 / eps) and mu_l >= 3.0 * math.log(1.0 / eps_hat)
 
 
-def exposure_mu(tallies: TallySet, cell: tuple[int, int, str], eps_cell: float) -> float:
-    """Lower-bounded exposure mu_L of one intensity cell.
+def _exposure(count: float, total: float, eps_cell: float) -> float:
+    """Lower-bounded exposure mu_L of a cell holding count events.
 
     mu_L = |W^{a,b}| - sqrt(sum_{a,b} |W^{a,b}| / 2 * ln(1/eps_cell)),
-    where the sum runs over all cells of the same basis. May be negative
-    for thin cells; callers must then fail the validity check.
+    where total is the sum over all cells of the same basis, and 0 for
+    an empty basis. May be negative for thin cells; callers must then
+    fail the validity check.
     """
-    a, b, basis = cell
-    counts = tallies.counts_z if basis == "Z" else tallies.counts_x
-    return _exposure(float(counts[a, b]), float(counts.sum()), eps_cell)
-
-
-def _exposure(count: float, total: float, eps_cell: float) -> float:
-    """exposure_mu of a cell holding count of its basis' total events."""
     if total == 0.0:
         return 0.0
     return count - math.sqrt(total / 2.0 * math.log(1.0 / eps_cell))
-
-
-@dataclass
-class DecoyDecomposition:
-    """Per-cell exposure/fluctuation bookkeeping for one basis."""
-
-    basis: str
-    mu_l: np.ndarray        # 3x3 exposures
-    delta: np.ndarray       # 3x3 Hoeffding fluctuations at eps_prime
-    valid: np.ndarray       # 3x3 bools, Chernoff conditions per cell
-    eps_cell: float
-    eps_a: float
-    eps_hat: float
-
-    @property
-    def eps_prime(self) -> float:
-        """Aggregate per-cell failure probability."""
-        return self.eps_cell + self.eps_a + self.eps_hat
-
-
-def decoy_decomposition(tallies: TallySet, basis: str, eps_cell: float,
-                        eps_a: float | None = None,
-                        eps_hat: float | None = None) -> DecoyDecomposition:
-    """Exposures, fluctuations and validity flags for every cell of a basis."""
-    eps_a = eps_cell if eps_a is None else eps_a
-    eps_hat = eps_cell if eps_hat is None else eps_hat
-    counts = tallies.counts_z if basis == "Z" else tallies.counts_x
-    mu_l = np.empty((3, 3))
-    delta = np.empty((3, 3))
-    valid = np.empty((3, 3), dtype=bool)
-    eps_prime = eps_cell + eps_a + eps_hat
-    for a in range(3):
-        for b in range(3):
-            mu_l[a, b] = exposure_mu(tallies, (a, b, basis), eps_cell)
-            delta[a, b] = hoeffding_delta(float(counts[a, b]), eps_prime)
-            valid[a, b] = check_chernoff_conditions(mu_l[a, b], eps_a, eps_hat)
-    return DecoyDecomposition(basis=basis, mu_l=mu_l, delta=delta, valid=valid,
-                              eps_cell=eps_cell, eps_a=eps_a, eps_hat=eps_hat)
 
 
 def estimate_n_z1(s11_z_signal: float, eps1: float) -> float:
@@ -123,38 +78,26 @@ def estimate_n_x1(s11_x_total: float, eps1: float) -> float:
     return max(s11_x_total - hoeffding_delta(s11_x_total, eps1), 0.0)
 
 
-def estimate_m_x1_e_x1(e11_x_total: float, eps1: float,
-                       n_x1: float) -> tuple[float, float]:
-    """Upper bound on (1,1) error events in X, and the error rate.
+def estimate_m_x1(e11_x_total: float, eps1: float) -> float:
+    """Upper bound on (1,1) error events summed over all X-basis cells.
 
-    m_X1 is the channel-model mean plus its Hoeffding fluctuation at eps1.
-
-    Parameters
-    ----------
-    e11_x_total : float
-        Channel-model mean of the (1,1) error events over all X cells.
-    n_x1 : float
-        Denominator for the rate, the n_X1 bound.
-
-    Returns
-    -------
-    (m_x1, e_x1) with e_x1 = m_x1 / n_x1 clamped to [0, 1].
+    The channel-model mean e11_x_total of that sum plus its Hoeffding
+    fluctuation at eps1.
     """
-    if n_x1 <= 0:
-        raise ValueError("n_x1 must be positive to form the error rate")
-    m_x1 = max(e11_x_total + hoeffding_delta(e11_x_total, eps1), 0.0)
-    e_x1 = min(max(m_x1 / n_x1, 0.0), 1.0)
-    return m_x1, e_x1
+    return max(e11_x_total + hoeffding_delta(e11_x_total, eps1), 0.0)
 
 
 @dataclass
 class SinglePhotonEstimate:
-    """Bundle of the three decoy bounds and the gates' verdict."""
+    """The three decoy bounds n_Z1, n_X1 and m_X1, and the gates' verdict.
+
+    The models form the phase-error rate from m_X1 and n_X1
+    (models.estimate_e_z1).
+    """
 
     n_z1: float
     n_x1: float
     m_x1: float
-    e_x1: float
     valid: bool
 
 
@@ -181,11 +124,11 @@ def single_photon_bounds(counts: PulseCounts, eps1: float,
     gates_ok = (check_chernoff_conditions(mu_z, eps_cell, eps_cell)
                 and check_chernoff_conditions(mu_x, eps_cell, eps_cell))
     if not gates_ok:
-        return SinglePhotonEstimate(0.0, 0.0, 0.0, 0.0, valid=False)
+        return SinglePhotonEstimate(0.0, 0.0, 0.0, valid=False)
 
     n_z1 = estimate_n_z1(counts.s11_z_signal, eps1)
     n_x1 = estimate_n_x1(counts.s11_x_total, eps1)
     if n_x1 <= 0 or n_z1 <= 0:
-        return SinglePhotonEstimate(n_z1, n_x1, 0.0, 0.0, valid=False)
-    m_x1, e_x1 = estimate_m_x1_e_x1(counts.e11_x_total, eps1, n_x1)
-    return SinglePhotonEstimate(n_z1=n_z1, n_x1=n_x1, m_x1=m_x1, e_x1=e_x1, valid=True)
+        return SinglePhotonEstimate(n_z1, n_x1, 0.0, valid=False)
+    return SinglePhotonEstimate(n_z1=n_z1, n_x1=n_x1,
+                                m_x1=estimate_m_x1(counts.e11_x_total, eps1), valid=True)

@@ -145,6 +145,24 @@ class TestSweep:
         assert code == 1
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("start,stop,step", [
+        ("0", "1e300", "1e-300"),          # the quotient overflows
+        ("-1.7e308", "1.7e308", "1"),      # the difference overflows
+        ("-1.7e308", "1.7e308", "1e300"),
+    ])
+    def test_infinite_point_count_rejected(self, capsys, start, stop, step):
+        code, out, err = run_cli(capsys, "sweep", f"--start={start}", f"--stop={stop}",
+                                 "--step", step)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err.startswith("error: ") and "no finite point count" in err
+
+    def test_one_point_sweep_prints_the_rate(self, capsys):
+        args = ("--model", "all", "--distance-km", "30", "--format", "json")
+        rate = run_cli(capsys, "rate", *args)
+        assert rate[0] == 0
+        assert run_cli(capsys, "sweep", *args, "--values", "30") == rate
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--axis", "distance",
                                "--start", "40", "--stop", "80", "--step", "40",

@@ -1,8 +1,12 @@
 """Guards for names that tooling outside the package relies on."""
 import importlib
 import math
+import pkgutil
+import types
 
 import pytest
+
+import mdiqds
 
 # bench/run.py replaces these with a bare getattr to time its calls; a
 # rename must fail here rather than in the benchmark run.
@@ -144,3 +148,30 @@ def test_every_length_probe_goes_through_solve_signature_length(runner, monkeypa
                   2.0 * exact.rate):
         run(params, cfg, floor=floor)
     assert calls["direct"] == calls["solve"] > 0
+
+
+# A stale __all__ entry fails only on `from ... import *`, which nothing in
+# the suite runs: check every entry, and every name the package re-exports.
+# (mdiqds.cli, a front end, keeps no __all__.)
+EXPORTING = sorted(m.name for m in pkgutil.iter_modules(mdiqds.__path__) if m.name != "cli")
+
+
+@pytest.mark.parametrize("module", EXPORTING)
+def test_every_all_entry_resolves(module):
+    owner = importlib.import_module(f"mdiqds.{module}")
+    assert [name for name in owner.__all__ if not hasattr(owner, name)] == []
+
+
+def test_package_exports_are_module_exports():
+    exported = {}
+    for module in EXPORTING:
+        owner = importlib.import_module(f"mdiqds.{module}")
+        exported.update((name, getattr(owner, name)) for name in owner.__all__)
+    public = {name: value for name, value in vars(mdiqds).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public and {name: exported.get(name) for name in public} == public
+
+
+def test_decoy_reads_no_tables():
+    from mdiqds import decoy
+    assert "np" not in vars(decoy) and "TallySet" not in vars(decoy)
