@@ -1,10 +1,12 @@
 """Finite-size signature-rate analysis for MDI quantum digital signatures.
 
-A numpy-based engine that computes achievable signature rates of a
+A plain-float engine that computes achievable signature rates of a
 three-party measurement-device-independent quantum digital signature
 protocol under three finite-size parameter-estimation models, optimizes
 the protocol parameters by coordinate descent, and validates every tail
-bound it relies on by Monte Carlo.
+bound it relies on by Monte Carlo. Importing the package or computing a
+rate loads no numpy; the Monte Carlo samplers, the 3x3 table oracles
+and multi-start's random starts import it when called.
 """
 
 __version__ = "0.1.0"

@@ -18,6 +18,14 @@ probability 1/2).
 Photon-number sums are truncated at n, m <= PHOTON_CUTOFF; the neglected
 tail is below 1e-12 relative for intensities up to ~0.4 and below 1e-8
 at intensity 1.0, far inside the statistical tolerances used downstream.
+The click probabilities of the two arms are independent, so every cell's
+double sum over (n, m) is a product of two single sums over n: the
+yield of cell (i, j) is Y_i Y_j and its photon-photon part Q_i Q_j,
+where Y_i and Q_i are the Poisson(mu_i)-weighted sums of the
+click-with-dark-count and photon-click probabilities. These sums are
+plain floats, so the rate engine needs no numpy; the 3x3 tables and
+sampled tallies, which only oracles and Monte Carlo use, import it when
+called.
 
 Everything here is an expected-value computation, linear in the pulse
 count: `pulse_statistics` holds the per-pulse-pair quantities of one
@@ -33,9 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import NamedTuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_PULSES",
@@ -235,19 +245,9 @@ class SinglePhotonTruth:
         return float(self.e11_x.sum())
 
 
-def _poisson_pmf(intensities: tuple[float, float, float], n_max: int) -> np.ndarray:
-    """pmf[i, n] = exp(-mu_i) mu_i^n / n! for n = 0..n_max."""
-    pmf = np.empty((len(intensities), n_max + 1))
-    for i, mu in enumerate(intensities):
-        if mu == 0.0:
-            row = np.zeros(n_max + 1)
-            row[0] = 1.0
-        else:
-            ns = np.arange(n_max + 1)
-            log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1)))))
-            row = np.exp(-mu + ns * math.log(mu) - log_fact)
-        pmf[i] = row
-    return pmf
+_PHOTON_NUMBERS = range(PHOTON_CUTOFF + 1)
+# log n! for each photon number, summed left to right
+_LOG_FACTORIAL = tuple(accumulate(math.log(n) if n else 0.0 for n in _PHOTON_NUMBERS))
 
 
 @lru_cache(maxsize=512)
@@ -259,20 +259,35 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     err_rate_contrib are row-major 9-tuples over the 3x3 cells, already
     averaged over photon numbers but not yet weighted by basis/intensity
     selection probabilities.
-    """
-    n = np.arange(PHOTON_CUTOFF + 1)
-    q = 1.0 - (1.0 - eta) ** n                      # photon-click prob given n photons
-    click = 1.0 - (1.0 - q) * (1.0 - p_dc)          # threshold detector incl. dark
-    yield_nm = np.outer(click, click)
-    photon_pair = np.outer(q, q)
-    err_nm = e_d * photon_pair + 0.5 * (yield_nm - photon_pair)
 
-    pmf = _poisson_pmf(intensities, PHOTON_CUTOFF)
-    cell_yield = pmf @ yield_nm @ pmf.T
-    cell_err = pmf @ err_nm @ pmf.T
-    y11 = float(yield_nm[1, 1])
-    e11 = float(err_nm[1, 1] / yield_nm[1, 1]) if yield_nm[1, 1] > 0 else 0.0
-    return _flat(cell_yield), _flat(cell_err), y11, e11
+    Each cell is a product of per-sender sums (see the module docstring),
+    yield_ij = Y_i Y_j and photon_ij = Q_i Q_j, and the error cell keeps
+    the per-(n, m) form e_d photon + (yield - photon) / 2. The sums run
+    left to right, not through builtin sum(), which compensates from
+    Python 3.12 on.
+    """
+    q = [1.0 - (1.0 - eta) ** n for n in _PHOTON_NUMBERS]  # photon-click prob
+    click = [1.0 - (1.0 - qn) * (1.0 - p_dc) for qn in q]  # threshold detector incl. dark
+    y_sums, q_sums = [], []
+    for mu in intensities:
+        if mu == 0.0:
+            y_i, q_i = click[0], q[0]
+        else:
+            log_mu = math.log(mu)
+            y_i = q_i = 0.0
+            for n, log_fact, c_n, q_n in zip(_PHOTON_NUMBERS, _LOG_FACTORIAL, click, q):
+                pmf = math.exp(-mu + n * log_mu - log_fact)
+                y_i += pmf * c_n
+                q_i += pmf * q_n
+        y_sums.append(y_i)
+        q_sums.append(q_i)
+    cell_yield = tuple(a * b for a in y_sums for b in y_sums)
+    photon = [a * b for a in q_sums for b in q_sums]
+    cell_err = tuple(e_d * ph + 0.5 * (y - ph) for y, ph in zip(cell_yield, photon))
+    y11 = click[1] * click[1]
+    photon11 = q[1] * q[1]
+    e11 = (e_d * photon11 + 0.5 * (y11 - photon11)) / y11 if y11 > 0 else 0.0
+    return cell_yield, cell_err, y11, e11
 
 
 class PulseCounts(NamedTuple):
@@ -383,11 +398,8 @@ class PulseStatistics:
 
 
 def _cells(values: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
     return np.array(values).reshape(3, 3)
-
-
-def _flat(matrix: np.ndarray) -> tuple[float, ...]:
-    return tuple(matrix.ravel().tolist())
 
 
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
@@ -436,6 +448,7 @@ def sample_tallies(params: SystemParams, cfg: IntensityConfig,
     Counts are drawn per cell as Poisson(expected count); error counts
     as Binomial(count, cell error rate), which keeps errors <= counts.
     """
+    import numpy as np
     mean = expected_tallies(params, cfg, n_pulses)
     out = {}
     for basis in ("z", "x"):

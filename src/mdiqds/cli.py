@@ -37,6 +37,9 @@ CSV_COLUMNS = ("model", "distance_km", "N", "a_s", "a_d1", "a_d2", "p_as",
                "p_ad1", "p_z", "L", "n_bits", "R", "p_E", "s_a", "s_v",
                "P_rob", "P_rep", "P_forge", "feasible")
 
+# Largest (stop - start) / step a --start/--stop/--step sweep accepts.
+MAX_SWEEP_SPAN = 1e6
+
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
@@ -313,6 +316,10 @@ def _axis_values(args: argparse.Namespace) -> list[float]:
         if not math.isfinite(span):
             raise ValueError(f"sweep from {args.start} to {args.stop} in steps of "
                              f"{args.step} has no finite point count")
+        # checked before the list is built: a huge count would exhaust memory
+        if span > MAX_SWEEP_SPAN:
+            raise ValueError(f"sweep from {args.start} to {args.stop} in steps of "
+                             f"{args.step} has more than {MAX_SWEEP_SPAN:g} steps")
         values = [args.start + i * args.step for i in range(math.floor(span) + 1)]
     if not values:
         raise ValueError("sweep range is empty")

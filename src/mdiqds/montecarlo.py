@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import (
     hoeffding_delta,
@@ -37,6 +36,9 @@ from .bounds import (
     serfling_fraction_gamma,
     test_sample_penalty,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BOUND_IDS",
@@ -132,6 +134,7 @@ def make_key_material(rng: np.random.Generator, length: int,
     of uniformly placed positions. Keep masks select a uniform random
     half per recipient.
     """
+    import numpy as np
     if length % 2:
         raise ValueError(f"length must be even, got {length}")
     sig_b = rng.integers(0, 2, length, dtype=np.int8)
@@ -185,6 +188,7 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
     _check_length(length)
     _check_rate("error_rate", error_rate)
     _check_rate("s_a", s_a)
+    import numpy as np
     rng = np.random.default_rng(seed)
     counts = rng.binomial(length, error_rate, size=trials)
     aborts = int((counts / length >= s_a).sum())
@@ -197,6 +201,7 @@ def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
                        s_a: float, s_v: float, trials: int,
                        method: str) -> tuple[int, int, int]:
     """(successes, bob_accepts, charlie_rejects) for one mismatch count."""
+    import numpy as np
     half = length // 2
     if method == "hypergeometric":
         # kept-half overlap counts are hypergeometric; the two strings
@@ -240,6 +245,7 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     else:
         grid = [mismatches]
     bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
+    import numpy as np
     seq = np.random.SeedSequence(seed)
     runs = [(*_repudiation_batch(np.random.default_rng(child), length, m,
                                  s_a, s_v, trials, method), m)
@@ -264,6 +270,7 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     _check_length(length)
     _check_rate("p_e", p_e)
     _check_rate("s_v", s_v)
+    import numpy as np
     rng = np.random.default_rng(seed)
     half = length // 2
     errors = rng.binomial(half, p_e, size=trials)
@@ -304,6 +311,7 @@ def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
     """
     if eps < 1e-3:
         raise ValueError("coverage runs need eps >= 1e-3 to be measurable")
+    import numpy as np
     rng = np.random.default_rng(seed)
     detail = {"population": population, "sample": sample, "eps": eps}
     if bound == "hoeffding":

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .channel import IntensityConfig, SystemParams
 from .models import MODELS, RateResult, run_model, run_smb1, run_smb2
 from .security import SecurityBudget
@@ -68,7 +66,7 @@ class SearchSpace:
     upper: tuple[float, ...]
     initial: tuple[float, ...] | None = None
     steps: tuple[float, ...] | None = None
-    project: Callable[[np.ndarray], np.ndarray] | None = None
+    project: Callable[[list[float]], list[float]] | None = None
 
     def __post_init__(self) -> None:
         k = len(self.names)
@@ -76,17 +74,22 @@ class SearchSpace:
             raise ValueError("bounds must match the number of coordinates")
         if any(lo >= hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("every lower bound must be below its upper bound")
+        # the vectors are zipped against the bounds, which would drop extras
+        for name in ("initial", "steps"):
+            value = getattr(self, name)
+            if value is not None and len(value) != k:
+                raise ValueError(f"{name} must have {k} coordinates, got {len(value)}")
 
-    def clip_project(self, x: np.ndarray) -> np.ndarray:
-        y = np.clip(x, self.lower, self.upper)
+    def clip_project(self, x: Sequence[float]) -> list[float]:
+        y = [min(max(v, lo), hi) for v, lo, hi in zip(x, self.lower, self.upper)]
         if self.project is not None:
             y = self.project(y)
         return y
 
-    def base_steps(self) -> np.ndarray:
+    def base_steps(self) -> list[float]:
         if self.steps is not None:
-            return np.asarray(self.steps, dtype=float)
-        return (np.asarray(self.upper) - np.asarray(self.lower)) / 20.0
+            return [float(s) for s in self.steps]
+        return [(hi - lo) / 20.0 for lo, hi in zip(self.lower, self.upper)]
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,22 @@ class OptimalPoint:
     start_values: tuple[float, ...] = ()
 
 
-def _start_vector(space: SearchSpace, seed: int) -> np.ndarray:
-    if space.initial is not None:
-        return space.clip_project(np.asarray(space.initial, dtype=float))
+def _uniform_draw(space: SearchSpace, seed: int | list[int]) -> list[float]:
+    """A uniform point of the box, drawn by numpy's generator from seed."""
+    import numpy as np
     rng = np.random.default_rng(seed)
     lo = np.asarray(space.lower)
     hi = np.asarray(space.upper)
-    return space.clip_project(lo + rng.uniform(size=len(space.names)) * (hi - lo))
+    return (lo + rng.uniform(size=len(space.names)) * (hi - lo)).tolist()
 
 
-Objective = Callable[[np.ndarray, float], float]
+def _start_vector(space: SearchSpace, seed: int) -> list[float]:
+    if space.initial is not None:
+        return space.clip_project([float(v) for v in space.initial])
+    return space.clip_project(_uniform_draw(space, seed))
+
+
+Objective = Callable[[Sequence[float], float], float]
 
 
 def coordinate_descent(objective: Objective, space: SearchSpace,
@@ -138,10 +147,10 @@ def coordinate_descent(objective: Objective, space: SearchSpace,
     must be deterministic. A stored stand-in value was <= the floor it
     was scored at, and f never decreases, so it stays rejected.
     """
-    scores: dict[bytes, float] = {}
+    scores: dict[tuple[float, ...], float] = {}
 
-    def score(point: np.ndarray, floor: float) -> float:
-        key = point.tobytes()
+    def score(point: list[float], floor: float) -> float:
+        key = tuple(point)
         if key not in scores:
             scores[key] = float(objective(point, floor))
         return scores[key]
@@ -150,7 +159,7 @@ def coordinate_descent(objective: Objective, space: SearchSpace,
     f = score(x, -math.inf)
     history = [f]
     base = space.base_steps()
-    cur_step = base.copy()
+    cur_step = list(base)
     converged = False
     cycle = 0
     for cycle in range(1, _MAX_CYCLES + 1):
@@ -160,7 +169,7 @@ def coordinate_descent(objective: Objective, space: SearchSpace,
             while step >= MIN_STEP:
                 moved = False
                 for direction in (+1.0, -1.0):
-                    cand = x.copy()
+                    cand = list(x)
                     cand[i] += direction * step
                     cand = space.clip_project(cand)
                     fc = score(cand, f)
@@ -170,7 +179,7 @@ def coordinate_descent(objective: Objective, space: SearchSpace,
                         moved = True
                         # keep walking while the same move pays off
                         while True:
-                            cand = x.copy()
+                            cand = list(x)
                             cand[i] += direction * step
                             cand = space.clip_project(cand)
                             fc = score(cand, f)
@@ -208,28 +217,25 @@ def multi_start(objective: Objective, space: SearchSpace,
     if k < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
     results = [coordinate_descent(objective, space, seed)]
-    anchor = np.asarray(results[0].x)
+    anchor = results[0].x
     for i in range(1, k):
-        rng = np.random.default_rng([seed, i])
-        lo = np.asarray(space.lower)
-        hi = np.asarray(space.upper)
-        x0 = space.clip_project(lo + rng.uniform(size=len(space.names)) * (hi - lo))
+        x0 = space.clip_project(_uniform_draw(space, [seed, i]))
         if results[0].value > 0.0:
             for _ in range(8):
                 if objective(x0, -math.inf) > 0.0:
                     break
-                x0 = space.clip_project(0.5 * (x0 + anchor))
+                x0 = space.clip_project([0.5 * (v + a) for v, a in zip(x0, anchor)])
         start_space = replace(space, initial=tuple(float(v) for v in x0))
         results.append(coordinate_descent(objective, start_space, seed))
     best = max(results, key=lambda r: r.value)
     return replace(best, start_values=tuple(r.value for r in results))
 
 
-def _qds_projection(a_d2: float) -> Callable[[np.ndarray], np.ndarray]:
+def _qds_projection(a_d2: float) -> Callable[[list[float]], list[float]]:
     """Restore intensity ordering and the selection-probability simplex."""
 
-    def project(x: np.ndarray) -> np.ndarray:
-        y = x.copy()
+    def project(x: list[float]) -> list[float]:
+        y = list(x)
         y[1] = min(max(y[1], a_d2 + 1e-4), 0.3)      # a_d1
         y[0] = min(max(y[0], y[1] + 1e-3), 1.0)      # a_s above a_d1
         y[2] = min(max(y[2], _PROB_LO), _PROB_HI)    # p_as
@@ -275,7 +281,7 @@ def rate_objective(params: SystemParams, model: str,
     state between calls: each value depends on (x, floor) alone.
     """
 
-    def objective(x: np.ndarray, floor: float) -> float:
+    def objective(x: Sequence[float], floor: float) -> float:
         try:
             cfg = config_from_vector(x, a_d2)
         except ValueError:
@@ -316,7 +322,7 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
         point); the projected reference vector is used when omitted.
     """
     space = qds_search_space(a_d2=a_d2)
-    reference = tuple(float(v) for v in space.clip_project(np.asarray(REFERENCE_VECTOR)))
+    reference = tuple(space.clip_project(REFERENCE_VECTOR))
     start = reference if initial is None else tuple(initial)
     space = replace(space, initial=start)
     candidates: list[tuple[float, ...]] = [reference, start]

@@ -197,6 +197,67 @@ class TestPulseStatistics:
         PulseStatistics(**fields)
 
 
+def numpy_pair_statistics(eta: float, p_dc: float, e_d: float,
+                          intensities: tuple[float, float, float]) -> tuple:
+    """_pair_statistics as full numpy tables: pmf @ table @ pmf.T per cell.
+
+    The reference for the plain-float rank-1 sums. It forms the 11x11
+    photon-number tables and sums them by BLAS, so it agrees with
+    _pair_statistics to rounding, not bit for bit.
+    """
+    n = np.arange(PHOTON_CUTOFF + 1)
+    q = 1.0 - (1.0 - eta) ** n
+    click = 1.0 - (1.0 - q) * (1.0 - p_dc)
+    yield_nm = np.outer(click, click)
+    photon_pair = np.outer(q, q)
+    err_nm = e_d * photon_pair + 0.5 * (yield_nm - photon_pair)
+    pmf = np.empty((len(intensities), PHOTON_CUTOFF + 1))
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, PHOTON_CUTOFF + 1)))))
+    for i, mu in enumerate(intensities):
+        if mu == 0.0:
+            pmf[i] = 0.0
+            pmf[i, 0] = 1.0
+        else:
+            pmf[i] = np.exp(-mu + n * math.log(mu) - log_fact)
+    cell_yield = pmf @ yield_nm @ pmf.T
+    cell_err = pmf @ err_nm @ pmf.T
+    y11 = float(yield_nm[1, 1])
+    e11 = float(err_nm[1, 1] / yield_nm[1, 1]) if yield_nm[1, 1] > 0 else 0.0
+    return (tuple(cell_yield.ravel().tolist()), tuple(cell_err.ravel().tolist()),
+            y11, e11)
+
+
+def test_pair_statistics_within_rounding_of_numpy_tables():
+    """The rank-1 sums move each cell by at most 1e-12 of its yield.
+
+    Error cells are compared to their cell's yield: at e_d = 0 both forms
+    take e = (yield - photon) / 2, a difference of nearly equal terms, so
+    the error cell alone can differ far more than 1e-12 of itself.
+    """
+    rng = np.random.default_rng(31)
+    zero_cells = 0
+    for _ in range(240):
+        a_d2 = float(rng.choice([0.0, 5e-4, rng.uniform(0.0, 0.05)]))
+        space = qds_search_space(a_d2=a_d2)
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)),
+                                 a_d2)
+        params = params_at(float(rng.uniform(0.0, 300.0)),
+                           p_dc=float(rng.choice([0.0, 1e-8, 1e-7, 1e-3])),
+                           e_d=float(rng.choice([0.0, 0.03, rng.uniform(0.0, 0.5)])))
+        args = (params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
+        got_yield, got_err, got_y11, got_e11 = _pair_statistics(*args)
+        want_yield, want_err, want_y11, want_e11 = numpy_pair_statistics(*args)
+        for g_y, g_e, w_y, w_e in zip(got_yield, got_err, want_yield, want_err):
+            assert abs(g_y - w_y) <= 1e-12 * w_y
+            assert abs(g_e - w_e) <= 1e-12 * w_y
+            assert (g_y == 0.0) == (w_y == 0.0) and (g_e == 0.0) == (w_e == 0.0)
+        assert got_y11 == pytest.approx(want_y11, rel=1e-12, abs=0.0)
+        assert got_e11 == pytest.approx(want_e11, rel=1e-12, abs=1e-12)
+        zero_cells += want_yield.count(0.0)
+    assert zero_cells > 0  # p_dc = 0 with a vacuum weak decoy
+
+
 def numpy_record(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
     """The record as formed from numpy tables: the reference for pulse_statistics."""
     cell_yield, cell_err, y11, e11 = _pair_statistics(

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, _fmt, main
+from mdiqds import cli
+from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, MAX_SWEEP_SPAN, _fmt, main
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -156,6 +157,17 @@ class TestSweep:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.startswith("error: ") and "no finite point count" in err
+
+    def test_oversized_point_count_rejected_before_any_point(self, capsys, monkeypatch):
+        """1e18 points: rejected from the step count, before the list is built."""
+        evaluated = []
+        monkeypatch.setattr(cli, "_point_records",
+                            lambda *args: evaluated.append(args) or ([], None))
+        code, out, err = run_cli(capsys, "sweep", "--start", "0", "--stop", "1e15",
+                                 "--step", "1e-3")
+        assert code == EXIT_INVALID
+        assert out == "" and evaluated == []
+        assert err.startswith("error: ") and f"more than {MAX_SWEEP_SPAN:g} steps" in err
 
     def test_one_point_sweep_prints_the_rate(self, capsys):
         args = ("--model", "all", "--distance-km", "30", "--format", "json")

@@ -1,4 +1,5 @@
 """Pipeline tests for the three estimation models."""
+import dataclasses
 import functools
 import hashlib
 import math
@@ -13,6 +14,7 @@ from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, puls
 from mdiqds.cli import record_dict, render_csv
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
 from mdiqds.security import SecurityBudget
+from test_channel import numpy_pair_statistics
 
 EPS12 = 1e-12
 NEAR_ONE = 1.0 - 1e-15
@@ -365,7 +367,7 @@ def test_rate_times_pulses_within_two_ulp_of_n_bits():
 # SHA-256 of the rendered records below (comment lines dropped, so that a
 # version bump alone does not move it). A change meant to leave the
 # numbers alone must leave this digest alone.
-ENGINE_OUTPUT_SHA256 = "ad93619d382aae4d63fab65c9f26e7c4eb7e11d6a17cb137ab8f09a4212f4a77"
+ENGINE_OUTPUT_SHA256 = "6b888811ef7384e93d586f21a754aa053b5ad7709fa4d8245a8ae2aa3ae52253"
 
 
 def test_engine_output_pinned():
@@ -397,11 +399,65 @@ def _neumaier_sum(values, start=0):
 
 
 def test_engine_output_independent_of_builtin_sum(monkeypatch):
-    """The pinned output holds whichever float sum() the interpreter has."""
+    """The pinned output holds whichever float sum() the interpreter has.
+
+    The pair-statistics cache is emptied before and after, so the channel's
+    cells are summed under the patched sum() and no cell summed under it
+    outlives the test.
+    """
     for name, module in list(sys.modules.items()):
         if name == "mdiqds" or name.startswith("mdiqds."):
             monkeypatch.setattr(module, "sum", _neumaier_sum, raising=False)
-    test_engine_output_pinned()
+    channel._pair_statistics.cache_clear()
+    try:
+        test_engine_output_pinned()
+    finally:
+        channel._pair_statistics.cache_clear()
+
+
+# fields that follow the integer L or N_s a search lands on, which the
+# rounding of the channel cells may move by a few pulses
+_SEARCH_FLOATS = ("rate", "n_bits", "block_size")
+
+
+def test_engine_within_rounding_of_numpy_channel_tables(monkeypatch):
+    """The plain-float channel moves no length, feasibility or reason.
+
+    Every result of a grid over configurations, distances, pulse counts and
+    models is compared with the one computed from numpy's channel tables:
+    L, feasibility and reason are equal, rate/n_bits/block_size within
+    1e-11 and every other float within 1e-9 relative. (P_rep amplifies a
+    cell's rounding through an exponential; it moves most.)
+    """
+    rng = np.random.default_rng(13)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    cfgs = [config_from_vector(REFERENCE_VECTOR)] + [
+        config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        for _ in range(6)]
+    points = [(SystemParams(distance_km=float(d), n_pulses=n), cfg, model)
+              for cfg in cfgs for d in range(0, 301, 10) for n in (1e11, 1e13, 1e15)
+              for model in models.MODELS]
+
+    def run_all():
+        channel._pair_statistics.cache_clear()
+        return [models.run_model(model, params, cfg) for params, cfg, model in points]
+
+    plain = run_all()
+    monkeypatch.setattr(channel, "_pair_statistics",
+                        functools.lru_cache(maxsize=512)(numpy_pair_statistics))
+    tables = run_all()
+    assert sum(r.feasible for r in plain) > 0.2 * len(points)
+    for got, want in zip(plain, tables):
+        assert (got.length, got.feasible, got.reason) == (want.length, want.feasible,
+                                                          want.reason)
+        for f in dataclasses.fields(models.RateResult):
+            g, w = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(w, float) or (f.name == "block_size" and w is not None):
+                rel = 1e-11 if f.name in _SEARCH_FLOATS else 1e-9
+                assert g == pytest.approx(w, rel=rel, abs=0.0), (f.name, got, want)
+            else:
+                assert g == w, f.name
 
 
 def test_feasible_results_carry_the_models_ledger():

@@ -60,9 +60,28 @@ class TestCoordinateDescent:
         c = coordinate_descent(f, space, seed=18)
         assert c.x != a.x  # different random start
 
+    def test_random_start_is_numpys_seeded_draw(self):
+        """Without an initial point the start is numpy's uniform draw, projected."""
+        space = qds_search_space(initial=None)
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        for seed in range(4):
+            draw = lo + np.random.default_rng(seed).uniform(size=5) * (hi - lo)
+            start = optimize._start_vector(space, seed)
+            assert start == space.clip_project(draw.tolist())
+            # an ndarray clips to the same point (bench/run.py passes one)
+            assert space.clip_project(draw) == start
+
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
             SearchSpace(names=("x",), lower=(1.0,), upper=(0.0,))
+
+    @pytest.mark.parametrize("field", ["initial", "steps"])
+    def test_vector_length_validation(self, field):
+        with pytest.raises(ValueError, match=f"{field} must have 2 coordinates, got 3"):
+            SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0),
+                        **{field: (0.5, 0.5, 0.5)})
+        with pytest.raises(ValueError, match=f"{field} must have 5 coordinates, got 4"):
+            replace(qds_search_space(), **{field: (0.4, 0.05, 0.3, 0.3)})
 
 
 def reference_descent(objective, space, seed=0):
@@ -73,14 +92,14 @@ def reference_descent(objective, space, seed=0):
     calls = []
 
     def scored(x):
-        calls.append(x.tobytes())
+        calls.append(tuple(x))
         return float(objective(x, -math.inf))
 
     x = optimize._start_vector(space, seed)
     f = scored(x)
     history = [f]
     base = space.base_steps()
-    cur_step = base.copy()
+    cur_step = list(base)
     converged = False
     cycle = 0
     for cycle in range(1, optimize._MAX_CYCLES + 1):
@@ -90,7 +109,7 @@ def reference_descent(objective, space, seed=0):
             while step >= MIN_STEP:
                 moved = False
                 for direction in (+1.0, -1.0):
-                    cand = x.copy()
+                    cand = list(x)
                     cand[i] += direction * step
                     cand = space.clip_project(cand)
                     fc = scored(cand)
@@ -99,7 +118,7 @@ def reference_descent(objective, space, seed=0):
                         history.append(fc)
                         moved = True
                         while True:
-                            cand = x.copy()
+                            cand = list(x)
                             cand[i] += direction * step
                             cand = space.clip_project(cand)
                             fc = scored(cand)
@@ -191,7 +210,7 @@ class TestPointMemo:
         seen = []
 
         def counting(x, floor):
-            seen.append(x.tobytes())
+            seen.append(tuple(x))
             return objective(x, floor)
 
         point = coordinate_descent(counting, space, seed)
@@ -205,7 +224,7 @@ class TestPointMemo:
         seen = []
 
         def counting(x, floor):
-            seen.append(x.tobytes())
+            seen.append(tuple(x))
             return objective(x, floor)
 
         point = coordinate_descent(counting, space)
@@ -217,9 +236,9 @@ class TestMultiStart:
     @staticmethod
     def bumps(v, floor):
         # two separated maxima, the better one away from the default start
-        big = 2.0 * np.exp(-40.0 * ((v[0] - 0.8) ** 2 + (v[1] - 0.8) ** 2))
-        small = 1.0 * np.exp(-40.0 * ((v[0] - 0.15) ** 2 + (v[1] - 0.15) ** 2))
-        return float(big + small)
+        big = 2.0 * math.exp(-40.0 * ((v[0] - 0.8) ** 2 + (v[1] - 0.8) ** 2))
+        small = 1.0 * math.exp(-40.0 * ((v[0] - 0.15) ** 2 + (v[1] - 0.15) ** 2))
+        return big + small
 
     def test_k1_reduces_to_coordinate_descent(self):
         space = box2(initial=(0.1, 0.1))
@@ -246,17 +265,17 @@ class TestRateOptimization:
 
     def test_improves_on_reference(self):
         objective = rate_objective(self.PARAMS, "smb1")
-        reference_rate = objective(np.asarray(REFERENCE_VECTOR), -math.inf)
+        reference_rate = objective(REFERENCE_VECTOR, -math.inf)
         point = coordinate_descent(objective, qds_search_space())
         assert reference_rate > 0.0
         assert point.value >= reference_rate
 
     def test_every_candidate_stays_feasible(self):
         objective = rate_objective(self.PARAMS, "smb1")
-        seen: list[np.ndarray] = []
+        seen: list[tuple[float, ...]] = []
 
         def checked(x, floor):
-            seen.append(np.array(x))
+            seen.append(tuple(x))
             cfg = config_from_vector(x)  # raises if the invariants break
             assert isinstance(cfg, IntensityConfig)
             return objective(x, floor)
@@ -295,9 +314,9 @@ class TestRateOptimization:
 
     def test_repeated_objective_calls_are_deterministic(self):
         objective = rate_objective(self.PARAMS, "smb1")
-        x = np.asarray(REFERENCE_VECTOR)
+        x = REFERENCE_VECTOR
         first = objective(x, -math.inf)
-        objective(np.asarray((0.3, 0.1, 0.5, 0.2, 0.7)), -math.inf)
+        objective((0.3, 0.1, 0.5, 0.2, 0.7), -math.inf)
         again = objective(x, -math.inf)
         assert first == again
 

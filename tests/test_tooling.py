@@ -1,8 +1,13 @@
 """Guards for names that tooling outside the package relies on."""
 import importlib
+import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +67,40 @@ def test_bench_call_point_resolves(module, name):
     for attr in name.split("."):
         owner = getattr(owner, attr, None)
     assert callable(owner)
+
+
+# The rate engine runs without numpy: only the Monte Carlo samplers, the
+# table oracles and multi-start's extra starts import it, when called. The
+# probe runs in a fresh interpreter, where no other test has loaded numpy.
+NUMPY_FREE_PROBE = """
+import json, sys
+import mdiqds, mdiqds.cli
+params = mdiqds.SystemParams(distance_km=50.0, n_pulses=1e13)
+cfg = mdiqds.IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3,
+                                       p_ad1=1 / 3, p_z=0.5)
+rates = [mdiqds.run_model(model, params, cfg).rate for model in mdiqds.MODELS]
+code = mdiqds.cli.main(["rate", "--model", "all", "--out", sys.argv[1]])
+bench_names = [callable(getattr(mdiqds.cli, name, None)) for name in
+               ("validate_bound", "simulate_repudiation", "simulate_forging")]
+bench_names.append(callable(getattr(mdiqds.montecarlo, "_repudiation_batch", None)))
+print(json.dumps({"numpy": "numpy" in sys.modules, "code": code, "rates": rates,
+                  "bench_names": bench_names}))
+"""
+
+
+def test_engine_path_loads_no_numpy(tmp_path):
+    src = str(Path(mdiqds.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROBE,
+                           str(tmp_path / "rate.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0 and min(probe["rates"][:2]) > 0.0
+    assert probe["numpy"] is False
+    # the names bench/run.py patches still resolve, numpy or not
+    assert probe["bench_names"] == [True] * 4
 
 
 def test_bench_reference_vector_resolves():
