@@ -23,6 +23,11 @@ Every runner takes a floor: an evaluation that provably cannot reach a
 rate above it stops its N_s or L search early and returns an infeasible
 result (reason FLOOR_REASON). A floor of 0 never stops a search, and a
 search that is not stopped returns exactly what it would without one.
+A floored sob evaluation may also stop before its search, on a relaxed
+block probe that is monotone in N_s and admits every feasible block
+(_sob_relaxed); that proof rests on the float error of the chain being
+far below the relaxation's slack, which the tests check over seeded
+configurations.
 
 The two key-generation pairs (signer with each recipient) are
 statistically identical over the symmetric link, so one channel
@@ -89,6 +94,13 @@ FLOOR_REASON = "rate not above floor"
 # bracket; keeps the sign-one-bit search identical for every total N
 # above the found block size.
 _SOB_BRACKET_START = 1024
+# A relaxed sob probe at n builds the block ceil(n * (1 + eta)): the slack
+# this enlargement gives its margins is far above the float error of the
+# chain (see _sob_relaxed).
+_SOB_RELAX_ETA = 1e-9
+# A floored sob search also probes the relaxed predicate this fraction
+# below its stop; when that fails, every block up to there is infeasible.
+_SOB_PREFIX_DELTA = 1e-3
 
 EpsTerms = tuple[tuple[str, float], ...]
 
@@ -109,9 +121,13 @@ def estimate_e_z1(n_z1: float, n_x1: float, m_x1: float,
         raise ValueError("counts must be non-negative")
     if n_z1 == 0:
         return 0.0, 0.0
-    raw = n_z1 * (m_x1 / n_x1) + (n_z1 + n_x1) * serfling_fraction_gamma(n_z1, n_x1, eps_gamma)
-    m_z1 = min(float(math.ceil(raw)), n_z1)
+    m_z1 = min(float(math.ceil(_raw_m_z1(n_z1, n_x1, m_x1, eps_gamma))), n_z1)
     return m_z1, m_z1 / n_z1
+
+
+def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, eps_gamma: float) -> float:
+    """m_Z1 of estimate_e_z1 before its ceil and its cap at n_Z1."""
+    return n_z1 * (m_x1 / n_x1) + (n_z1 + n_x1) * serfling_fraction_gamma(n_z1, n_x1, eps_gamma)
 
 
 def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
@@ -349,6 +365,9 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
             return "x-derived signal-basis single-photon bound is zero"
     else:
         n_z1 = est.n_z1
+    if est.n_x1 < 1:
+        # the Serfling step of estimate_e_z1 needs an X sample of at least one
+        return "x-basis single-photon bound below one"
     _, e_z1 = estimate_e_z1(n_z1, est.n_x1, est.m_x1, eps_gamma=budget.eps_sf)
     z_signal = counts.z_signal
     n_test = channel.r_test * z_signal
@@ -480,6 +499,41 @@ def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityB
     return pipe, length
 
 
+def _sob_relaxed(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityBudget,
+                 n: int, eps_n: float, eps_e: float) -> bool:
+    """Relaxed block probe Q(n): true wherever _sob_block(n) is, monotone in n.
+
+    Q builds the block n' = ceil(n (1 + eta)), drops the ceil from m_Z1
+    (e_Z1 = min(raw, n_Z1) / n_Z1) and probes the float length
+    L = n_pool / 2 instead of its even floor. So Q(m) false shows that
+    no block n <= m is feasible. Three facts carry that:
+
+    - at a fixed pipeline, feasibility is monotone in L (the smb
+      argument in solve_signature_length), so L = n_pool / 2 admits
+      whatever its even floor admits;
+    - the chain is monotone in e_Z1 (e_L1 rises with it, and H2 with
+      e_L1 below 1/2), so the ceil-free e_Z1 admits what the ceil admits;
+    - without the ceil and with a continuous L, the chain is monotone in
+      n in exact arithmetic: the counts are linear in n, m_X1/n_X1 and
+      the Serfling terms fall, n_L1/L rises and p_E rises, and the decoy
+      gates, once passed, stay passed.
+
+    Feasibility at n therefore holds at n' with slack of order eta in
+    every margin, far above the float error of the chain, so rounding
+    cannot turn Q false there. Every build goes through _build_pipeline.
+    """
+    pipe = _build_pipeline(channel, cfg, budget, float(math.ceil(n * (1.0 + _SOB_RELAX_ETA))),
+                           False, eps_n, eps_e)
+    if isinstance(pipe, str):
+        return False
+    length = pipe.n_pool / 2.0
+    if length < 2.0:
+        return False
+    n_z1 = pipe.n_z1  # positive: the decoy gates passed
+    e_z1 = min(_raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, budget.eps_sf), n_z1) / n_z1
+    return pipe._replace(e_z1=e_z1).feasible_at(length)
+
+
 def run_sob(params: SystemParams, cfg: IntensityConfig,
             budget: SecurityBudget | None = None, floor: float = 0.0) -> RateResult:
     """Sign-one-bit rate: a self-sufficient block of N_s pulse pairs.
@@ -492,14 +546,23 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     not, but since sob feasibility is not monotone in single pulses (see
     the module docstring) a smaller feasible block may exist. floor is
     as in run_model.
+
+    With a stop, the relaxed probe (_sob_relaxed) runs first: false at
+    stop - 1, it shows that no block below the stop is feasible, and
+    the result is FLOOR_REASON at once; false at (stop - 1)(1 - delta),
+    it answers the search's probes up to there without building them.
+    Either way the search makes the same decisions as without it.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
     channel = pulse_statistics(params, cfg)
     ledgers = eps_ledgers(budget, x_derived=False)
     eps_n, eps_e = map(_ledger_total, ledgers)
     feasible_blocks: dict[int, tuple[_Pipeline, int]] = {}
+    known_infeasible = 0  # every block up to this size is infeasible
 
     def block_feasible(n: int) -> bool:
+        if n <= known_infeasible:
+            return False
         block = _sob_block(channel, cfg, budget, n, eps_n, eps_e)
         if block is not None:
             feasible_blocks[n] = block
@@ -507,6 +570,12 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
 
     cap = int(params.n_pulses)
     stop = _rate_stop(lambda n: 1.0 / n, floor, cap)
+    if stop is not None:  # stop <= cap; a block of 0 pulses fails the decoy gates
+        if not _sob_relaxed(channel, cfg, budget, stop - 1, eps_n, eps_e):
+            return _infeasible("sob", params, cfg, FLOOR_REASON)
+        n_lo = int((stop - 1) * (1.0 - _SOB_PREFIX_DELTA))
+        if not _sob_relaxed(channel, cfg, budget, n_lo, eps_n, eps_e):
+            known_infeasible = n_lo
     # the search returns a size it probed feasible, so its block is kept
     n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, cap, stop)
     if n_s is None:
@@ -529,7 +598,11 @@ def run_model(model: str, params: SystemParams, cfg: IntensityConfig,
     left gives a rate <= floor. The default 0 never stops.
 
     For sob the floored search makes a prefix of the unfloored search's
-    probes, so its exactness needs no assumption. For smb1/smb2 the
+    decisions. Some of them it takes from the relaxed block probe
+    instead of building the block: those answer False only where the
+    block is infeasible, because the relaxation admits every feasible
+    block and is monotone in N_s (see _sob_relaxed; tests/test_models.py
+    checks both over seeded configurations). For smb1/smb2 the
     floored L solve probes downward from the largest length that could
     beat the floor, and gives the unfloored answer because smb
     feasibility is monotone in L (the pool-level e_Z1 is fixed, so no

@@ -1,4 +1,5 @@
 """Command-line interface tests (invoked in-process through main)."""
+import hashlib
 import json
 
 import pytest
@@ -88,6 +89,17 @@ class TestRate:
         _, records, _ = parse_csv(out)
         assert [r["model"] for r in records] == ["sob", "smb1", "smb2"]
 
+    def test_x_sample_below_one_reports_infeasible(self, capsys):
+        """The decoy gates pass but n_X1 < 1: an infeasible record, exit 0."""
+        code, out, err = run_cli(capsys, "rate", "--model", "smb1", "--distance-km", "200",
+                                 "--p-dc", "1e-5", "--pulses", "276292500.9",
+                                 "--a-s", "0.9857", "--a-d1", "0.0095", "--p-as", "0.5572",
+                                 "--p-ad1", "0.4418", "--p-z", "0.5683", "--format", "json")
+        assert code == 0, err
+        rec = json.loads(out)["records"][0]
+        assert rec["feasible"] is False
+        assert rec["reason"] == "x-basis single-photon bound below one"
+
     @pytest.mark.slow
     def test_optimized_rate_positive(self, capsys):
         code, out, _ = run_cli(capsys, "rate", "--model", "smb1",
@@ -97,6 +109,11 @@ class TestRate:
         rec = json.loads(out)["records"][0]
         assert rec["feasible"] is True
         assert rec["R"] > 0
+
+
+# SHA-256 of the stdout of `mdiqds sweep --optimize --model all --pulses 1e13
+# --start 0 --stop 150 --step 25`, version comment included
+OPTIMIZED_SWEEP_SHA256 = "705075372aeb618fdd314504211242892685d159eaf89d8e910374e171f89e61"
 
 
 class TestSweep:
@@ -197,6 +214,16 @@ class TestSweep:
         rates = [r["R"] for r in doc["records"]]
         assert all(r > 0 for r in rates)
         assert rates[0] > rates[1]  # shorter distance wins
+
+    def test_optimized_sweep_output_pinned(self, capsys):
+        """The paper's rate-vs-distance curve, byte for byte (the benchmark's
+        seed-0 optimized sweep). A change meant to leave the numbers alone
+        must leave this digest alone."""
+        code, out, _ = run_cli(capsys, "sweep", "--optimize", "--model", "all",
+                               "--pulses", "1e13", "--start", "0", "--stop", "150",
+                               "--step", "25")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == OPTIMIZED_SWEEP_SHA256
 
     def test_byte_deterministic(self, capsys, tmp_path):
         args = ("sweep", "--axis", "distance", "--start", "20", "--stop", "60",

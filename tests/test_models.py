@@ -12,6 +12,7 @@ import pytest
 from mdiqds import channel, models, security
 from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
 from mdiqds.cli import record_dict, render_csv
+from mdiqds.decoy import single_photon_bounds
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
 from mdiqds.security import SecurityBudget
 from test_channel import numpy_pair_statistics
@@ -579,6 +580,131 @@ def test_sob_feasibility_not_monotone_at_integer_scale():
     assert feasible(61_741_560_275) and not feasible(61_741_560_274)
     # yet a smaller block is feasible, just below an infeasible one
     assert feasible(61_741_068_698) and not feasible(61_741_068_699)
+    # the relaxed probe admits both
+    for n_s in (61_741_560_275, 61_741_068_698):
+        assert models._sob_relaxed(record, cfg, budget, n_s, *eps_totals(budget, False))
+
+
+def test_x_sample_below_one_is_an_infeasible_block():
+    """Gates passed but n_X1 in (0, 1): a reason, not the Serfling step's error."""
+    params = SystemParams(distance_km=200.0, p_dc=1e-5, n_pulses=276292500.9)
+    cfg = IntensityConfig.symmetric(a_s=0.9857, a_d1=0.0095, p_as=0.5572,
+                                    p_ad1=0.4418, p_z=0.5683)
+    budget = SecurityBudget(epsilon=params.epsilon)
+    record = pulse_statistics(params, cfg)
+    n_s = int(params.n_pulses)
+    est = single_photon_bounds(record.counts(n_s), budget.eps_sf, budget.eps_sf)
+    assert est.valid and 0.0 < est.n_x1 < 1.0
+    reason = models._build_pipeline(record, cfg, budget, float(n_s), False,
+                                    *eps_totals(budget, False))
+    assert reason == "x-basis single-photon bound below one"
+    block, relaxed = sob_predicates(params, cfg)  # _sob_block gives None
+    assert not block(n_s) and not relaxed(n_s)
+
+
+def sob_predicates(params, cfg):
+    """The block probe P and the relaxed probe Q of one sob evaluation."""
+    budget = SecurityBudget(epsilon=params.epsilon)
+    record = pulse_statistics(params, cfg)
+    eps_n, eps_e = eps_totals(budget, False)
+
+    def block(n):
+        return models._sob_block(record, cfg, budget, n, eps_n, eps_e) is not None
+
+    def relaxed(n):
+        return models._sob_relaxed(record, cfg, budget, n, eps_n, eps_e)
+
+    return block, relaxed
+
+
+# cap of the relaxed-probe cases: high enough that most of them find a block
+RELAXED_CAP = 10**17
+
+
+def relaxed_cases(seed, count):
+    """Seeded sob cases: the optimizer's box x 0-300 km x p_dc in {1e-7, 1e-5}.
+
+    Yields (params, cfg, block, relaxed, exact, n_q): the two probes, the
+    unfloored result and the relaxed probe's transition (its bisection's
+    answer, None where Q is false at the cap).
+    """
+    rng = np.random.default_rng(seed)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    for _ in range(count):
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        params = SystemParams(distance_km=float(rng.uniform(0.0, 300.0)),
+                              p_dc=float(rng.choice([1e-7, 1e-5])),
+                              n_pulses=float(RELAXED_CAP))
+        block, relaxed = sob_predicates(params, cfg)
+        n_q = security.smallest_feasible(relaxed, 1, RELAXED_CAP)
+        yield params, cfg, block, relaxed, models.run_sob(params, cfg), n_q
+
+
+def test_relaxed_sob_probe_admits_every_feasible_block():
+    """P(n) implies Q(n): near both transitions, and at random block sizes."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _, _, block, relaxed, exact, n_q in relaxed_cases(23, 40):
+        if not exact.feasible:
+            continue
+        n_s = exact.block_size
+        assert n_q is not None and n_q <= n_s
+        sizes = {*range(n_s - 300, n_s + 301), *range(max(1, n_q - 300), n_q + 301)}
+        sizes.update(int(n) for n in rng.uniform(0.5 * n_q, 2.0 * n_s, 200))
+        for n in sorted(sizes):
+            assert relaxed(n) or not block(n), n
+        checked += 1
+    assert checked >= 20
+
+
+def assert_monotone_beyond_eta(sizes, flags):
+    """No size is Q-false above a Q-true one by more than eta, relatively."""
+    true = [n for n, ok in zip(sizes, flags) if ok]
+    false = [n for n, ok in zip(sizes, flags) if not ok]
+    if true and false:
+        assert max(false) <= min(true) * (1.0 + models._SOB_RELAX_ETA), (min(true), max(false))
+
+
+def test_relaxed_sob_probe_is_monotone():
+    """Q switches once, from false to true, on coarse and fine grids.
+
+    Right at its switch Q may flip back and forth within the float error
+    of the chain (measured up to 2e-12 relative over 1,000 configs);
+    the certificate needs only that no flip is wider than eta.
+    """
+    coarse = sorted({int(n) for n in np.geomspace(1024, RELAXED_CAP, 80)})
+    switched = 0
+    for _, _, _, relaxed, _, n_q in relaxed_cases(31, 60):
+        flags = [relaxed(n) for n in coarse]
+        assert flags == sorted(flags)
+        if n_q is None:
+            continue
+        steps = sorted({int(d) for d in np.geomspace(1, 1e4, 40)})
+        fine = {n_q + sign * d for d in steps for sign in (-1, 1)}
+        fine.update(int(n_q * (1.0 + sign * 10.0 ** k)) for k in range(-13, -7)
+                    for sign in (-1, 1))
+        fine = sorted(n for n in fine if n >= 1)
+        assert_monotone_beyond_eta(fine, [relaxed(n) for n in fine])
+        switched += 1
+    assert switched >= 30
+
+
+def test_floored_sob_is_exact_or_stopped():
+    """A floor near 1/N_s gives the unfloored result or FLOOR_REASON, as it must."""
+    stopped = 0
+    for params, cfg, _, _, exact, _ in relaxed_cases(47, 40):
+        if not exact.feasible:
+            continue
+        for rel in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+            for floor in (exact.rate * (1.0 - rel), exact.rate * (1.0 + rel)):
+                result = models.run_sob(params, cfg, floor=floor)
+                if floor < exact.rate:
+                    assert result == exact
+                else:
+                    assert (result.feasible, result.reason) == (False, models.FLOOR_REASON)
+                    stopped += 1
+    assert stopped >= 100
 
 
 def sob_rate(n_s):

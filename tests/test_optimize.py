@@ -419,6 +419,28 @@ def test_floor_saves_sob_block_probes_in_a_warm_descent(monkeypatch):
     assert probes_floored <= 0.75 * calls["probes"]
 
 
+def test_floored_sob_descent_builds_at_most_2800_pipelines(monkeypatch):
+    """The relaxed block probe certifies most floored sob evaluations.
+
+    Every pipeline build of the floored warm descent is counted, the
+    relaxed probes' own included: 4,633 without them, 2,364 with them.
+    """
+    calls = {"builds": 0}
+    build = models._build_pipeline
+
+    def counting_build(*args):
+        calls["builds"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(models, "_build_pipeline", counting_build)
+    objective = rate_objective(SystemParams(distance_km=100.0, n_pulses=1e13), "sob")
+    space = qds_search_space(initial=SWEEP_WARM_100KM)
+    floored = coordinate_descent(objective, space)
+    builds_floored = calls["builds"]
+    assert floored == coordinate_descent(lambda x, floor: objective(x, 0.0), space)
+    assert builds_floored <= 2800
+
+
 @pytest.mark.parametrize("model", ("smb1", "smb2"))
 def test_floor_saves_length_probes_in_a_warm_descent(model, monkeypatch):
     """A warm smb descent makes <= 25% of the length probes with floors."""

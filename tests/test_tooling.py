@@ -189,6 +189,38 @@ def test_every_length_probe_goes_through_solve_signature_length(runner, monkeypa
     assert calls["direct"] == calls["solve"] > 0
 
 
+# bench/tracing.py counts pipeline builds by wrapping models._build_pipeline:
+# the relaxed probes of a floored sob evaluation must build through that
+# name too, or models.pipeline_builds and builds_per_sob_eval miss them.
+def test_relaxed_sob_probes_build_through_build_pipeline(monkeypatch):
+    from mdiqds import models
+    from mdiqds.channel import SystemParams
+    from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector
+
+    calls = {"builds": 0, "blocks": 0, "relaxed": 0}
+
+    def counting(name, key):
+        fn = getattr(models, name)
+
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(models, name, call)
+
+    counting("_build_pipeline", "builds")
+    counting("_sob_block", "blocks")
+    counting("_sob_relaxed", "relaxed")
+    params = SystemParams(distance_km=75.0, n_pulses=1e13)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    exact = models.run_sob(params, cfg)
+    assert exact.feasible and calls["relaxed"] == 0
+    for floor in (0.5 * exact.rate, math.nextafter(exact.rate, 0.0), exact.rate,
+                  2.0 * exact.rate):
+        models.run_sob(params, cfg, floor=floor)
+    assert calls["relaxed"] > 0
+    assert calls["builds"] == calls["blocks"] + calls["relaxed"]
+
+
 # A stale __all__ entry fails only on `from ... import *`, which nothing in
 # the suite runs: check every entry, and every name the package re-exports.
 # (mdiqds.cli, a front end, keeps no __all__.)
