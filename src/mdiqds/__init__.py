@@ -29,7 +29,6 @@ from .channel import (
     sample_tallies,
     single_photon_truth,
 )
-from .decoy import SinglePhotonEstimate, check_chernoff_conditions, single_photon_bounds
 from .models import (
     MODELS,
     RateResult,

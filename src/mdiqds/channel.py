@@ -29,10 +29,11 @@ called.
 
 Everything here is an expected-value computation, linear in the pulse
 count: `pulse_statistics` holds the per-pulse-pair quantities of one
-configuration and scales them to any pulse count, either to the few
-scalars the estimation chain reads (`PulseStatistics.counts`) or to
-full 3x3 tables; `expected_tallies` and `single_photon_truth` are the
-table scaling at one count.
+configuration and scales them to any pulse count: the estimation chain
+(`models._build_pipeline`) reads its fields and scales the few scalars
+it needs in place, and `tallies`/`truth` scale them to full 3x3 tables;
+`expected_tallies` and `single_photon_truth` are the table scaling at
+one count.
 `sample_tallies` additionally draws integer Poisson tallies for
 stochastic end-to-end runs.
 """
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,7 +53,6 @@ __all__ = [
     "PHOTON_CUTOFF",
     "SystemParams",
     "IntensityConfig",
-    "PulseCounts",
     "PulseStatistics",
     "TallySet",
     "SinglePhotonTruth",
@@ -290,30 +290,6 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     return cell_yield, cell_err, y11, e11
 
 
-class PulseCounts(NamedTuple):
-    """The scalars of tallies(n)/truth(n) that the estimation chain reads.
-
-    Each value is bit-identical to the matching cell, or to the numpy
-    .sum(), of the TallySet and SinglePhotonTruth tables at n pulses.
-    """
-
-    z_signal: float          # counts_z[SIGNAL, SIGNAL]
-    z_signal_errors: float   # errors_z[SIGNAL, SIGNAL]
-    z_signal_pulses: float   # pulses_z[SIGNAL, SIGNAL]
-    z_total: float           # counts_z.sum()
-    x_total: float           # counts_x.sum()
-    s11_z_signal: float      # s11_z[SIGNAL, SIGNAL]
-    s11_x_total: float       # s11_x.sum()
-    e11_x_total: float       # e11_x.sum()
-    pulses_x: tuple[float, ...]  # pulses_x, row-major over the 9 cells
-
-
-def _sum9(c0: float, c1: float, c2: float, c3: float, c4: float, c5: float,
-          c6: float, c7: float, c8: float) -> float:
-    """Sum of 9 floats in the order numpy's pairwise add.reduce uses."""
-    return (((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))) + c8
-
-
 @dataclass(frozen=True)
 class PulseStatistics:
     """Per-pulse-pair channel statistics of one (params, cfg).
@@ -322,8 +298,9 @@ class PulseStatistics:
     per-pulse yield and error matrices of _pair_statistics and pair11 the
     (1,1) emission weights, each a row-major tuple over the 9 intensity
     cells; y11/e11 are the (1,1) yield and error rate. Every expected
-    count is linear in the pulse count, so counts(n), tallies(n) and
-    truth(n) scale this one record instead of recomputing the channel.
+    count is linear in the pulse count, so the estimation chain,
+    tallies(n) and truth(n) scale this one record instead of recomputing
+    the channel.
 
     cell_err <= cell_yield is checked here, once: scaling both sides by
     the same positive pulse count keeps the order under rounding, so no
@@ -342,37 +319,6 @@ class PulseStatistics:
     def __post_init__(self) -> None:
         if any(e > y for e, y in zip(self.cell_err, self.cell_yield)):
             raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
-
-    def counts(self, n: float) -> PulseCounts:
-        """The scalars the estimation chain reads, at n pulses.
-
-        Straight-line code with no intermediate lists (every rate probe
-        calls this), each product in the order the tables form it.
-        """
-        y0, y1, y2, y3, y4, y5, y6, y7, y8 = self.cell_yield
-        z0, z1, z2, z3, z4, z5, z6, z7, z8 = self.frac_z
-        x0, x1, x2, x3, x4, x5, x6, x7, x8 = self.frac_x
-        w0, w1, w2, w3, w4, w5, w6, w7, w8 = self.pair11
-        y11, e11 = self.y11, self.e11
-        pulses_x = p0, p1, p2, p3, p4, p5, p6, p7, p8 = (
-            n * x0, n * x1, n * x2, n * x3, n * x4, n * x5, n * x6, n * x7, n * x8)
-        s0, s1, s2, s3, s4, s5, s6, s7, s8 = (
-            (p0 * w0) * y11, (p1 * w1) * y11, (p2 * w2) * y11, (p3 * w3) * y11,
-            (p4 * w4) * y11, (p5 * w5) * y11, (p6 * w6) * y11, (p7 * w7) * y11,
-            (p8 * w8) * y11)
-        pulses_z0 = n * z0
-        count_z0 = pulses_z0 * y0
-        return PulseCounts(
-            count_z0, pulses_z0 * self.cell_err[0], pulses_z0,
-            _sum9(count_z0, (n * z1) * y1, (n * z2) * y2, (n * z3) * y3, (n * z4) * y4,
-                  (n * z5) * y5, (n * z6) * y6, (n * z7) * y7, (n * z8) * y8),
-            _sum9(p0 * y0, p1 * y1, p2 * y2, p3 * y3, p4 * y4, p5 * y5, p6 * y6,
-                  p7 * y7, p8 * y8),
-            (pulses_z0 * w0) * y11,
-            _sum9(s0, s1, s2, s3, s4, s5, s6, s7, s8),
-            _sum9(s0 * e11, s1 * e11, s2 * e11, s3 * e11, s4 * e11, s5 * e11,
-                  s6 * e11, s7 * e11, s8 * e11),
-            pulses_x)
 
     def tallies(self, n: float) -> TallySet:
         """Expected counts/errors per basis and intensity cell at n pulses."""

@@ -377,6 +377,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         bound_ids = list(BOUND_IDS)
     else:
         bound_ids = [b.strip() for b in args.bounds.split(",") if b.strip()]
+        if not bound_ids:
+            raise ValueError("--bounds names no bound id")
         for b in bound_ids:
             if b not in BOUND_IDS:
                 raise ValueError(f"unknown bound id {b!r}")

@@ -6,13 +6,21 @@ signature block with without-replacement sampling deviations, derive the
 forger's minimum error rate and the acceptance thresholds, and check the
 three failure probabilities against the security level.
 
+The single-photon bounds (_build_pipeline) are the channel model's
+(1,1)-pair means, each a Hoeffding fluctuation away. Chernoff-style
+validity conditions on the exposure of the signal-signal Z cell and of
+the X-basis aggregate gate the whole estimate: when either is too thin
+to support the concentration argument, the point is infeasible rather
+than given an unsound bound. Every gate and deviation consumes a failure
+probability; eps_ledgers lists them per model.
+
 They differ in two places. The sign-one-bit model ("sob") dedicates a
 whole block of N_s pulse pairs to a single signed bit, with the entire
 key pool forming that bit's signature material, and bisects for a
 self-sufficient N_s whose predecessor is not; its rate 1/N_s is
 independent of the total pulse count. (sob feasibility is not monotone
-at the scale of single pulses: the ceil in estimate_e_z1 makes e_Z1 jump
-by 1/n_Z1, so a feasible size can sit a little below the one found.)
+at the scale of single pulses: the ceil of the Serfling step makes e_Z1
+jump by 1/n_Z1, so a feasible size can sit a little below the one found.)
 The two sign-multiple-bits models ("smb1", "smb2") solve for the
 smallest secure signature length L and sign n_pool/(2L) bits from the
 shared pool; smb1 bounds the signal-basis single-photon count directly
@@ -23,10 +31,13 @@ Every runner takes a floor: an evaluation that provably cannot reach a
 rate above it stops its N_s or L search early and returns an infeasible
 result (reason FLOOR_REASON). A floor of 0 never stops a search, and a
 search that is not stopped returns exactly what it would without one.
-A floored sob evaluation may also stop before its search, on a relaxed
-block probe that is monotone in N_s and admits every feasible block
-(_sob_relaxed); that proof rests on the float error of the chain being
-far below the relaxation's slack, which the tests check over seeded
+A floored sob evaluation also probes two relaxations of its block
+predicate, both monotone in N_s (_sob_relaxed): an optimistic one that
+admits every feasible block, which may stop it before its search or
+show a prefix of sizes infeasible, and a pessimistic one that admits
+only feasible blocks, which shows every size from just above the stop
+feasible. Both proofs rest on the float error of the chain being far
+below the relaxations' slack, which the tests check over seeded
 configurations.
 
 The two key-generation pairs (signer with each recipient) are
@@ -40,23 +51,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Callable, NamedTuple
 
-from .bounds import (
-    binary_entropy,
-    hoeffding_delta,
-    sampling_lambda,
-    serfling_count_gamma,
-    serfling_fraction_gamma,
-)
-from .channel import (
-    IntensityConfig,
-    PulseCounts,
-    PulseStatistics,
-    SystemParams,
-    pulse_statistics,
-)
-from .decoy import single_photon_bounds
+from .bounds import binary_entropy, sampling_lambda
+from .channel import IntensityConfig, PulseStatistics, SystemParams, pulse_statistics
 from .security import (
     SecurityBudget,
     SecurityOutcome,
@@ -74,10 +73,7 @@ __all__ = [
     "MODELS",
     "RateResult",
     "eps_ledgers",
-    "estimate_e_z1",
     "project_to_keep",
-    "single_photon_populations",
-    "estimate_n_z1_from_x",
     "signed_bits",
     "run_sob",
     "run_smb1",
@@ -94,40 +90,18 @@ FLOOR_REASON = "rate not above floor"
 # bracket; keeps the sign-one-bit search identical for every total N
 # above the found block size.
 _SOB_BRACKET_START = 1024
-# A relaxed sob probe at n builds the block ceil(n * (1 + eta)): the slack
-# this enlargement gives its margins is far above the float error of the
-# chain (see _sob_relaxed).
+# A relaxed sob probe at n builds the block n * (1 +- eta), rounded away
+# from n: the slack this gives its margins is far above the float error of
+# the chain (see _sob_relaxed).
 _SOB_RELAX_ETA = 1e-9
-# A floored sob search also probes the relaxed predicate this fraction
+# A floored sob search also probes the optimistic relaxation this fraction
 # below its stop; when that fails, every block up to there is infeasible.
 _SOB_PREFIX_DELTA = 1e-3
+# ... and the pessimistic one this fraction above its stop; when that
+# holds, every block from there up is feasible.
+_SOB_SUFFIX_DELTA = 1e-4
 
 EpsTerms = tuple[tuple[str, float], ...]
-
-
-def estimate_e_z1(n_z1: float, n_x1: float, m_x1: float,
-                  eps_gamma: float) -> tuple[float, float]:
-    """Signal-basis single-photon error bound from the X-basis sample.
-
-    m_Z1 = min(ceil(n_Z1 * m_X1/n_X1 + (n_Z1 + n_X1) * gamma), n_Z1)
-    with the fractional Serfling deviation gamma(n_Z1, n_X1, eps_gamma);
-    e_Z1 = m_Z1 / n_Z1 (0 when n_Z1 = 0). Returns (m_Z1, e_Z1); the
-    failure probabilities of the inputs and of the sampling step are
-    listed by eps_ledgers.
-    """
-    if n_x1 <= 0:
-        raise ValueError("n_x1 must be positive")
-    if n_z1 < 0 or m_x1 < 0:
-        raise ValueError("counts must be non-negative")
-    if n_z1 == 0:
-        return 0.0, 0.0
-    m_z1 = min(float(math.ceil(_raw_m_z1(n_z1, n_x1, m_x1, eps_gamma))), n_z1)
-    return m_z1, m_z1 / n_z1
-
-
-def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, eps_gamma: float) -> float:
-    """m_Z1 of estimate_e_z1 before its ceil and its cap at n_Z1."""
-    return n_z1 * (m_x1 / n_x1) + (n_z1 + n_x1) * serfling_fraction_gamma(n_z1, n_x1, eps_gamma)
 
 
 def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
@@ -155,43 +129,6 @@ def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
     if e_l1 > 1.0:
         return n_l1, 1.0, False
     return n_l1, e_l1, True
-
-
-def single_photon_populations(counts: PulseCounts, cfg: IntensityConfig,
-                              eps_sf: float) -> tuple[float, float]:
-    """Bounds on the single-photon preparation populations per basis.
-
-    N-_Z1 = 2 a_s e^{-2 a_s} N_{z,ss} - g(N_{z,ss}, eps_sf) (both senders
-    send a_s in the signal cell) and N+_X1 = sum over cells of
-    (a+b) e^{-a-b} N_{x,ab} + g(N_{x,ab}, eps_sf), holding jointly with
-    confidence 1 - 9 eps_sf.
-
-    The pulse allocations N_{z,ss} and N_{x,ab} are read from counts
-    (channel.PulseStatistics.counts). Raises no error on a non-positive
-    lower bound; callers treat it as infeasible.
-    """
-    n_z_ss = counts.z_signal_pulses
-    n_z1_lo = 2.0 * cfg.a_s * math.exp(-2.0 * cfg.a_s) * n_z_ss - hoeffding_delta(n_z_ss, eps_sf)
-    n_x1_hi = 0.0
-    for i, a in enumerate(cfg.intensities):
-        for j, b in enumerate(cfg.intensities):
-            n_x_ab = counts.pulses_x[3 * i + j]
-            n_x1_hi += (a + b) * math.exp(-a - b) * n_x_ab + hoeffding_delta(n_x_ab, eps_sf)
-    return n_z1_lo, n_x1_hi
-
-
-def estimate_n_z1_from_x(n_x1: float, n_z1_pop_lo: float, n_x1_pop_hi: float,
-                         eps_sf: float) -> float:
-    """Transfer the X-basis single-photon count onto the Z basis.
-
-    n_Z1 = n_X1 * N-_Z1 / N+_X1 - gamma(N-_Z1, N+_X1, eps_sf) with the
-    count-form Serfling deviation, floored at 0.
-    """
-    if n_x1_pop_hi < 1:
-        raise ValueError(f"X population bound must be >= 1, got {n_x1_pop_hi}")
-    value = n_x1 * (n_z1_pop_lo / n_x1_pop_hi) - serfling_count_gamma(
-        n_z1_pop_lo, n_x1_pop_hi, eps_sf)
-    return max(value, 0.0)
 
 
 def signed_bits(n_pool: float, length: float) -> float:
@@ -344,6 +281,16 @@ class _Pipeline(NamedTuple):
             thresholds_ok=ordered, feasible=feasible)
 
 
+def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, log_inv_eps: float) -> float:
+    """m_Z1 = n_Z1 * m_X1/n_X1 + (n_Z1 + n_X1) * gamma before its ceil and cap.
+
+    gamma is the fractional Serfling deviation of bounds.serfling_fraction_gamma
+    (x = n_Z1, y = n_X1 >= 1), given log_inv_eps = ln(1/eps).
+    """
+    return n_z1 * (m_x1 / n_x1) + (n_z1 + n_x1) * math.sqrt(
+        (n_z1 + 1.0) * log_inv_eps / (2.0 * n_x1 * (n_z1 + n_x1)))
+
+
 def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
                     budget: SecurityBudget, n_pulses: float, x_derived: bool,
                     eps_n: float, eps_e: float) -> _Pipeline | str:
@@ -351,32 +298,88 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
 
     channel is the per-pulse record of (params, cfg), scaled here to
     n_pulses; eps_n/eps_e are the totals of eps_ledgers(budget, x_derived).
+    Every probe of every search builds one, so the whole estimation chain
+    runs as one straight-line pass, with ln(1/eps_sf) and the gate
+    threshold taken once:
+
+    - the expected counts at n pulses, each product and nine-cell sum in
+      the order of the channel's 3x3 tables (numpy's pairwise order);
+    - the decoy validity gates: the exposure mu_L = count -
+      sqrt(total/2 ln(1/eps)) of the signal-signal Z cell and of the
+      X-basis aggregate must reach (32/3) ln(2/eps) and 3 ln(1/eps), or
+      the concentration argument does not hold and the point is rate 0;
+    - the Hoeffding bounds n_Z1, n_X1 = mean - g and m_X1 = mean + g on
+      the channel model's (1,1) means, g = sqrt(2 x ln(1/eps));
+    - for smb2 (x_derived), the preparation populations N-_Z1 = 2 a_s
+      e^{-2 a_s} N_{z,ss} - g and N+_X1 = sum of (a+b) e^{-a-b} N_{x,ab}
+      + g, and the transfer n_Z1 = n_X1 N-_Z1/N+_X1 - gamma_count;
+    - the Serfling step e_Z1 = min(ceil(raw m_Z1), n_Z1) / n_Z1.
+
+    tests/reference_chain.py keeps the chain as its separate layers, the
+    bit-identical reference for this pass. The reasons are checked in the
+    order of the chain: a failed gate or a zero decoy bound, the
+    population bounds and the transfer (smb2), n_X1 < 1 (the Serfling
+    step needs an X sample of at least one), then an empty error test.
     """
-    counts = channel.counts(n_pulses)
-    est = single_photon_bounds(counts, eps1=budget.eps_sf, eps_cell=budget.eps_sf)
-    if not est.valid:
+    n = n_pulses
+    eps = budget.eps_sf
+    log_inv = math.log(1.0 / eps)
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = channel.cell_yield
+    z0, z1, z2, z3, z4, z5, z6, z7, z8 = channel.frac_z
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = channel.frac_x
+    pulses_z0 = n * z0
+    z_signal = pulses_z0 * y0
+    z_total = (((z_signal + n * z1 * y1) + (n * z2 * y2 + n * z3 * y3))
+               + ((n * z4 * y4 + n * z5 * y5) + (n * z6 * y6 + n * z7 * y7))) + n * z8 * y8
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = (n * x0, n * x1, n * x2, n * x3, n * x4,
+                                          n * x5, n * x6, n * x7, n * x8)
+    x_total = (((p0 * y0 + p1 * y1) + (p2 * y2 + p3 * y3))
+               + ((p4 * y4 + p5 * y5) + (p6 * y6 + p7 * y7))) + p8 * y8
+    # both gate conditions at once; the threshold is positive, so an
+    # exposure that passes it is positive too
+    threshold = max(32.0 / 3.0 * math.log(2.0 / eps), 3.0 * log_inv)
+    if not (z_signal - math.sqrt(z_total / 2.0 * log_inv) >= threshold
+            and x_total - math.sqrt(x_total / 2.0 * log_inv) >= threshold):
         return "decoy validity gate failed"
+    w0, w1, w2, w3, w4, w5, w6, w7, w8 = channel.pair11
+    y11 = channel.y11
+    s0, s1, s2, s3, s4, s5, s6, s7, s8 = (
+        p0 * w0 * y11, p1 * w1 * y11, p2 * w2 * y11, p3 * w3 * y11, p4 * w4 * y11,
+        p5 * w5 * y11, p6 * w6 * y11, p7 * w7 * y11, p8 * w8 * y11)
+    s11_z = pulses_z0 * w0 * y11
+    s11_x = (((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))) + s8
+    n_z1 = s11_z - math.sqrt(2.0 * s11_z * log_inv)
+    n_x1 = s11_x - math.sqrt(2.0 * s11_x * log_inv)
+    if n_x1 <= 0 or n_z1 <= 0:
+        return "decoy validity gate failed"
+    e11 = channel.e11
+    e11_x = (((s0 * e11 + s1 * e11) + (s2 * e11 + s3 * e11))
+             + ((s4 * e11 + s5 * e11) + (s6 * e11 + s7 * e11))) + s8 * e11
+    m_x1 = e11_x + math.sqrt(2.0 * e11_x * log_inv)
     if x_derived:
-        pop_lo, pop_hi = single_photon_populations(counts, cfg, budget.eps_sf)
+        a_s = cfg.a_s
+        pop_lo = 2.0 * a_s * math.exp(-2.0 * a_s) * pulses_z0 - math.sqrt(
+            2.0 * pulses_z0 * log_inv)
+        pop_hi = 0.0
+        for (a, b), p in zip(product(cfg.intensities, repeat=2),
+                             (p0, p1, p2, p3, p4, p5, p6, p7, p8)):
+            pop_hi += (a + b) * math.exp(-a - b) * p + math.sqrt(2.0 * p * log_inv)
         if pop_lo <= 0 or pop_hi < 1:
             return "single-photon population bound non-positive"
-        n_z1 = estimate_n_z1_from_x(est.n_x1, pop_lo, pop_hi, budget.eps_sf)
+        n_z1 = n_x1 * (pop_lo / pop_hi) - math.sqrt(
+            (pop_lo + 1.0) * (pop_lo + pop_hi) * log_inv / (2.0 * pop_hi))
         if n_z1 <= 0:
             return "x-derived signal-basis single-photon bound is zero"
-    else:
-        n_z1 = est.n_z1
-    if est.n_x1 < 1:
-        # the Serfling step of estimate_e_z1 needs an X sample of at least one
+    if n_x1 < 1:
         return "x-basis single-photon bound below one"
-    _, e_z1 = estimate_e_z1(n_z1, est.n_x1, est.m_x1, eps_gamma=budget.eps_sf)
-    z_signal = counts.z_signal
-    n_test = channel.r_test * z_signal
+    e_z1 = min(float(math.ceil(_raw_m_z1(n_z1, n_x1, m_x1, log_inv))), n_z1) / n_z1
+    r_test = channel.r_test
+    n_test = r_test * z_signal
     if n_test < 1:
         return "error-test sample is empty"
     # positional, in _Pipeline's field order
-    return _Pipeline(n_z1, est.n_x1, est.m_x1, e_z1, z_signal, n_test,
-                     (1.0 - channel.r_test) * z_signal,
-                     counts.z_signal_errors / z_signal, budget, eps_n, eps_e)
+    return _Pipeline(n_z1, n_x1, m_x1, e_z1, z_signal, n_test, (1.0 - r_test) * z_signal,
+                     pulses_z0 * channel.cell_err[0] / z_signal, budget, eps_n, eps_e)
 
 
 def _rate_stop(rate: Callable[[int], float], floor: float, cap: int) -> int | None:
@@ -500,37 +503,53 @@ def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityB
 
 
 def _sob_relaxed(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityBudget,
-                 n: int, eps_n: float, eps_e: float) -> bool:
-    """Relaxed block probe Q(n): true wherever _sob_block(n) is, monotone in n.
+                 n: int, eps_n: float, eps_e: float, optimistic: bool) -> bool:
+    """Relaxed block probe, monotone in n: Q(n) if optimistic, else R(n).
 
-    Q builds the block n' = ceil(n (1 + eta)), drops the ceil from m_Z1
-    (e_Z1 = min(raw, n_Z1) / n_Z1) and probes the float length
-    L = n_pool / 2 instead of its even floor. So Q(m) false shows that
-    no block n <= m is feasible. Three facts carry that:
+    The optimistic Q is true wherever _sob_block(n) is: it builds the
+    block n' = ceil(n (1 + eta)), drops the ceil from m_Z1 (e_Z1 =
+    min(raw, n_Z1) / n_Z1) and probes the float length L = n_pool / 2
+    instead of its even floor. So Q(m) false shows that no block n <= m
+    is feasible.
+
+    The pessimistic R is its mirror, true only where _sob_block(n) is:
+    it builds n' = floor(n (1 - eta)), takes e_Z1 = min(raw + 1, n_Z1) /
+    n_Z1 (at least the ceil's) and probes L = n_pool / 2 - 2 (at most
+    the even floor). So R(m) true shows that every block n >= m is
+    feasible.
+
+    Three facts carry both:
 
     - at a fixed pipeline, feasibility is monotone in L (the smb
       argument in solve_signature_length), so L = n_pool / 2 admits
-      whatever its even floor admits;
+      whatever its even floor admits, and its even floor whatever
+      n_pool / 2 - 2 admits;
     - the chain is monotone in e_Z1 (e_L1 rises with it, and H2 with
-      e_L1 below 1/2), so the ceil-free e_Z1 admits what the ceil admits;
-    - without the ceil and with a continuous L, the chain is monotone in
-      n in exact arithmetic: the counts are linear in n, m_X1/n_X1 and
-      the Serfling terms fall, n_L1/L rises and p_E rises, and the decoy
-      gates, once passed, stay passed.
+      e_L1 below 1/2), so e_Z1 from raw admits what the ceil admits,
+      and the ceil what raw + 1 admits;
+    - with raw or raw + 1 in place of the ceil and with a continuous L,
+      the chain is monotone in n in exact arithmetic: the counts are
+      linear in n, m_X1/n_X1, the Serfling terms and 1/n_Z1 fall, n_L1/L
+      rises and p_E rises, and the decoy gates, once passed, stay passed.
 
-    Feasibility at n therefore holds at n' with slack of order eta in
-    every margin, far above the float error of the chain, so rounding
-    cannot turn Q false there. Every build goes through _build_pipeline.
+    Feasibility of the relaxed chain at n therefore holds at n' with
+    slack of order eta in every margin, far above the float error of the
+    chain, so rounding cannot turn Q false there or R true where the
+    block is infeasible. Every build goes through _build_pipeline.
     """
-    pipe = _build_pipeline(channel, cfg, budget, float(math.ceil(n * (1.0 + _SOB_RELAX_ETA))),
-                           False, eps_n, eps_e)
+    if optimistic:
+        size, extra, shrink = math.ceil(n * (1.0 + _SOB_RELAX_ETA)), 0.0, 0.0
+    else:
+        size, extra, shrink = math.floor(n * (1.0 - _SOB_RELAX_ETA)), 1.0, 2.0
+    pipe = _build_pipeline(channel, cfg, budget, float(size), False, eps_n, eps_e)
     if isinstance(pipe, str):
         return False
-    length = pipe.n_pool / 2.0
+    length = pipe.n_pool / 2.0 - shrink
     if length < 2.0:
         return False
     n_z1 = pipe.n_z1  # positive: the decoy gates passed
-    e_z1 = min(_raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, budget.eps_sf), n_z1) / n_z1
+    raw = _raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, math.log(1.0 / budget.eps_sf))
+    e_z1 = min(raw + extra, n_z1) / n_z1
     return pipe._replace(e_z1=e_z1).feasible_at(length)
 
 
@@ -547,36 +566,47 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     the module docstring) a smaller feasible block may exist. floor is
     as in run_model.
 
-    With a stop, the relaxed probe (_sob_relaxed) runs first: false at
-    stop - 1, it shows that no block below the stop is feasible, and
-    the result is FLOOR_REASON at once; false at (stop - 1)(1 - delta),
-    it answers the search's probes up to there without building them.
-    Either way the search makes the same decisions as without it.
+    With a stop, the relaxed probes (_sob_relaxed) run first. The
+    optimistic Q false at stop - 1 shows that no block below the stop is
+    feasible, and the result is FLOOR_REASON at once; false at
+    (stop - 1)(1 - delta), it answers the search's probes up to there
+    without building them. The pessimistic R true at stop (1 + delta')
+    answers the probes from there up, the cap's included, as feasible
+    without building them: the search never returns a size at or above
+    its stop, so it needs none of those blocks. Either way the search
+    makes the same decisions as without the probes.
     """
     budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
     channel = pulse_statistics(params, cfg)
     ledgers = eps_ledgers(budget, x_derived=False)
     eps_n, eps_e = map(_ledger_total, ledgers)
     feasible_blocks: dict[int, tuple[_Pipeline, int]] = {}
+    cap = int(params.n_pulses)
     known_infeasible = 0  # every block up to this size is infeasible
+    known_feasible = cap + 1  # every block from this size up is feasible
 
     def block_feasible(n: int) -> bool:
         if n <= known_infeasible:
             return False
+        if n >= known_feasible:
+            return True
         block = _sob_block(channel, cfg, budget, n, eps_n, eps_e)
         if block is not None:
             feasible_blocks[n] = block
         return block is not None
 
-    cap = int(params.n_pulses)
     stop = _rate_stop(lambda n: 1.0 / n, floor, cap)
     if stop is not None:  # stop <= cap; a block of 0 pulses fails the decoy gates
-        if not _sob_relaxed(channel, cfg, budget, stop - 1, eps_n, eps_e):
+        if not _sob_relaxed(channel, cfg, budget, stop - 1, eps_n, eps_e, True):
             return _infeasible("sob", params, cfg, FLOOR_REASON)
         n_lo = int((stop - 1) * (1.0 - _SOB_PREFIX_DELTA))
-        if not _sob_relaxed(channel, cfg, budget, n_lo, eps_n, eps_e):
+        if not _sob_relaxed(channel, cfg, budget, n_lo, eps_n, eps_e, True):
             known_infeasible = n_lo
-    # the search returns a size it probed feasible, so its block is kept
+        n_hi = math.ceil(stop * (1.0 + _SOB_SUFFIX_DELTA))
+        if n_hi <= cap and _sob_relaxed(channel, cfg, budget, n_hi, eps_n, eps_e, False):
+            known_feasible = n_hi
+    # the search returns a size it probed feasible and below any stop, so
+    # its block is kept
     n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, cap, stop)
     if n_s is None:
         reason = "no feasible block size" if stop is None else FLOOR_REASON
@@ -598,11 +628,13 @@ def run_model(model: str, params: SystemParams, cfg: IntensityConfig,
     left gives a rate <= floor. The default 0 never stops.
 
     For sob the floored search makes a prefix of the unfloored search's
-    decisions. Some of them it takes from the relaxed block probe
-    instead of building the block: those answer False only where the
-    block is infeasible, because the relaxation admits every feasible
-    block and is monotone in N_s (see _sob_relaxed; tests/test_models.py
-    checks both over seeded configurations). For smb1/smb2 the
+    decisions. Some of them it takes from the relaxed block probes
+    instead of building the block: the optimistic one answers False only
+    where the block is infeasible, because it admits every feasible block
+    and is monotone in N_s; the pessimistic one answers True only where
+    the block is feasible, because it admits no infeasible block and is
+    monotone too (see _sob_relaxed; tests/test_models.py checks these
+    properties over seeded configurations). For smb1/smb2 the
     floored L solve probes downward from the largest length that could
     beat the floor, and gives the unfloored answer because smb
     feasibility is monotone in L (the pool-level e_Z1 is fixed, so no

@@ -164,7 +164,9 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
     The cap is probed first, so an infeasible search costs one probe; the
     bracket (lo, hi] then grows upward from start (>= 1) by factors of 4
     and a bisection closes it on an infeasible lo (or 0) and a feasible
-    hi = lo + 1. Under monotone feasibility that is the smallest feasible
+    hi = lo + 1. A probe is whatever feasible answers: a floored sob
+    evaluation answers the sizes its relaxed probes have decided, the
+    cap among them, without building a block (models.run_sob). Under monotone feasibility that is the smallest feasible
     n; otherwise it is the transition this bisection lands on. It serves
     sob's block size, whose feasibility is not monotone, and the length
     solves that have no stop.

@@ -20,6 +20,7 @@ from mdiqds.channel import (
     single_photon_truth,
 )
 from mdiqds.optimize import config_from_vector, qds_search_space
+from reference_chain import pulse_counts
 
 CFG = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
 
@@ -157,7 +158,11 @@ class TestSinglePhotonTruth:
 
 class TestPulseStatistics:
     def test_counts_equal_table_cells_and_sums(self):
-        """counts(n) is the scalar view of tallies(n)/truth(n), bit for bit."""
+        """The chain's scalars at n are the cells and sums of tallies(n)/truth(n), bit for bit.
+
+        reference_chain.pulse_counts forms them in the order
+        models._build_pipeline does, which test_models.py checks it against.
+        """
         rng = np.random.default_rng(4)
         space = qds_search_space()
         lo, hi = np.asarray(space.lower), np.asarray(space.upper)
@@ -170,7 +175,7 @@ class TestPulseStatistics:
             record = pulse_statistics(params, cfg)
             for n in (1.0, float(rng.integers(2, 10**6)),
                       float(10 ** rng.uniform(6, 150)), MAX_PULSES):
-                got = record.counts(n)
+                got = pulse_counts(record, n)
                 t, tr = record.tallies(n), record.truth(n)
                 want = dict(
                     z_signal=t.counts_z[SIGNAL, SIGNAL],

@@ -339,6 +339,13 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--bounds", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("bounds", [",", "", " , "])
+    def test_empty_bound_list_rejected(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "verify", "--trials", "100", "--bounds", bounds)
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == "error: --bounds names no bound id\n"
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_non_positive_trials_rejected(self, capsys, trials):
         code, out, err = run_cli(capsys, "verify", "--trials", trials)

@@ -1,10 +1,15 @@
-"""Decoy-bound tests: gates, estimates, Poisson coverage."""
+"""Decoy-bound tests: gates, estimates, Poisson coverage.
+
+models._build_pipeline runs these bounds inline; they are tested here as
+the separate layers of tests/reference_chain.py, which test_models.py
+checks the build against bit for bit.
+"""
 import math
 
 import numpy as np
 import pytest
 
-from mdiqds import decoy
+import reference_chain as decoy
 from mdiqds.bounds import hoeffding_delta
 from mdiqds.channel import (
     SIGNAL,
@@ -28,7 +33,7 @@ def truth():
 
 @pytest.fixture(scope="module")
 def counts():
-    return pulse_statistics(PARAMS, CFG).counts(PARAMS.n_pulses)
+    return decoy.pulse_counts(pulse_statistics(PARAMS, CFG), PARAMS.n_pulses)
 
 
 class TestChernoffConditions:
@@ -47,16 +52,16 @@ class TestChernoffConditions:
 
 class TestExposureMu:
     def test_nine_uniform_cells(self):
-        got = decoy._exposure(1e6, 9e6, EPS12)
+        got = decoy.exposure(1e6, 9e6, EPS12)
         assert got == pytest.approx(1e6 - 11151, abs=1.0)
         assert got == pytest.approx(988849.23343345, rel=1e-12)
 
     def test_vanishing_confidence_returns_count(self, counts):
-        got = decoy._exposure(counts.z_signal, counts.z_total, NEAR_ONE)
+        got = decoy.exposure(counts.z_signal, counts.z_total, NEAR_ONE)
         assert got == pytest.approx(counts.z_signal, rel=1e-6)
 
     def test_all_zero_tallies(self):
-        assert decoy._exposure(0.0, 0.0, EPS12) == 0.0
+        assert decoy.exposure(0.0, 0.0, EPS12) == 0.0
 
 
 class TestEstimates:
@@ -108,7 +113,7 @@ class TestEstimates:
         record = pulse_statistics(PARAMS, CFG)
         values = []
         for n in (1e10, 1e11, 1e12, 1e13):
-            est = decoy.single_photon_bounds(record.counts(n), EPS12, EPS12)
+            est = decoy.single_photon_bounds(decoy.pulse_counts(record, n), EPS12, EPS12)
             values.append((est.n_z1, est.n_x1))
         assert all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(values, values[1:]))
 
@@ -121,7 +126,7 @@ class TestEstimates:
 
     def test_gate_failure_zeroes_estimates(self):
         thin = SystemParams(distance_km=300.0, n_pulses=1e6)
-        est = decoy.single_photon_bounds(pulse_statistics(thin, CFG).counts(1e6),
+        est = decoy.single_photon_bounds(decoy.pulse_counts(pulse_statistics(thin, CFG), 1e6),
                                          EPS12, EPS12)
         assert not est.valid
         assert est.m_x1 == 0.0

@@ -12,9 +12,9 @@ import pytest
 from mdiqds import channel, models, security
 from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
 from mdiqds.cli import record_dict, render_csv
-from mdiqds.decoy import single_photon_bounds
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
 from mdiqds.security import SecurityBudget
+import reference_chain
 from test_channel import numpy_pair_statistics
 
 EPS12 = 1e-12
@@ -33,17 +33,17 @@ def eps_totals(budget: SecurityBudget, x_derived: bool) -> tuple[float, float]:
 
 class TestEstimateEZ1:
     def test_no_errors_vanishing_confidence(self):
-        m_z1, e_z1 = models.estimate_e_z1(1e6, 1e6, 0.0, NEAR_ONE)
+        m_z1, e_z1 = reference_chain.estimate_e_z1(1e6, 1e6, 0.0, NEAR_ONE)
         assert m_z1 <= 1.0  # only the ceiling survives
         assert e_z1 <= 1e-6
 
     def test_cap_at_n_z1(self):
-        m_z1, e_z1 = models.estimate_e_z1(1e4, 10.0, 1e6, EPS12)
+        m_z1, e_z1 = reference_chain.estimate_e_z1(1e4, 10.0, 1e6, EPS12)
         assert m_z1 == 1e4
         assert e_z1 == 1.0
 
     def test_known_value(self):
-        m_z1, e_z1 = models.estimate_e_z1(1e6, 1e6, 2e4, EPS12)
+        m_z1, e_z1 = reference_chain.estimate_e_z1(1e6, 1e6, 2e4, EPS12)
         assert m_z1 == 25257.0
         assert e_z1 == pytest.approx(0.025257, rel=1e-9)
         _, e_terms = models.eps_ledgers(SecurityBudget(eps_sf=EPS12), x_derived=False)
@@ -51,7 +51,7 @@ class TestEstimateEZ1:
 
     def test_requires_x_sample(self):
         with pytest.raises(ValueError):
-            models.estimate_e_z1(1e4, 0.0, 10.0, EPS12)
+            reference_chain.estimate_e_z1(1e4, 0.0, 10.0, EPS12)
 
 
 class TestProjectToKeep:
@@ -87,9 +87,9 @@ class TestSinglePhotonPopulations:
     def test_known_value(self):
         params = SystemParams(distance_km=10.0, n_pulses=1e10 / (0.5 * 0.5 * (1 / 3) ** 2))
         cfg = IntensityConfig.symmetric(a_s=0.25, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
-        counts = pulse_statistics(params, cfg).counts(params.n_pulses)
+        counts = reference_chain.pulse_counts(pulse_statistics(params, cfg), params.n_pulses)
         assert counts.z_signal_pulses == pytest.approx(1e10, rel=1e-9)
-        lo, _ = models.single_photon_populations(counts, cfg, EPS12)
+        lo, _ = reference_chain.single_photon_populations(counts, cfg, EPS12)
         assert lo == pytest.approx(3031909914.125, rel=1e-9)
         n_terms, _ = models.eps_ledgers(SecurityBudget(eps_sf=EPS12), x_derived=True)
         assert dict(n_terms)["single-photon populations"] == pytest.approx(9 * EPS12)
@@ -97,8 +97,8 @@ class TestSinglePhotonPopulations:
     def test_vanishing_confidence_poisson_weights(self):
         params = SystemParams(distance_km=10.0, n_pulses=1e12)
         tallies = expected_tallies(params, CFG)
-        counts = pulse_statistics(params, CFG).counts(params.n_pulses)
-        lo, hi = models.single_photon_populations(counts, CFG, NEAR_ONE)
+        counts = reference_chain.pulse_counts(pulse_statistics(params, CFG), params.n_pulses)
+        lo, hi = reference_chain.single_photon_populations(counts, CFG, NEAR_ONE)
         a = CFG.a_s
         assert lo == pytest.approx(2 * a * math.exp(-2 * a) * tallies.pulses_z[0, 0], rel=1e-6)
         manual = sum((ai + bj) * math.exp(-ai - bj) * tallies.pulses_x[i, j]
@@ -111,27 +111,27 @@ class TestSinglePhotonPopulations:
         cfg = IntensityConfig.symmetric(a_s=0.002, a_d1=0.0015, a_d2=0.001,
                                         p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
         params = SystemParams(distance_km=10.0, n_pulses=1e7)
-        counts = pulse_statistics(params, cfg).counts(params.n_pulses)
-        lo, _ = models.single_photon_populations(counts, cfg, EPS12)
+        counts = reference_chain.pulse_counts(pulse_statistics(params, cfg), params.n_pulses)
+        lo, _ = reference_chain.single_photon_populations(counts, cfg, EPS12)
         assert lo <= 0.0
         assert not models.run_smb2(params, cfg).feasible
 
 
 class TestEstimateNZ1FromX:
     def test_zero_sample(self):
-        assert models.estimate_n_z1_from_x(0.0, 1e8, 1e8, EPS12) == 0.0
+        assert reference_chain.estimate_n_z1_from_x(0.0, 1e8, 1e8, EPS12) == 0.0
 
     def test_vanishing_confidence_proportional(self):
-        got = models.estimate_n_z1_from_x(1e6, 2e8, 1e8, NEAR_ONE)
+        got = reference_chain.estimate_n_z1_from_x(1e6, 2e8, 1e8, NEAR_ONE)
         assert got == pytest.approx(2e6, rel=1e-6)
 
     def test_known_value(self):
-        got = models.estimate_n_z1_from_x(1e6, 1e8, 1e8, EPS12)
+        got = reference_chain.estimate_n_z1_from_x(1e6, 1e8, 1e8, EPS12)
         assert got == pytest.approx(947434.782039605, rel=1e-10)
 
     def test_population_domain(self):
         with pytest.raises(ValueError):
-            models.estimate_n_z1_from_x(1e6, 1e8, 0.0, EPS12)
+            reference_chain.estimate_n_z1_from_x(1e6, 1e8, 0.0, EPS12)
 
 
 class TestRunners:
@@ -563,8 +563,8 @@ def test_failed_projection_skips_security_chain(monkeypatch):
 
 
 def test_sob_feasibility_not_monotone_at_integer_scale():
-    """The ceil in estimate_e_z1 makes e_Z1 jump by 1/n_Z1, so a block a
-    little below the one the bisection returns can be feasible."""
+    """The ceil of the Serfling step makes e_Z1 jump by 1/n_Z1, so a block
+    a little below the one the bisection returns can be feasible."""
     params = SystemParams(distance_km=75.0, n_pulses=1e13)
     cfg = config_from_vector(REFERENCE_VECTOR)
     budget = SecurityBudget(epsilon=params.epsilon)
@@ -580,9 +580,11 @@ def test_sob_feasibility_not_monotone_at_integer_scale():
     assert feasible(61_741_560_275) and not feasible(61_741_560_274)
     # yet a smaller block is feasible, just below an infeasible one
     assert feasible(61_741_068_698) and not feasible(61_741_068_699)
-    # the relaxed probe admits both
+    # the optimistic relaxed probe admits both, the pessimistic one neither
     for n_s in (61_741_560_275, 61_741_068_698):
-        assert models._sob_relaxed(record, cfg, budget, n_s, *eps_totals(budget, False))
+        assert models._sob_relaxed(record, cfg, budget, n_s, *eps_totals(budget, False), True)
+        assert not models._sob_relaxed(record, cfg, budget, n_s, *eps_totals(budget, False),
+                                       False)
 
 
 def test_x_sample_below_one_is_an_infeasible_block():
@@ -593,17 +595,22 @@ def test_x_sample_below_one_is_an_infeasible_block():
     budget = SecurityBudget(epsilon=params.epsilon)
     record = pulse_statistics(params, cfg)
     n_s = int(params.n_pulses)
-    est = single_photon_bounds(record.counts(n_s), budget.eps_sf, budget.eps_sf)
+    est = reference_chain.single_photon_bounds(reference_chain.pulse_counts(record, n_s),
+                                               budget.eps_sf, budget.eps_sf)
     assert est.valid and 0.0 < est.n_x1 < 1.0
     reason = models._build_pipeline(record, cfg, budget, float(n_s), False,
                                     *eps_totals(budget, False))
     assert reason == "x-basis single-photon bound below one"
     block, relaxed = sob_predicates(params, cfg)  # _sob_block gives None
-    assert not block(n_s) and not relaxed(n_s)
+    assert not block(n_s) and not relaxed(n_s) and not relaxed(n_s, optimistic=False)
 
 
 def sob_predicates(params, cfg):
-    """The block probe P and the relaxed probe Q of one sob evaluation."""
+    """The block probe P and the relaxed probes Q and R of one sob evaluation.
+
+    relaxed(n) is the optimistic Q, relaxed(n, optimistic=False) the
+    pessimistic R.
+    """
     budget = SecurityBudget(epsilon=params.epsilon)
     record = pulse_statistics(params, cfg)
     eps_n, eps_e = eps_totals(budget, False)
@@ -611,8 +618,8 @@ def sob_predicates(params, cfg):
     def block(n):
         return models._sob_block(record, cfg, budget, n, eps_n, eps_e) is not None
 
-    def relaxed(n):
-        return models._sob_relaxed(record, cfg, budget, n, eps_n, eps_e)
+    def relaxed(n, optimistic=True):
+        return models._sob_relaxed(record, cfg, budget, n, eps_n, eps_e, optimistic)
 
     return block, relaxed
 
@@ -705,6 +712,156 @@ def test_floored_sob_is_exact_or_stopped():
                     assert (result.feasible, result.reason) == (False, models.FLOOR_REASON)
                     stopped += 1
     assert stopped >= 100
+
+
+def certified_cases(seed, count):
+    """Seeded sob cases with the pessimistic probe's switch n_r (None if R is never true).
+
+    The optimizer's box x 0-300 km x p_dc in {1e-7, 1e-5}, at RELAXED_CAP
+    pulses (the cap of every search). n_r is the bisection's answer for R,
+    so R(n_r) is true.
+    """
+    rng = np.random.default_rng(seed)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    for _ in range(count):
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        params = SystemParams(distance_km=float(rng.uniform(0.0, 300.0)),
+                              p_dc=float(rng.choice([1e-7, 1e-5])),
+                              n_pulses=float(RELAXED_CAP))
+        block, relaxed = sob_predicates(params, cfg)
+        certified = functools.partial(relaxed, optimistic=False)
+        yield params, cfg, block, certified, security.smallest_feasible(
+            certified, 1, RELAXED_CAP)
+
+
+def test_certificate_implies_every_larger_block_feasible():
+    """R(m) implies P(n) for every n >= m: densely above m, log-spaced, and at the cap.
+
+    R's switch also sits within the suffix delta above N_s in most cases,
+    which is where a floored search probes it: at stop (1 + delta).
+    """
+    rng = np.random.default_rng(43)
+    checked = close = 0
+    for params, cfg, block, certified, n_r in certified_cases(29, 40):
+        exact = models.run_sob(params, cfg)
+        if n_r is None:
+            continue
+        assert certified(n_r)
+        sizes = {*range(n_r, n_r + 600), RELAXED_CAP}
+        sizes.update(int(n) for n in np.geomspace(n_r, RELAXED_CAP, 150))
+        sizes.update(int(n) for n in rng.uniform(n_r, 1.01 * n_r, 150))
+        for n in sorted(sizes):
+            assert block(n), (n_r, n)
+        checked += 1
+        close += n_r <= exact.block_size * (1.0 + models._SOB_SUFFIX_DELTA)
+    assert checked >= 20 and close >= 20
+
+
+def test_certificate_is_monotone():
+    """R switches once, from false to true, flipping only within eta of its switch."""
+    coarse = sorted({int(n) for n in np.geomspace(1024, RELAXED_CAP, 80)})
+    switched = 0
+    for _, _, _, certified, n_r in certified_cases(37, 60):
+        flags = [certified(n) for n in coarse]
+        assert flags == sorted(flags)
+        if n_r is None:
+            continue
+        steps = sorted({int(d) for d in np.geomspace(1, 1e4, 40)})
+        fine = {n_r + sign * d for d in steps for sign in (-1, 1)}
+        fine.update(int(n_r * (1.0 + sign * 10.0 ** k)) for k in range(-13, -7)
+                    for sign in (-1, 1))
+        fine = sorted(n for n in fine if n >= 1)
+        assert_monotone_beyond_eta(fine, [certified(n) for n in fine])
+        switched += 1
+    assert switched >= 30
+
+
+def test_floored_sob_builds_nothing_above_its_certificate(monkeypatch):
+    """Where R holds, the only build at or above its own block is the certificate probe.
+
+    So the search answers the cap probe, and every bracket or bisection
+    probe above stop (1 + delta), without building.
+    """
+    builds = []
+    build = models._build_pipeline
+
+    def recording(channel, cfg, budget, n_pulses, *args):
+        builds.append(n_pulses)
+        return build(channel, cfg, budget, n_pulses, *args)
+
+    params = SystemParams(distance_km=75.0, n_pulses=1e13)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    exact = models.run_sob(params, cfg)
+    _, relaxed = sob_predicates(params, cfg)
+    monkeypatch.setattr(models, "_build_pipeline", recording)
+    certified = 0
+    for rel in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1):
+        for floor in (exact.rate * (1.0 - rel), exact.rate * (1.0 + rel)):
+            stop = models._rate_stop(lambda n: 1.0 / n, floor, int(params.n_pulses))
+            m = math.ceil(stop * (1.0 + models._SOB_SUFFIX_DELTA))
+            holds = relaxed(stop - 1) and relaxed(m, optimistic=False)
+            builds.clear()
+            result = models.run_sob(params, cfg, floor=floor)
+            assert result == exact if floor < exact.rate else not result.feasible
+            if not holds:
+                continue
+            own = math.floor(m * (1.0 - models._SOB_RELAX_ETA))
+            assert [n for n in builds if n >= own] == [float(own)]
+            certified += 1
+    assert certified >= 8
+
+
+def test_build_pipeline_is_bit_identical_to_the_layered_chain():
+    """_build_pipeline equals tests/reference_chain.py's four layers exactly.
+
+    Every _Pipeline field is compared with ==, and every reason string as
+    it is, over seeded configurations (varied link, error-test fraction
+    and eps_sf) x pulse counts 1e3-1e16 x x_derived; every reason is
+    reached. Two fixed configurations reach the reasons the box rarely
+    does: a bright signal with few single photons (the population bound),
+    and the n_X1 < 1 point of test_x_sample_below_one_is_an_infeasible_block.
+    """
+    rng = np.random.default_rng(71)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    grid = [float(n) for n in np.geomspace(1e3, 1e16, 40)]
+    cases = [
+        (SystemParams(distance_km=0.0),
+         IntensityConfig.symmetric(a_s=5.0, a_d1=0.1, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5),
+         SecurityBudget(), grid),
+        (SystemParams(distance_km=200.0, p_dc=1e-5),
+         IntensityConfig.symmetric(a_s=0.9857, a_d1=0.0095, p_as=0.5572, p_ad1=0.4418,
+                                   p_z=0.5683),
+         SecurityBudget(), [276292500.9, float(int(276292500.9))]),
+    ]
+    for _ in range(120):
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        params = SystemParams(distance_km=float(rng.uniform(0.0, 300.0)),
+                              p_dc=float(rng.choice([1e-7, 1e-5])),
+                              r_test=float(rng.choice([0.055, 1e-3])))
+        budget = SecurityBudget(eps_sf=float(10 ** rng.uniform(-15.0, -3.0)))
+        cases.append((params, cfg, budget, grid))
+    seen = {}
+    for params, cfg, budget, sizes in cases:
+        record = pulse_statistics(params, cfg)
+        for n in sizes:
+            for x_derived in (False, True):
+                args = (record, cfg, budget, n, x_derived, *eps_totals(budget, x_derived))
+                got, want = models._build_pipeline(*args), reference_chain.reference_build(*args)
+                if isinstance(want, str):
+                    assert got == want, (params, cfg, n, x_derived)
+                else:
+                    assert type(got) is models._Pipeline
+                    for name, g, w in zip(models._Pipeline._fields, got, want):
+                        assert g == w, (name, params, cfg, n, x_derived)
+                key = want if isinstance(want, str) else "pipeline"
+                seen[key] = seen.get(key, 0) + 1
+    assert set(seen) == {"pipeline", "decoy validity gate failed",
+                         "single-photon population bound non-positive",
+                         "x-derived signal-basis single-photon bound is zero",
+                         "x-basis single-photon bound below one",
+                         "error-test sample is empty"}, seen
 
 
 def sob_rate(n_s):

@@ -419,11 +419,13 @@ def test_floor_saves_sob_block_probes_in_a_warm_descent(monkeypatch):
     assert probes_floored <= 0.75 * calls["probes"]
 
 
-def test_floored_sob_descent_builds_at_most_2800_pipelines(monkeypatch):
-    """The relaxed block probe certifies most floored sob evaluations.
+def test_floored_sob_descent_build_count_is_bounded(monkeypatch):
+    """The relaxed block probes certify most floored sob evaluations.
 
     Every pipeline build of the floored warm descent is counted, the
-    relaxed probes' own included: 4,633 without them, 2,364 with them.
+    relaxed probes' own included: 4,633 without them, 2,364 with the
+    optimistic ones below the stop, 1,837 with the pessimistic
+    certificate above it too. The bound is that count plus 3%.
     """
     calls = {"builds": 0}
     build = models._build_pipeline
@@ -438,7 +440,7 @@ def test_floored_sob_descent_builds_at_most_2800_pipelines(monkeypatch):
     floored = coordinate_descent(objective, space)
     builds_floored = calls["builds"]
     assert floored == coordinate_descent(lambda x, floor: objective(x, 0.0), space)
-    assert builds_floored <= 2800
+    assert builds_floored <= 1900
 
 
 @pytest.mark.parametrize("model", ("smb1", "smb2"))

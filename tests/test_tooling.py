@@ -34,7 +34,7 @@ def test_bench_patch_point_resolves(module, name):
 # fail here instead.
 TRACE_POINTS = {
     "mdiqds.models": ("_build_pipeline", "_Pipeline.outcome_at", "_Pipeline.feasible_at",
-                      "single_photon_bounds", "eve_error_rate", "solve_signature_length"),
+                      "eve_error_rate", "solve_signature_length"),
     "mdiqds.security": ("inverse_binary_entropy",),
     "mdiqds.optimize": ("coordinate_descent", "rate_objective"),
 }
@@ -190,35 +190,36 @@ def test_every_length_probe_goes_through_solve_signature_length(runner, monkeypa
 
 
 # bench/tracing.py counts pipeline builds by wrapping models._build_pipeline:
-# the relaxed probes of a floored sob evaluation must build through that
-# name too, or models.pipeline_builds and builds_per_sob_eval miss them.
+# the relaxed probes of a floored sob evaluation, optimistic and pessimistic
+# (the certificate above the stop), must build through that name too, or
+# models.pipeline_builds and builds_per_sob_eval miss them.
 def test_relaxed_sob_probes_build_through_build_pipeline(monkeypatch):
     from mdiqds import models
     from mdiqds.channel import SystemParams
     from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector
 
-    calls = {"builds": 0, "blocks": 0, "relaxed": 0}
+    calls = {"builds": 0, "blocks": 0, True: 0, False: 0}
 
     def counting(name, key):
         fn = getattr(models, name)
 
         def call(*args):
-            calls[key] += 1
+            calls[key(args)] += 1
             return fn(*args)
         monkeypatch.setattr(models, name, call)
 
-    counting("_build_pipeline", "builds")
-    counting("_sob_block", "blocks")
-    counting("_sob_relaxed", "relaxed")
+    counting("_build_pipeline", lambda args: "builds")
+    counting("_sob_block", lambda args: "blocks")
+    counting("_sob_relaxed", lambda args: args[-1])  # its direction, optimistic or not
     params = SystemParams(distance_km=75.0, n_pulses=1e13)
     cfg = config_from_vector(REFERENCE_VECTOR)
     exact = models.run_sob(params, cfg)
-    assert exact.feasible and calls["relaxed"] == 0
+    assert exact.feasible and calls[True] == calls[False] == 0
     for floor in (0.5 * exact.rate, math.nextafter(exact.rate, 0.0), exact.rate,
                   2.0 * exact.rate):
         models.run_sob(params, cfg, floor=floor)
-    assert calls["relaxed"] > 0
-    assert calls["builds"] == calls["blocks"] + calls["relaxed"]
+    assert calls[True] > 0 and calls[False] > 0
+    assert calls["builds"] == calls["blocks"] + calls[True] + calls[False]
 
 
 # A stale __all__ entry fails only on `from ... import *`, which nothing in
@@ -241,8 +242,3 @@ def test_package_exports_are_module_exports():
     public = {name: value for name, value in vars(mdiqds).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public and {name: exported.get(name) for name in public} == public
-
-
-def test_decoy_reads_no_tables():
-    from mdiqds import decoy
-    assert "np" not in vars(decoy) and "TallySet" not in vars(decoy)
