@@ -54,13 +54,12 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, NamedTuple
 
-from .bounds import binary_entropy, sampling_lambda
+from .bounds import binary_entropy
 from .channel import IntensityConfig, PulseStatistics, SystemParams, pulse_statistics
 from .security import (
     SecurityBudget,
     SecurityOutcome,
     eve_error_rate,
-    keep_error_bound,
     min_entropy,
     security_probabilities,
     smallest_feasible,
@@ -73,7 +72,6 @@ __all__ = [
     "MODELS",
     "RateResult",
     "eps_ledgers",
-    "project_to_keep",
     "signed_bits",
     "run_sob",
     "run_smb1",
@@ -100,35 +98,11 @@ _SOB_PREFIX_DELTA = 1e-3
 # ... and the pessimistic one this fraction above its stop; when that
 # holds, every block from there up is feasible.
 _SOB_SUFFIX_DELTA = 1e-4
+# A length probe is decided in entropy space only when its margin there
+# exceeds this; closer probes run the full chain (_Pipeline.feasible_at).
+_SCREEN_TAU = 1e-9
 
 EpsTerms = tuple[tuple[str, float], ...]
-
-
-def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
-                    eps_sf: float) -> tuple[float, float, bool]:
-    """Project pool-level single-photon bounds onto one signature block.
-
-    The L/2 kept bits are a without-replacement sample of the
-    |Z^{a_s,b_s}| signal-cell events:
-
-        n_L1 = n_Z1 * (L/2) / |Z| - Lambda(|Z|, L/2, eps_sf)
-        e_L1 = e_Z1 + Lambda(n_Z1, n_L1, eps_sf) / n_L1
-
-    Returns (n_L1, e_L1, feasible). n_L1 is clamped to [0, L/2] and e_L1
-    capped at 1; n_L1 < 1 (reported as (0, 1)) or a capped e_L1 marks
-    the projection infeasible.
-    """
-    if not 2 <= length <= 2 * z_signal:
-        raise ValueError(f"need 2 <= L <= 2*|Z|, got L={length}, |Z|={z_signal}")
-    half = length / 2.0
-    n_l1 = n_z1 * half / z_signal - sampling_lambda(z_signal, half, eps_sf)
-    n_l1 = min(max(n_l1, 0.0), half)
-    if n_l1 < 1.0:
-        return 0.0, 1.0, False
-    e_l1 = e_z1 + sampling_lambda(n_z1, n_l1, eps_sf) / n_l1
-    if e_l1 > 1.0:
-        return n_l1, 1.0, False
-    return n_l1, e_l1, True
 
 
 def signed_bits(n_pool: float, length: float) -> float:
@@ -220,9 +194,14 @@ class _Pipeline(NamedTuple):
     """Length-independent state of one estimation run.
 
     eps_n/eps_e are the totals of the model's eps_ledgers, taken once
-    per rate evaluation, so that a length probe does only the work that
-    depends on L. A NamedTuple, built positionally: the block-size search
-    builds one per probe.
+    per rate evaluation, and log_inv_sf/log_inv_pe are ln(1/eps_sf) and
+    ln(1/eps_pe), so that a length probe does only the work that depends
+    on L. rep_log = 36 ln(2/epsilon) gives the least forger margin that
+    meets the repudiation bound, d_req(L) = sqrt(rep_log / L); it is None
+    where the budget leaves the entropy-space screen of feasible_at off
+    (c = g_prob + eps_pe + eps_n + eps_e above epsilon / 2). A
+    NamedTuple, built positionally: the block-size search builds one per
+    probe.
     """
 
     n_z1: float
@@ -236,49 +215,113 @@ class _Pipeline(NamedTuple):
     budget: SecurityBudget
     eps_n: float
     eps_e: float
+    log_inv_sf: float
+    log_inv_pe: float
+    rep_log: float | None
 
-    def _at(self, length: int, n_l1: float, e_l1: float, keep_ok: bool) -> tuple:
-        """The security quantities at L, given the kept block's projection.
+    def _keep(self, length: float) -> tuple[float, float, bool, float]:
+        """The kept block at L: (n_L1, e_L1, keep_ok, E_keep).
 
-        Returns (h_l1, p_e, e_keep, s_a, s_v, p_robust, p_repudiation,
-        p_forge, thresholds_ok, feasible); h_l1 = H2(e_L1) is computed
-        once for both the forger's error rate and the min-entropy.
+        The L/2 kept bits are a without-replacement sample of the
+        |Z^{a_s,b_s}| signal-cell events, and the error test bounds
+        their error rate:
+
+            n_L1 = n_Z1 * (L/2) / |Z| - Lambda(|Z|, L/2, eps_sf)
+            e_L1 = e_Z1 + Lambda(n_Z1, n_L1, eps_sf) / n_L1
+            E_keep = min(E_test + test_sample_penalty(L, n_test, eps_pe), 1)
+
+        n_L1 is clamped to [0, L/2] and e_L1 capped at 1; n_L1 < 1
+        (reported as (0, 1)) or a capped e_L1 fails the projection.
+        Lambda (bounds.sampling_lambda) and the penalty are written out in
+        their operation order with the stored logs: the build has checked
+        every argument but L. tests/reference_chain.py holds the
+        bit-identical reference.
+        """
+        z_signal = self.z_signal
+        if not 2 <= length <= 2 * z_signal:
+            raise ValueError(f"need 2 <= L <= 2*|Z|, got L={length}, |Z|={z_signal}")
+        half = length / 2.0
+        n_test = self.n_test
+        e_keep = min(self.e_test + (2.0 / length) * math.sqrt(
+            (half + 1.0) * (half + n_test) * self.log_inv_pe / (2.0 * n_test)), 1.0)
+        n_z1, log_inv = self.n_z1, self.log_inv_sf
+        n_l1 = n_z1 * half / z_signal - math.sqrt(
+            (z_signal - half + 1.0) * half * log_inv / (2.0 * z_signal))
+        n_l1 = min(max(n_l1, 0.0), half)
+        if n_l1 < 1.0:
+            return 0.0, 1.0, False, e_keep
+        e_l1 = self.e_z1 + math.sqrt(
+            (n_z1 - n_l1 + 1.0) * n_l1 * log_inv / (2.0 * n_z1)) / n_l1
+        if e_l1 > 1.0:
+            return n_l1, 1.0, False, e_keep
+        return n_l1, e_l1, True, e_keep
+
+    def _at(self, length: float, n_l1: float, h_l1: float, e_keep: float) -> tuple:
+        """The security quantities at L, given the kept block.
+
+        h_l1 = H2(e_L1) serves both the forger's error rate and the
+        min-entropy. Returns (p_e, s_a, s_v, p_robust, p_repudiation,
+        p_forge, thresholds_ok, secure), secure being the verdict of the
+        bounds alone; the length is feasible if the projection passed too.
         """
         budget = self.budget
-        e_keep = keep_error_bound(self.e_test, length, self.n_test, budget.eps_pe)
-        h_l1 = binary_entropy(e_l1)
         p_e = eve_error_rate(n_l1, h_l1, length)
         s_a, s_v, ordered = thresholds(e_keep, p_e)
         p_rob, p_rep, p_forge = security_probabilities(
             s_a, s_v, length, p_e, budget, self.eps_n, self.eps_e)
-        feasible = (keep_ok and ordered
-                    and max(p_rob, p_rep, p_forge) <= budget.epsilon)
-        return h_l1, p_e, e_keep, s_a, s_v, p_rob, p_rep, p_forge, ordered, feasible
+        secure = ordered and max(p_rob, p_rep, p_forge) <= budget.epsilon
+        return p_e, s_a, s_v, p_rob, p_rep, p_forge, ordered, secure
 
-    def feasible_at(self, length: int) -> bool:
+    def feasible_at(self, length: float) -> bool:
         """Whether signature length L meets the security level.
 
         The length searches probe this; it builds no outcome object, and
-        a failed keep-block projection answers False without running the
-        security chain.
+        a failed keep-block projection answers False at once. Otherwise
+        the probe is decided in entropy space, without inverting H2:
+        where the projection passes, write d = p_E - E_keep. Then
+        P_rep <= epsilon iff d >= d_req(L) = sqrt(36 ln(2/epsilon) / L),
+        and d >= d_req orders the thresholds (security's module
+        docstring). Where c = g_prob + eps_pe + eps_n + eps_e <= epsilon
+        / 2, which also gives P_robust = 2 eps_pe <= epsilon, such a d
+        leaves P_forge <= c + (epsilon/2)^4 < epsilon, so it never binds.
+        So L is feasible iff p_req = E_keep + d_req(L) <= 1/2 and p_E >=
+        p_req, and since H2 rises on [0, 1/2] and H2(p_E) is the clamped
+        rhs = 2 n_L1 / L (1 - H2(e_L1)), iff rhs >= H2(p_req).
+
+        The screen answers only with margin: False where p_req > 1/2 +
+        tau (p_E may be exactly 1/2), and rhs - H2(p_req) compared with
+        +-tau, tau = 1e-9, far above the 1e-13 error of the inverse and
+        the float error of the full chain. A probe inside the band, or a
+        budget with c > epsilon / 2 (rep_log None), runs the full chain,
+        so every verdict is the one it gives.
         """
-        n_l1, e_l1, keep_ok = project_to_keep(self.n_z1, self.e_z1, self.z_signal,
-                                              length, self.budget.eps_sf)
+        n_l1, e_l1, keep_ok, e_keep = self._keep(length)
         if not keep_ok:
             return False
-        return self._at(length, n_l1, e_l1, keep_ok)[-1]
+        h_l1 = binary_entropy(e_l1)
+        if self.rep_log is not None:
+            p_req = e_keep + math.sqrt(self.rep_log / length)
+            if p_req > 0.5 + _SCREEN_TAU:
+                return False
+            if p_req <= 0.5:
+                # eve_error_rate's right-hand side, clamped alike
+                rhs = min(max(2.0 * n_l1 / length * (1.0 - h_l1), 0.0), 1.0)
+                margin = rhs - binary_entropy(p_req)
+                if abs(margin) > _SCREEN_TAU:
+                    return margin > 0.0
+        return self._at(length, n_l1, h_l1, e_keep)[-1]
 
     def outcome_at(self, length: int) -> SecurityOutcome:
-        n_l1, e_l1, keep_ok = project_to_keep(self.n_z1, self.e_z1, self.z_signal,
-                                              length, self.budget.eps_sf)
-        (h_l1, p_e, e_keep, s_a, s_v, p_rob, p_rep, p_forge, ordered,
-         feasible) = self._at(length, n_l1, e_l1, keep_ok)
+        n_l1, e_l1, keep_ok, e_keep = self._keep(length)
+        h_l1 = binary_entropy(e_l1)
+        p_e, s_a, s_v, p_rob, p_rep, p_forge, ordered, secure = self._at(
+            length, n_l1, h_l1, e_keep)
         return SecurityOutcome(
             length=length, n_l1=n_l1, e_l1=e_l1,
             h_min=min_entropy(n_l1, h_l1), p_e=p_e,
             e_test=self.e_test, e_keep=e_keep, s_a=s_a, s_v=s_v,
             p_robust=p_rob, p_repudiation=p_rep, p_forge=p_forge,
-            thresholds_ok=ordered, feasible=feasible)
+            thresholds_ok=ordered, feasible=keep_ok and secure)
 
 
 def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, log_inv_eps: float) -> float:
@@ -313,7 +356,9 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     - for smb2 (x_derived), the preparation populations N-_Z1 = 2 a_s
       e^{-2 a_s} N_{z,ss} - g and N+_X1 = sum of (a+b) e^{-a-b} N_{x,ab}
       + g, and the transfer n_Z1 = n_X1 N-_Z1/N+_X1 - gamma_count;
-    - the Serfling step e_Z1 = min(ceil(raw m_Z1), n_Z1) / n_Z1.
+    - the Serfling step e_Z1 = min(ceil(raw m_Z1), n_Z1) / n_Z1;
+    - the length probes' constants: ln(1/eps_sf), ln(1/eps_pe) and the
+      screen's rep_log (see _Pipeline).
 
     tests/reference_chain.py keeps the chain as its separate layers, the
     bit-identical reference for this pass. The reasons are checked in the
@@ -377,9 +422,13 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     n_test = r_test * z_signal
     if n_test < 1:
         return "error-test sample is empty"
+    epsilon = budget.epsilon
+    rep_log = (36.0 * math.log(2.0 / epsilon)
+               if budget.g_prob + budget.eps_pe + eps_n + eps_e <= 0.5 * epsilon else None)
     # positional, in _Pipeline's field order
     return _Pipeline(n_z1, n_x1, m_x1, e_z1, z_signal, n_test, (1.0 - r_test) * z_signal,
-                     pulses_z0 * channel.cell_err[0] / z_signal, budget, eps_n, eps_e)
+                     pulses_z0 * channel.cell_err[0] / z_signal, budget, eps_n, eps_e,
+                     log_inv, math.log(1.0 / budget.eps_pe), rep_log)
 
 
 def _rate_stop(rate: Callable[[int], float], floor: float, cap: int) -> int | None:
@@ -548,7 +597,7 @@ def _sob_relaxed(channel: PulseStatistics, cfg: IntensityConfig, budget: Securit
     if length < 2.0:
         return False
     n_z1 = pipe.n_z1  # positive: the decoy gates passed
-    raw = _raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, math.log(1.0 / budget.eps_sf))
+    raw = _raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, pipe.log_inv_sf)
     e_z1 = min(raw + extra, n_z1) / n_z1
     return pipe._replace(e_z1=e_z1).feasible_at(length)
 

@@ -19,6 +19,15 @@ to error rate at least p_E on the L/2 unknown bits still lands below the
 verification threshold) is the Hoeffding tail
 exp(-2 * (L/2) * (p_E - s_v)^2); it requires p_E > s_v, which the
 threshold construction guarantees on feasible points.
+
+With d = p_E - E_keep the thresholds sit at E_keep + d/3 and E_keep +
+2d/3, so s_v - s_a = p_E - s_v = d/3 and the bounds depend on d alone:
+P_rep <= epsilon iff d >= sqrt(36 ln(2/epsilon) / L), and P_forge <=
+epsilon iff exp(-L d^2 / 9) <= epsilon - c, with c = g + eps_pe + eps_n
++ eps_e. The threshold order needs no check of its own once d > 0:
+s_a > E_keep >= 0, s_a < s_v, and s_v = p_E - d/3 < p_E <= 1/2. That is
+what lets models._Pipeline.feasible_at decide a length from H2 of the
+least p_E that meets the bounds, without inverting H2.
 """
 from __future__ import annotations
 
@@ -26,14 +35,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import inverse_binary_entropy, test_sample_penalty
+from .bounds import inverse_binary_entropy
 
 __all__ = [
     "SecurityBudget",
     "SecurityOutcome",
     "min_entropy",
     "eve_error_rate",
-    "keep_error_bound",
     "thresholds",
     "security_probabilities",
     "smallest_feasible",
@@ -106,16 +114,6 @@ def eve_error_rate(n_l1: float, h_l1: float, length: float) -> float:
     rhs = 2.0 * n_l1 / length * (1.0 - h_l1)
     rhs = min(max(rhs, 0.0), 1.0)
     return inverse_binary_entropy(rhs)
-
-
-def keep_error_bound(e_test: float, length: float, n_test: float, eps_pe: float) -> float:
-    """Upper bound on the kept-half error rate from the test sample.
-
-    E_keep = E_test + test_sample_penalty(L, n_test, eps_pe), capped at
-    1. Both recipients see identical statistics under the symmetric
-    link, so the max over users equals the single-user value.
-    """
-    return min(e_test + test_sample_penalty(length, n_test, eps_pe), 1.0)
 
 
 def thresholds(e_keep: float, p_e: float) -> tuple[float, float, bool]:

@@ -15,6 +15,10 @@ in the order the build forms it:
 and reference_build assembles them as _build_pipeline used to, returning
 the same models._Pipeline or the same reason string. Every deviation
 goes through mdiqds.bounds, with its own log(1/eps) and its checks.
+
+project_to_keep and keep_error_bound are the same reference for the kept
+block of _Pipeline._keep: the keep-block projection and the error-test
+bound E_keep, each through its mdiqds.bounds deviation.
 """
 from __future__ import annotations
 
@@ -23,7 +27,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from mdiqds import models
-from mdiqds.bounds import hoeffding_delta, serfling_count_gamma, serfling_fraction_gamma
+from mdiqds.bounds import (
+    hoeffding_delta,
+    sampling_lambda,
+    serfling_count_gamma,
+    serfling_fraction_gamma,
+    test_sample_penalty,
+)
 from mdiqds.channel import IntensityConfig, PulseStatistics
 from mdiqds.security import SecurityBudget
 
@@ -211,6 +221,47 @@ def reference_build(channel: PulseStatistics, cfg: IntensityConfig,
     n_test = channel.r_test * z_signal
     if n_test < 1:
         return "error-test sample is empty"
+    c = budget.g_prob + budget.eps_pe + eps_n + eps_e
+    rep_log = 36.0 * math.log(2.0 / budget.epsilon) if c <= budget.epsilon / 2.0 else None
     return models._Pipeline(n_z1, est.n_x1, est.m_x1, e_z1, z_signal, n_test,
                             (1.0 - channel.r_test) * z_signal,
-                            counts.z_signal_errors / z_signal, budget, eps_n, eps_e)
+                            counts.z_signal_errors / z_signal, budget, eps_n, eps_e,
+                            math.log(1.0 / budget.eps_sf), math.log(1.0 / budget.eps_pe),
+                            rep_log)
+
+
+def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,
+                    eps_sf: float) -> tuple[float, float, bool]:
+    """Project pool-level single-photon bounds onto one signature block.
+
+    The L/2 kept bits are a without-replacement sample of the
+    |Z^{a_s,b_s}| signal-cell events:
+
+        n_L1 = n_Z1 * (L/2) / |Z| - Lambda(|Z|, L/2, eps_sf)
+        e_L1 = e_Z1 + Lambda(n_Z1, n_L1, eps_sf) / n_L1
+
+    Returns (n_L1, e_L1, feasible). n_L1 is clamped to [0, L/2] and e_L1
+    capped at 1; n_L1 < 1 (reported as (0, 1)) or a capped e_L1 marks
+    the projection infeasible.
+    """
+    if not 2 <= length <= 2 * z_signal:
+        raise ValueError(f"need 2 <= L <= 2*|Z|, got L={length}, |Z|={z_signal}")
+    half = length / 2.0
+    n_l1 = n_z1 * half / z_signal - sampling_lambda(z_signal, half, eps_sf)
+    n_l1 = min(max(n_l1, 0.0), half)
+    if n_l1 < 1.0:
+        return 0.0, 1.0, False
+    e_l1 = e_z1 + sampling_lambda(n_z1, n_l1, eps_sf) / n_l1
+    if e_l1 > 1.0:
+        return n_l1, 1.0, False
+    return n_l1, e_l1, True
+
+
+def keep_error_bound(e_test: float, length: float, n_test: float, eps_pe: float) -> float:
+    """Upper bound on the kept-half error rate from the test sample.
+
+    E_keep = E_test + test_sample_penalty(L, n_test, eps_pe), capped at
+    1. Both recipients see identical statistics under the symmetric
+    link, so the max over users equals the single-user value.
+    """
+    return min(e_test + test_sample_penalty(length, n_test, eps_pe), 1.0)

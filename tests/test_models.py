@@ -1,7 +1,9 @@
 """Pipeline tests for the three estimation models."""
+import contextlib
 import dataclasses
 import functools
 import hashlib
+import io
 import math
 import operator
 import sys
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdiqds import channel, models, security
+from mdiqds import channel, cli, models, optimize, security
 from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
 from mdiqds.cli import record_dict, render_csv
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
@@ -56,31 +58,31 @@ class TestEstimateEZ1:
 
 class TestProjectToKeep:
     def test_vanishing_confidence_is_exact_scaling(self):
-        n_l1, e_l1, feasible = models.project_to_keep(5e5, 0.02, 1e6, 100_000, NEAR_ONE)
+        n_l1, e_l1, feasible = reference_chain.project_to_keep(5e5, 0.02, 1e6, 100_000, NEAR_ONE)
         assert n_l1 == pytest.approx(5e5 * 5e4 / 1e6, rel=1e-6)
         assert e_l1 == pytest.approx(0.02, abs=1e-6)
         assert feasible
 
     def test_full_population_sample(self):
-        n_l1, _, _ = models.project_to_keep(5e5, 0.02, 1e6, 2_000_000, NEAR_ONE)
+        n_l1, _, _ = reference_chain.project_to_keep(5e5, 0.02, 1e6, 2_000_000, NEAR_ONE)
         assert n_l1 == pytest.approx(5e5, rel=1e-6)
 
     def test_known_values(self):
-        n_l1, e_l1, _ = models.project_to_keep(5e5, 0.02, 1e6, 100_000, EPS12)
+        n_l1, e_l1, _ = reference_chain.project_to_keep(5e5, 0.02, 1e6, 100_000, EPS12)
         assert n_l1 == pytest.approx(24189.9151635299, rel=1e-10)
         assert e_l1 == pytest.approx(0.0433130219442579, rel=1e-10)
 
     def test_floor_marks_infeasible(self):
-        _, _, feasible = models.project_to_keep(10.0, 0.02, 1e6, 100, EPS12)
+        _, _, feasible = reference_chain.project_to_keep(10.0, 0.02, 1e6, 100, EPS12)
         assert not feasible
 
     def test_half_block_clamp(self):
-        n_l1, _, _ = models.project_to_keep(1e6, 0.0, 1e6, 1000, NEAR_ONE)
+        n_l1, _, _ = reference_chain.project_to_keep(1e6, 0.0, 1e6, 1000, NEAR_ONE)
         assert n_l1 <= 500.0
 
     def test_length_domain(self):
         with pytest.raises(ValueError):
-            models.project_to_keep(5e5, 0.02, 1e6, 3_000_000, EPS12)
+            reference_chain.project_to_keep(5e5, 0.02, 1e6, 3_000_000, EPS12)
 
 
 class TestSinglePhotonPopulations:
@@ -545,7 +547,7 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     budget = SecurityBudget()
     pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
                                   params.n_pulses, False, *eps_totals(budget, False))
-    assert not models.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
+    assert not reference_chain.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
                                       budget.eps_sf)[2]
     calls = []
     eve = models.eve_error_rate
@@ -560,6 +562,220 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     # the full chain, which outcome_at still runs, agrees
     assert not pipe.outcome_at(2).feasible
     assert len(calls) == 1
+
+
+SWEEP_ARGV = ("sweep", "--optimize", "--model", "all", "--pulses", "1e13",
+              "--start", "0", "--stop", "150", "--step", "25")
+
+
+@pytest.fixture(scope="module")
+def sweep_pass():
+    """One seed-0 optimized sweep (the paper's curve), counted and recorded.
+
+    Counts the forger-rate inversions (models.eve_error_rate, one inverse
+    H2 each), the pipeline builds and the optimizer's evaluations, and
+    keeps every (pipeline, L) the length searches probed.
+    """
+    counts = {"inverse": 0, "builds": 0, "evals": 0}
+    probes = []
+    eve, build = models.eve_error_rate, models._build_pipeline
+    descent, feasible_at = optimize.coordinate_descent, models._Pipeline.feasible_at
+
+    def counting_eve(*args):
+        counts["inverse"] += 1
+        return eve(*args)
+
+    def counting_build(*args):
+        counts["builds"] += 1
+        return build(*args)
+
+    def counting_descent(*args, **kwargs):
+        point = descent(*args, **kwargs)
+        counts["evals"] += point.evaluations
+        return point
+
+    def recording_feasible_at(self, length):
+        probes.append((self, length))
+        return feasible_at(self, length)
+
+    patches = [(models, "eve_error_rate", counting_eve),
+               (models, "_build_pipeline", counting_build),
+               (optimize, "coordinate_descent", counting_descent),
+               (models._Pipeline, "feasible_at", recording_feasible_at)]
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(list(SWEEP_ARGV)) == 0
+    finally:
+        for owner, name, value in originals:
+            setattr(owner, name, value)
+    return counts, probes
+
+
+def test_sweep_decides_most_length_probes_without_inverting_h2(sweep_pass):
+    """The entropy-space screen replaces most inversions and no decision.
+
+    Each probe the screen decides costs no inverse H2; what is left is
+    its fallbacks and one outcome_at per feasible result (32,414
+    inversions per pass without the screen, 4,095 with it). The pipeline
+    builds and the optimizer's evaluations are those of the unscreened
+    search, so the screen changed no verdict the searches acted on.
+    """
+    counts, _ = sweep_pass
+    assert counts["inverse"] <= 4500, counts
+    assert counts["builds"] == 24195, counts
+    assert counts["evals"] == 3949, counts
+
+
+def screened_verdicts(probes, monkeypatch):
+    """(screened, exact, fell_back) for every (pipeline, L) probe.
+
+    screened is feasible_at's answer, exact the full chain's (outcome_at,
+    which keeps the inverse), and fell_back whether feasible_at ran the
+    full chain (_Pipeline._at) itself.
+    """
+    calls = []
+    at = models._Pipeline._at
+
+    def counting_at(self, *args):
+        calls.append(None)
+        return at(self, *args)
+
+    monkeypatch.setattr(models._Pipeline, "_at", counting_at)
+    verdicts = []
+    for pipe, length in probes:
+        before = len(calls)
+        screened = pipe.feasible_at(length)
+        fell_back = len(calls) > before
+        verdicts.append((screened, pipe.outcome_at(length).feasible, fell_back))
+    return verdicts
+
+
+def assert_screen_agrees(probes, monkeypatch):
+    verdicts = screened_verdicts(probes, monkeypatch)
+    bad = [(p, s, e) for p, (s, e, _) in zip(probes, verdicts) if s != e]
+    assert not bad, bad[:5]
+    return sum(not fell_back for _, _, fell_back in verdicts), len(verdicts)
+
+
+def seeded_screen_pipelines(seed, count):
+    """Pipelines over varied links, pulse counts and budgets, both routes.
+
+    epsilon 1e-8-1e-3; eps_pe, eps_sf and g_prob 1e-15-1e-9; every
+    configuration built direct and x-derived.
+    """
+    rng = np.random.default_rng(seed)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    pipes = []
+    while len(pipes) < count:
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        params = SystemParams(distance_km=float(rng.uniform(0.0, 200.0)),
+                              n_pulses=float(10 ** rng.uniform(10.0, 16.0)))
+        budget = SecurityBudget(epsilon=float(10 ** rng.uniform(-8.0, -3.0)),
+                                eps_pe=float(10 ** rng.uniform(-15.0, -9.0)),
+                                eps_sf=float(10 ** rng.uniform(-15.0, -9.0)),
+                                g_prob=float(10 ** rng.uniform(-15.0, -9.0)))
+        for x_derived in (False, True):
+            pipe = models._build_pipeline(pulse_statistics(params, cfg), cfg, budget,
+                                          params.n_pulses, x_derived,
+                                          *eps_totals(budget, x_derived))
+            if not isinstance(pipe, str) and models._even_floor(pipe.n_pool / 2.0) >= 2:
+                pipes.append(pipe)
+    return pipes
+
+
+def solve_probes(pipe):
+    """L probes around the pipeline's solved length, and log-spaced over [2, l_max]."""
+    l_max = models._even_floor(pipe.n_pool / 2.0)
+    lengths = {models._even_floor(v) for v in np.geomspace(2, l_max, 12)}
+    answer = security.solve_signature_length(pipe.feasible_at, l_max)
+    if answer is not None:
+        lengths.update(answer + step for step in (-4, -2, -1, 0, 1, 2, 4))
+    return [(pipe, length) for length in sorted(lengths) if 2 <= length <= l_max]
+
+
+def test_screen_agrees_with_the_full_chain(sweep_pass, monkeypatch):
+    """feasible_at's screened verdict is the full chain's on every probe.
+
+    The probes: every length probe of a seed-0 optimized sweep pass,
+    every probe of a rate-grid slice (cold solves, many infeasible
+    points), and probes around the solved length of 300 seeded pipelines.
+    Both the screen's decisions and its tau-band fallbacks are reached.
+    """
+    _, sweep_probes = sweep_pass
+    # the default budget leaves the screen on, so every fallback here is
+    # a probe inside the tau band
+    assert all(pipe.rep_log is not None for pipe, _ in sweep_probes)
+    decided, total = assert_screen_agrees(sweep_probes, monkeypatch)
+    assert 0 < decided < total
+
+    grid_probes = []
+    feasible_at = models._Pipeline.feasible_at
+
+    def recording_feasible_at(self, length):
+        grid_probes.append((self, length))
+        return feasible_at(self, length)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(models._Pipeline, "feasible_at", recording_feasible_at)
+        cfg = config_from_vector(REFERENCE_VECTOR)
+        for distance in range(0, 301, 20):
+            for n_pulses in (1e11, 1e12, 1e13, 1e14, 1e15, 1e16):
+                params = SystemParams(distance_km=float(distance), n_pulses=n_pulses)
+                for model in models.MODELS:
+                    models.run_model(model, params, cfg)
+    decided, total = assert_screen_agrees(grid_probes, monkeypatch)
+    assert 0 < decided < total
+
+    seeded = [probe for pipe in seeded_screen_pipelines(523, 300)
+              for probe in solve_probes(pipe)]
+    decided, total = assert_screen_agrees(seeded, monkeypatch)
+    assert 0 < decided < total
+
+
+@pytest.mark.parametrize("budget", [
+    SecurityBudget(epsilon=1e-5, eps_pe=6e-6),  # 2 eps_pe > epsilon
+    SecurityBudget(epsilon=1e-8, eps_sf=1e-9),  # c >= epsilon
+    SecurityBudget(epsilon=1e-5, g_prob=7e-6),  # epsilon / 2 < c < epsilon
+], ids=["robustness-spent", "ledger-over-epsilon", "ledger-over-half"])
+def test_screen_off_where_the_forging_ledger_may_bind(budget, monkeypatch):
+    """A budget with c = g_prob + eps_pe + eps_n + eps_e > epsilon / 2 has no
+    screen: every probe whose projection passes runs the full chain."""
+    params = SystemParams(distance_km=25.0, n_pulses=1e13)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    probes = []
+    for x_derived in (False, True):
+        pipe = models._build_pipeline(pulse_statistics(params, cfg), cfg, budget,
+                                      params.n_pulses, x_derived,
+                                      *eps_totals(budget, x_derived))
+        assert pipe.rep_log is None
+        probes += [probe for probe in solve_probes(pipe) if pipe._keep(probe[1])[2]]
+    verdicts = screened_verdicts(probes, monkeypatch)
+    assert len(verdicts) >= 10
+    assert all(s == e and fell_back for s, e, fell_back in verdicts)
+
+
+def test_keep_block_is_bit_identical_to_the_reference():
+    """_Pipeline._keep equals reference_chain's project_to_keep and
+    keep_error_bound exactly, on passing and failing projections, and
+    rejects a length outside [2, 2|Z|] as the reference does."""
+    seen = {True: 0, False: 0}
+    for pipe in seeded_screen_pipelines(41, 60):
+        l_max = models._even_floor(pipe.n_pool / 2.0)
+        for length in {models._even_floor(v) for v in np.geomspace(2, l_max, 30)} | {2, 3}:
+            want = (*reference_chain.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal,
+                                                     length, pipe.budget.eps_sf),
+                    reference_chain.keep_error_bound(pipe.e_test, length, pipe.n_test,
+                                                     pipe.budget.eps_pe))
+            assert pipe._keep(length) == want
+            seen[want[2]] += 1
+        for length in (1, 2 * pipe.z_signal + 2):
+            with pytest.raises(ValueError):
+                pipe._keep(length)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_sob_feasibility_not_monotone_at_integer_scale():
