@@ -75,7 +75,10 @@ SIGNAL = 0
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Device constants, link geometry and statistical budget of a run.
+    """Device constants, link geometry and error-test fraction of a run.
+
+    The security level and its failure-probability split are a
+    security.SecurityBudget, passed to the runners beside these.
 
     Attributes
     ----------
@@ -95,8 +98,6 @@ class SystemParams:
     r_test : float
         Fraction of signal-basis key events sacrificed for the error
         test, in (0, 1).
-    epsilon : float
-        Overall security level of the protocol.
     """
 
     alpha: float = 0.2
@@ -106,7 +107,6 @@ class SystemParams:
     distance_km: float = 100.0
     n_pulses: float = 1e12
     r_test: float = 0.055
-    epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
         # NaN passes every chained range comparison below
@@ -128,8 +128,6 @@ class SystemParams:
             raise ValueError(f"n_pulses must be <= {MAX_PULSES:g}, got {self.n_pulses}")
         if not 0.0 < self.r_test < 1.0:
             raise ValueError(f"r_test must be in (0, 1), got {self.r_test}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
 

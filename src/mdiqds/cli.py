@@ -83,7 +83,7 @@ class RunConfig:
             alpha=self.alpha, eta_d=self.eta_d, p_dc=self.p_dc, e_d=self.e_d,
             distance_km=self.distance_km if distance_km is None else distance_km,
             n_pulses=self.pulses if pulses is None else pulses,
-            r_test=self.r_test, epsilon=self.epsilon)
+            r_test=self.r_test)
 
     def intensity_config(self) -> IntensityConfig:
         return IntensityConfig.symmetric(a_s=self.a_s, a_d1=self.a_d1,
@@ -193,8 +193,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dump-config", metavar="PATH",
                    help="write the effective configuration as JSON and continue")
     p.add_argument("--model", choices=MODELS + ("all",))
-    p.add_argument("--distance-km", type=float, dest="distance_km")
-    p.add_argument("--pulses", type=float)
     p.add_argument("--optimize", action="store_true", default=None)
     p.add_argument("--starts", type=int, help="optimizer multi-start count")
     p.add_argument("--seed", type=int)
@@ -202,15 +200,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when every requested result is infeasible")
-    for flag, dest in (("--alpha", "alpha"), ("--eta-d", "eta_d"),
-                       ("--p-dc", "p_dc"), ("--e-d", "e_d"),
-                       ("--r-test", "r_test"), ("--epsilon", "epsilon"),
-                       ("--eps-pe", "eps_pe"), ("--eps-sf", "eps_sf"),
-                       ("--g-prob", "g_prob"), ("--a-s", "a_s"),
-                       ("--a-d1", "a_d1"), ("--a-d2", "a_d2"),
-                       ("--p-as", "p_as"), ("--p-ad1", "p_ad1"),
-                       ("--p-z", "p_z")):
-        p.add_argument(flag, type=float, dest=dest)
+    # one flag per float field of RunConfig: --eta-d sets eta_d
+    for field_ in dataclasses.fields(RunConfig):
+        if field_.type == "float":
+            p.add_argument("--" + field_.name.replace("_", "-"), type=float, dest=field_.name)
 
 
 def build_parser() -> _Parser:

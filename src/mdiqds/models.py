@@ -14,6 +14,14 @@ to support the concentration argument, the point is infeasible rather
 than given an unsound bound. Every gate and deviation consumes a failure
 probability; eps_ledgers lists them per model.
 
+Each rate evaluation (one model at one (params, cfg, budget)) builds one
+record, _Evaluation, of what all its probes share: the budget, with
+SecurityBudget() resolved there for a caller that passes none, the
+channel record, the ledgers and their totals, and the logarithms and
+thresholds the probes read. A probe scales it to a pulse count
+(_build_pipeline), and the _Pipeline it gets keeps only what depends
+on that count.
+
 They differ in two places. The sign-one-bit model ("sob") dedicates a
 whole block of N_s pulse pairs to a single signed bit, with the entire
 key pool forming that bit's signature material, and bisects for a
@@ -190,18 +198,60 @@ class RateResult:
         return _ledger_total(self.eps_e_terms)
 
 
-class _Pipeline(NamedTuple):
-    """Length-independent state of one estimation run.
+class _Evaluation(NamedTuple):
+    """What every probe of one rate evaluation shares; _evaluation builds it.
 
-    eps_n/eps_e are the totals of the model's eps_ledgers, taken once
-    per rate evaluation, and log_inv_sf/log_inv_pe are ln(1/eps_sf) and
-    ln(1/eps_pe), so that a length probe does only the work that depends
-    on L. rep_log = 36 ln(2/epsilon) gives the least forger margin that
-    meets the repudiation bound, d_req(L) = sqrt(rep_log / L); it is None
-    where the budget leaves the entropy-space screen of feasible_at off
-    (c = g_prob + eps_pe + eps_n + eps_e above epsilon / 2). A
-    NamedTuple, built positionally: the block-size search builds one per
-    probe.
+    model, params and cfg name the evaluation, and budget is the one
+    it spends (SecurityBudget() where the caller passes None). channel
+    is pulse_statistics(params, cfg), x_derived whether n_Z1 comes from
+    the X basis (smb2), ledgers the model's eps_ledgers and eps_n/eps_e
+    their totals. log_inv_sf/log_inv_pe are ln(1/eps_sf) and
+    ln(1/eps_pe), and gate = max((32/3) ln(2/eps_sf), 3 ln(1/eps_sf)) is
+    the decoy validity threshold. rep_log = 36 ln(2/epsilon) gives the
+    least forger margin that meets the repudiation bound, d_req(L) =
+    sqrt(rep_log / L); it is None where the budget leaves the
+    entropy-space screen of _Pipeline.feasible_at off (c = g_prob +
+    eps_pe + eps_n + eps_e above epsilon / 2).
+    """
+
+    model: str
+    params: SystemParams
+    cfg: IntensityConfig
+    budget: SecurityBudget
+    channel: PulseStatistics
+    x_derived: bool
+    ledgers: tuple[EpsTerms, EpsTerms]
+    eps_n: float
+    eps_e: float
+    log_inv_sf: float
+    log_inv_pe: float
+    gate: float
+    rep_log: float | None
+
+
+def _evaluation(model: str, params: SystemParams, cfg: IntensityConfig,
+                budget: SecurityBudget | None) -> _Evaluation:
+    """The record of one rate evaluation of model at (params, cfg)."""
+    budget = budget if budget is not None else SecurityBudget()
+    x_derived = model == "smb2"
+    ledgers = eps_ledgers(budget, x_derived)
+    eps_n, eps_e = map(_ledger_total, ledgers)
+    eps, epsilon = budget.eps_sf, budget.epsilon
+    log_inv = math.log(1.0 / eps)
+    rep_log = (36.0 * math.log(2.0 / epsilon)
+               if budget.g_prob + budget.eps_pe + eps_n + eps_e <= 0.5 * epsilon else None)
+    return _Evaluation(model, params, cfg, budget, pulse_statistics(params, cfg), x_derived,
+                       ledgers, eps_n, eps_e, log_inv, math.log(1.0 / budget.eps_pe),
+                       max(32.0 / 3.0 * math.log(2.0 / eps), 3.0 * log_inv), rep_log)
+
+
+class _Pipeline(NamedTuple):
+    """The estimation state of one evaluation at one pulse count.
+
+    It holds only what depends on the pulse count; ev is the evaluation
+    record the pulse count was scaled from, so that a length probe does
+    only the work that depends on L. A NamedTuple, built positionally:
+    the block-size search builds one per probe.
     """
 
     n_z1: float
@@ -212,12 +262,7 @@ class _Pipeline(NamedTuple):
     n_test: float
     n_pool: float
     e_test: float
-    budget: SecurityBudget
-    eps_n: float
-    eps_e: float
-    log_inv_sf: float
-    log_inv_pe: float
-    rep_log: float | None
+    ev: _Evaluation
 
     def _keep(self, length: float) -> tuple[float, float, bool, float]:
         """The kept block at L: (n_L1, e_L1, keep_ok, E_keep).
@@ -233,7 +278,7 @@ class _Pipeline(NamedTuple):
         n_L1 is clamped to [0, L/2] and e_L1 capped at 1; n_L1 < 1
         (reported as (0, 1)) or a capped e_L1 fails the projection.
         Lambda (bounds.sampling_lambda) and the penalty are written out in
-        their operation order with the stored logs: the build has checked
+        their operation order with ev's logs: the build has checked
         every argument but L. tests/reference_chain.py holds the
         bit-identical reference.
         """
@@ -241,10 +286,10 @@ class _Pipeline(NamedTuple):
         if not 2 <= length <= 2 * z_signal:
             raise ValueError(f"need 2 <= L <= 2*|Z|, got L={length}, |Z|={z_signal}")
         half = length / 2.0
-        n_test = self.n_test
+        n_test, ev = self.n_test, self.ev
         e_keep = min(self.e_test + (2.0 / length) * math.sqrt(
-            (half + 1.0) * (half + n_test) * self.log_inv_pe / (2.0 * n_test)), 1.0)
-        n_z1, log_inv = self.n_z1, self.log_inv_sf
+            (half + 1.0) * (half + n_test) * ev.log_inv_pe / (2.0 * n_test)), 1.0)
+        n_z1, log_inv = self.n_z1, ev.log_inv_sf
         n_l1 = n_z1 * half / z_signal - math.sqrt(
             (z_signal - half + 1.0) * half * log_inv / (2.0 * z_signal))
         n_l1 = min(max(n_l1, 0.0), half)
@@ -264,12 +309,12 @@ class _Pipeline(NamedTuple):
         p_forge, thresholds_ok, secure), secure being the verdict of the
         bounds alone; the length is feasible if the projection passed too.
         """
-        budget = self.budget
+        ev = self.ev
         p_e = eve_error_rate(n_l1, h_l1, length)
         s_a, s_v, ordered = thresholds(e_keep, p_e)
         p_rob, p_rep, p_forge = security_probabilities(
-            s_a, s_v, length, p_e, budget, self.eps_n, self.eps_e)
-        secure = ordered and max(p_rob, p_rep, p_forge) <= budget.epsilon
+            s_a, s_v, length, p_e, ev.budget, ev.eps_n, ev.eps_e)
+        secure = ordered and max(p_rob, p_rep, p_forge) <= ev.budget.epsilon
         return p_e, s_a, s_v, p_rob, p_rep, p_forge, ordered, secure
 
     def feasible_at(self, length: float) -> bool:
@@ -292,15 +337,16 @@ class _Pipeline(NamedTuple):
         tau (p_E may be exactly 1/2), and rhs - H2(p_req) compared with
         +-tau, tau = 1e-9, far above the 1e-13 error of the inverse and
         the float error of the full chain. A probe inside the band, or a
-        budget with c > epsilon / 2 (rep_log None), runs the full chain,
+        budget with c > epsilon / 2 (ev.rep_log None), runs the full chain,
         so every verdict is the one it gives.
         """
         n_l1, e_l1, keep_ok, e_keep = self._keep(length)
         if not keep_ok:
             return False
         h_l1 = binary_entropy(e_l1)
-        if self.rep_log is not None:
-            p_req = e_keep + math.sqrt(self.rep_log / length)
+        rep_log = self.ev.rep_log
+        if rep_log is not None:
+            p_req = e_keep + math.sqrt(rep_log / length)
             if p_req > 0.5 + _SCREEN_TAU:
                 return False
             if p_req <= 0.5:
@@ -334,16 +380,12 @@ def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, log_inv_eps: float) -> floa
         (n_z1 + 1.0) * log_inv_eps / (2.0 * n_x1 * (n_z1 + n_x1)))
 
 
-def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
-                    budget: SecurityBudget, n_pulses: float, x_derived: bool,
-                    eps_n: float, eps_e: float) -> _Pipeline | str:
-    """Assemble the length-independent estimation state, or a failure reason.
+def _build_pipeline(ev: _Evaluation, n_pulses: float) -> _Pipeline | str:
+    """Scale the evaluation ev to n_pulses: its estimation state, or a failure reason.
 
-    channel is the per-pulse record of (params, cfg), scaled here to
-    n_pulses; eps_n/eps_e are the totals of eps_ledgers(budget, x_derived).
     Every probe of every search builds one, so the whole estimation chain
-    runs as one straight-line pass, with ln(1/eps_sf) and the gate
-    threshold taken once:
+    runs as one straight-line pass on ev's channel record, with
+    ln(1/eps_sf) and the gate threshold read from ev:
 
     - the expected counts at n pulses, each product and nine-cell sum in
       the order of the channel's 3x3 tables (numpy's pairwise order);
@@ -353,12 +395,10 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
       the concentration argument does not hold and the point is rate 0;
     - the Hoeffding bounds n_Z1, n_X1 = mean - g and m_X1 = mean + g on
       the channel model's (1,1) means, g = sqrt(2 x ln(1/eps));
-    - for smb2 (x_derived), the preparation populations N-_Z1 = 2 a_s
+    - for smb2 (ev.x_derived), the preparation populations N-_Z1 = 2 a_s
       e^{-2 a_s} N_{z,ss} - g and N+_X1 = sum of (a+b) e^{-a-b} N_{x,ab}
       + g, and the transfer n_Z1 = n_X1 N-_Z1/N+_X1 - gamma_count;
-    - the Serfling step e_Z1 = min(ceil(raw m_Z1), n_Z1) / n_Z1;
-    - the length probes' constants: ln(1/eps_sf), ln(1/eps_pe) and the
-      screen's rep_log (see _Pipeline).
+    - the Serfling step e_Z1 = min(ceil(raw m_Z1), n_Z1) / n_Z1.
 
     tests/reference_chain.py keeps the chain as its separate layers, the
     bit-identical reference for this pass. The reasons are checked in the
@@ -367,8 +407,8 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     step needs an X sample of at least one), then an empty error test.
     """
     n = n_pulses
-    eps = budget.eps_sf
-    log_inv = math.log(1.0 / eps)
+    channel = ev.channel
+    log_inv = ev.log_inv_sf
     y0, y1, y2, y3, y4, y5, y6, y7, y8 = channel.cell_yield
     z0, z1, z2, z3, z4, z5, z6, z7, z8 = channel.frac_z
     x0, x1, x2, x3, x4, x5, x6, x7, x8 = channel.frac_x
@@ -382,7 +422,7 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
                + ((p4 * y4 + p5 * y5) + (p6 * y6 + p7 * y7))) + p8 * y8
     # both gate conditions at once; the threshold is positive, so an
     # exposure that passes it is positive too
-    threshold = max(32.0 / 3.0 * math.log(2.0 / eps), 3.0 * log_inv)
+    threshold = ev.gate
     if not (z_signal - math.sqrt(z_total / 2.0 * log_inv) >= threshold
             and x_total - math.sqrt(x_total / 2.0 * log_inv) >= threshold):
         return "decoy validity gate failed"
@@ -401,12 +441,12 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     e11_x = (((s0 * e11 + s1 * e11) + (s2 * e11 + s3 * e11))
              + ((s4 * e11 + s5 * e11) + (s6 * e11 + s7 * e11))) + s8 * e11
     m_x1 = e11_x + math.sqrt(2.0 * e11_x * log_inv)
-    if x_derived:
-        a_s = cfg.a_s
+    if ev.x_derived:
+        a_s = ev.cfg.a_s
         pop_lo = 2.0 * a_s * math.exp(-2.0 * a_s) * pulses_z0 - math.sqrt(
             2.0 * pulses_z0 * log_inv)
         pop_hi = 0.0
-        for (a, b), p in zip(product(cfg.intensities, repeat=2),
+        for (a, b), p in zip(product(ev.cfg.intensities, repeat=2),
                              (p0, p1, p2, p3, p4, p5, p6, p7, p8)):
             pop_hi += (a + b) * math.exp(-a - b) * p + math.sqrt(2.0 * p * log_inv)
         if pop_lo <= 0 or pop_hi < 1:
@@ -422,13 +462,9 @@ def _build_pipeline(channel: PulseStatistics, cfg: IntensityConfig,
     n_test = r_test * z_signal
     if n_test < 1:
         return "error-test sample is empty"
-    epsilon = budget.epsilon
-    rep_log = (36.0 * math.log(2.0 / epsilon)
-               if budget.g_prob + budget.eps_pe + eps_n + eps_e <= 0.5 * epsilon else None)
     # positional, in _Pipeline's field order
     return _Pipeline(n_z1, n_x1, m_x1, e_z1, z_signal, n_test, (1.0 - r_test) * z_signal,
-                     pulses_z0 * channel.cell_err[0] / z_signal, budget, eps_n, eps_e,
-                     log_inv, math.log(1.0 / budget.eps_pe), rep_log)
+                     pulses_z0 * channel.cell_err[0] / z_signal, ev)
 
 
 def _rate_stop(rate: Callable[[int], float], floor: float, cap: int) -> int | None:
@@ -463,19 +499,18 @@ def _even_floor(x: float) -> int:
     return n - (n % 2)
 
 
-def _infeasible(model: str, params: SystemParams, cfg: IntensityConfig,
-                reason: str) -> RateResult:
-    return RateResult(model=model, distance_km=params.distance_km,
+def _infeasible(ev: _Evaluation, reason: str) -> RateResult:
+    params = ev.params
+    return RateResult(model=ev.model, distance_km=params.distance_km,
                       n_pulses=params.n_pulses, feasible=False,
-                      config=cfg, reason=reason)
+                      config=ev.cfg, reason=reason)
 
 
-def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
-                 pipe: _Pipeline, ledgers: tuple[EpsTerms, EpsTerms],
-                 outcome: SecurityOutcome, rate: float, n_bits: float,
+def _result_from(pipe: _Pipeline, outcome: SecurityOutcome, rate: float, n_bits: float,
                  block_size: int | None = None) -> RateResult:
+    ev = pipe.ev
     return RateResult(
-        model=model, distance_km=params.distance_km, n_pulses=params.n_pulses,
+        model=ev.model, distance_km=ev.params.distance_km, n_pulses=ev.params.n_pulses,
         feasible=True, rate=rate, n_bits=n_bits, length=outcome.length,
         block_size=block_size, n_pool=pipe.n_pool, n_test=pipe.n_test,
         n_z1=pipe.n_z1, n_x1=pipe.n_x1, m_x1=pipe.m_x1, e_z1=pipe.e_z1,
@@ -483,11 +518,10 @@ def _result_from(model: str, params: SystemParams, cfg: IntensityConfig,
         e_test=outcome.e_test, e_keep=outcome.e_keep, p_e=outcome.p_e,
         s_a=outcome.s_a, s_v=outcome.s_v, p_robust=outcome.p_robust,
         p_repudiation=outcome.p_repudiation, p_forge=outcome.p_forge,
-        eps_n_terms=ledgers[0], eps_e_terms=ledgers[1], config=cfg)
+        eps_n_terms=ev.ledgers[0], eps_e_terms=ev.ledgers[1], config=ev.cfg)
 
 
-def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
-             budget: SecurityBudget, floor: float) -> RateResult:
+def _run_smb(ev: _Evaluation, floor: float) -> RateResult:
     """smb1 (direct) or smb2 (x-derived) rate: the smallest feasible even L.
 
     A positive floor turns into a half-length stop: only L below 2 * stop
@@ -495,24 +529,20 @@ def _run_smb(model: str, params: SystemParams, cfg: IntensityConfig,
     L and searches down from it, and returns None at once when that L is
     infeasible. Every length probe goes through solve_signature_length.
     """
-    x_derived = model == "smb2"
-    ledgers = eps_ledgers(budget, x_derived)
-    eps_n, eps_e = map(_ledger_total, ledgers)
-    pipe = _build_pipeline(pulse_statistics(params, cfg), cfg, budget, params.n_pulses,
-                           x_derived, eps_n, eps_e)
+    n_pulses = ev.params.n_pulses
+    pipe = _build_pipeline(ev, n_pulses)
     if isinstance(pipe, str):
-        return _infeasible(model, params, cfg, pipe)
-    n_pool, n_pulses = pipe.n_pool, params.n_pulses
+        return _infeasible(ev, pipe)
+    n_pool = pipe.n_pool
     l_max = _even_floor(n_pool / 2.0)
     stop = _rate_stop(lambda k: signed_bits(n_pool, 2 * k) / n_pulses, floor, l_max // 2)
     length = solve_signature_length(pipe.feasible_at, l_max, stop=stop)
     if length is None:
         reason = "no feasible signature length" if stop is None else FLOOR_REASON
-        return _infeasible(model, params, cfg, reason)
+        return _infeasible(ev, reason)
     outcome = pipe.outcome_at(length)
     n_bits = signed_bits(n_pool, length)
-    return _result_from(model, params, cfg, pipe, ledgers, outcome,
-                        rate=n_bits / n_pulses, n_bits=n_bits)
+    return _result_from(pipe, outcome, rate=n_bits / n_pulses, n_bits=n_bits)
 
 
 def run_smb1(params: SystemParams, cfg: IntensityConfig,
@@ -522,8 +552,7 @@ def run_smb1(params: SystemParams, cfg: IntensityConfig,
     The signature length is the smallest even L the solver accepts, so
     the result depends on the inputs alone. floor is as in run_model.
     """
-    budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    return _run_smb("smb1", params, cfg, budget, floor)
+    return _run_smb(_evaluation("smb1", params, cfg, budget), floor)
 
 
 def run_smb2(params: SystemParams, cfg: IntensityConfig,
@@ -532,17 +561,15 @@ def run_smb2(params: SystemParams, cfg: IntensityConfig,
 
     floor is as in run_model.
     """
-    budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    return _run_smb("smb2", params, cfg, budget, floor)
+    return _run_smb(_evaluation("smb2", params, cfg, budget), floor)
 
 
-def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityBudget,
-               n_s: int, eps_n: float, eps_e: float) -> tuple[_Pipeline, int] | None:
+def _sob_block(ev: _Evaluation, n_s: int) -> tuple[_Pipeline, int] | None:
     """Pipeline and L of one block of n_s pulse pairs, or None.
 
     None when the block fails a gate or cannot sign one bit securely.
     """
-    pipe = _build_pipeline(channel, cfg, budget, float(n_s), False, eps_n, eps_e)
+    pipe = _build_pipeline(ev, float(n_s))
     if isinstance(pipe, str):
         return None
     length = _even_floor(pipe.n_pool / 2.0)
@@ -551,8 +578,7 @@ def _sob_block(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityB
     return pipe, length
 
 
-def _sob_relaxed(channel: PulseStatistics, cfg: IntensityConfig, budget: SecurityBudget,
-                 n: int, eps_n: float, eps_e: float, optimistic: bool) -> bool:
+def _sob_relaxed(ev: _Evaluation, n: int, optimistic: bool) -> bool:
     """Relaxed block probe, monotone in n: Q(n) if optimistic, else R(n).
 
     The optimistic Q is true wherever _sob_block(n) is: it builds the
@@ -590,14 +616,14 @@ def _sob_relaxed(channel: PulseStatistics, cfg: IntensityConfig, budget: Securit
         size, extra, shrink = math.ceil(n * (1.0 + _SOB_RELAX_ETA)), 0.0, 0.0
     else:
         size, extra, shrink = math.floor(n * (1.0 - _SOB_RELAX_ETA)), 1.0, 2.0
-    pipe = _build_pipeline(channel, cfg, budget, float(size), False, eps_n, eps_e)
+    pipe = _build_pipeline(ev, float(size))
     if isinstance(pipe, str):
         return False
     length = pipe.n_pool / 2.0 - shrink
     if length < 2.0:
         return False
     n_z1 = pipe.n_z1  # positive: the decoy gates passed
-    raw = _raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, pipe.log_inv_sf)
+    raw = _raw_m_z1(n_z1, pipe.n_x1, pipe.m_x1, ev.log_inv_sf)
     e_z1 = min(raw + extra, n_z1) / n_z1
     return pipe._replace(e_z1=e_z1).feasible_at(length)
 
@@ -625,10 +651,7 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     its stop, so it needs none of those blocks. Either way the search
     makes the same decisions as without the probes.
     """
-    budget = budget if budget is not None else SecurityBudget(epsilon=params.epsilon)
-    channel = pulse_statistics(params, cfg)
-    ledgers = eps_ledgers(budget, x_derived=False)
-    eps_n, eps_e = map(_ledger_total, ledgers)
+    ev = _evaluation("sob", params, cfg, budget)
     feasible_blocks: dict[int, tuple[_Pipeline, int]] = {}
     cap = int(params.n_pulses)
     known_infeasible = 0  # every block up to this size is infeasible
@@ -639,36 +662,38 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
             return False
         if n >= known_feasible:
             return True
-        block = _sob_block(channel, cfg, budget, n, eps_n, eps_e)
+        block = _sob_block(ev, n)
         if block is not None:
             feasible_blocks[n] = block
         return block is not None
 
     stop = _rate_stop(lambda n: 1.0 / n, floor, cap)
     if stop is not None:  # stop <= cap; a block of 0 pulses fails the decoy gates
-        if not _sob_relaxed(channel, cfg, budget, stop - 1, eps_n, eps_e, True):
-            return _infeasible("sob", params, cfg, FLOOR_REASON)
+        if not _sob_relaxed(ev, stop - 1, True):
+            return _infeasible(ev, FLOOR_REASON)
         n_lo = int((stop - 1) * (1.0 - _SOB_PREFIX_DELTA))
-        if not _sob_relaxed(channel, cfg, budget, n_lo, eps_n, eps_e, True):
+        if not _sob_relaxed(ev, n_lo, True):
             known_infeasible = n_lo
         n_hi = math.ceil(stop * (1.0 + _SOB_SUFFIX_DELTA))
-        if n_hi <= cap and _sob_relaxed(channel, cfg, budget, n_hi, eps_n, eps_e, False):
+        if n_hi <= cap and _sob_relaxed(ev, n_hi, False):
             known_feasible = n_hi
     # the search returns a size it probed feasible and below any stop, so
     # its block is kept
     n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, cap, stop)
     if n_s is None:
         reason = "no feasible block size" if stop is None else FLOOR_REASON
-        return _infeasible("sob", params, cfg, reason)
+        return _infeasible(ev, reason)
     pipe, length = feasible_blocks[n_s]
     n_bits = params.n_pulses / n_s
-    return _result_from("sob", params, cfg, pipe, ledgers, pipe.outcome_at(length),
-                        rate=1.0 / n_s, n_bits=n_bits, block_size=n_s)
+    return _result_from(pipe, pipe.outcome_at(length), rate=1.0 / n_s, n_bits=n_bits,
+                        block_size=n_s)
 
 
 def run_model(model: str, params: SystemParams, cfg: IntensityConfig,
               budget: SecurityBudget | None = None, floor: float = 0.0) -> RateResult:
     """Dispatch by model name ('sob', 'smb1' or 'smb2').
+
+    A budget of None spends SecurityBudget(), the default security level.
 
     floor is a rate the caller already holds. Where the result's rate
     exceeds it, the result is exactly that of floor 0. Otherwise the

@@ -198,34 +198,25 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
 
 
 def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
-                       s_a: float, s_v: float, trials: int,
-                       method: str) -> tuple[int, int, int]:
-    """(successes, bob_accepts, charlie_rejects) for one mismatch count."""
-    import numpy as np
+                       s_a: float, s_v: float, trials: int) -> tuple[int, int, int]:
+    """(successes, bob_accepts, charlie_rejects) for one mismatch count.
+
+    The mismatches each recipient keeps are a hypergeometric draw of its
+    half, the two strings' halves drawn independently: the counts
+    recipient_mismatches takes from the bits of make_key_material.
+    """
     half = length // 2
-    if method == "hypergeometric":
-        # kept-half overlap counts are hypergeometric; the two strings
-        # are exchanged independently
-        h_bb = rng.hypergeometric(mismatches, length - mismatches, half, trials)
-        h_cc = rng.hypergeometric(mismatches, length - mismatches, half, trials)
-        bob = h_bb + (mismatches - h_cc)
-        charlie = h_cc + (mismatches - h_bb)
-    elif method == "bits":
-        bob = np.empty(trials, dtype=np.int64)
-        charlie = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            km = make_key_material(rng, length, mismatches, mismatches)
-            bob[t], charlie[t] = recipient_mismatches(km)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    h_bb = rng.hypergeometric(mismatches, length - mismatches, half, trials)
+    h_cc = rng.hypergeometric(mismatches, length - mismatches, half, trials)
+    bob = h_bb + (mismatches - h_cc)
+    charlie = h_cc + (mismatches - h_bb)
     accept = bob / length < s_a
     reject = charlie / length >= s_v
     return int((accept & reject).sum()), int(accept.sum()), int(reject.sum())
 
 
 def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
-                         seed: int = 0, mismatches: int | None = None,
-                         method: str = "hypergeometric") -> TrialStats:
+                         seed: int = 0, mismatches: int | None = None) -> TrialStats:
     """Repudiation success frequency of a mismatch-planting signer.
 
     Success means the first recipient accepts (fraction < s_a) while the
@@ -248,14 +239,14 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     import numpy as np
     seq = np.random.SeedSequence(seed)
     runs = [(*_repudiation_batch(np.random.default_rng(child), length, m,
-                                 s_a, s_v, trials, method), m)
+                                 s_a, s_v, trials), m)
             for child, m in zip(seq.spawn(len(grid)), grid)]
     # max keeps the first of equal success counts, so ties go to the lower m
     successes, accepts, rejects, m_best = max(runs, key=lambda run: run[0])
     return _stats("repudiation", trials, successes, bound, seed,
                   {"mismatches": m_best, "bob_accepts": accepts,
                    "charlie_rejects": rejects, "length": length,
-                   "s_a": s_a, "s_v": s_v, "method": method})
+                   "s_a": s_a, "s_v": s_v})
 
 
 def simulate_forging(length: int, p_e: float, s_v: float, trials: int,

@@ -169,25 +169,19 @@ def coordinate_descent(objective: Objective, space: SearchSpace,
             while step >= MIN_STEP:
                 moved = False
                 for direction in (+1.0, -1.0):
-                    cand = list(x)
-                    cand[i] += direction * step
-                    cand = space.clip_project(cand)
-                    fc = score(cand, f)
-                    if fc > f:
+                    # walk while the same move pays off; a direction that
+                    # pays once is the visit's only one
+                    while True:
+                        cand = list(x)
+                        cand[i] += direction * step
+                        cand = space.clip_project(cand)
+                        fc = score(cand, f)
+                        if fc <= f:
+                            break
                         x, f = cand, fc
                         history.append(fc)
                         moved = True
-                        # keep walking while the same move pays off
-                        while True:
-                            cand = list(x)
-                            cand[i] += direction * step
-                            cand = space.clip_project(cand)
-                            fc = score(cand, f)
-                            if fc > f:
-                                x, f = cand, fc
-                                history.append(fc)
-                            else:
-                                break
+                    if moved:
                         break
                 if moved:
                     cur_step[i] = step

@@ -15,6 +15,8 @@ in the order the build forms it:
 and reference_build assembles them as _build_pipeline used to, returning
 the same models._Pipeline or the same reason string. Every deviation
 goes through mdiqds.bounds, with its own log(1/eps) and its checks.
+reference_evaluation is the per-evaluation record those pipelines carry,
+models._Evaluation, with each constant written as its definition.
 
 project_to_keep and keep_error_bound are the same reference for the kept
 block of _Pipeline._keep: the keep-block projection and the error-test
@@ -22,7 +24,9 @@ bound E_keep, each through its mdiqds.bounds deviation.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +38,7 @@ from mdiqds.bounds import (
     serfling_fraction_gamma,
     test_sample_penalty,
 )
-from mdiqds.channel import IntensityConfig, PulseStatistics
+from mdiqds.channel import IntensityConfig, PulseStatistics, SystemParams, pulse_statistics
 from mdiqds.security import SecurityBudget
 
 
@@ -197,15 +201,44 @@ def estimate_e_z1(n_z1: float, n_x1: float, m_x1: float,
     return m_z1, m_z1 / n_z1
 
 
-def reference_build(channel: PulseStatistics, cfg: IntensityConfig,
-                    budget: SecurityBudget, n_pulses: float, x_derived: bool,
-                    eps_n: float, eps_e: float) -> models._Pipeline | str:
-    """_build_pipeline's result, assembled from the four layers."""
+def reference_evaluation(model: str, params: SystemParams, cfg: IntensityConfig,
+                         budget: SecurityBudget | None) -> models._Evaluation:
+    """models._evaluation's record, each constant from its definition.
+
+    The ledger totals run left to right, as RateResult.eps_n does; rep_log
+    is 36 ln(2/epsilon) where c = g_prob + eps_pe + eps_n + eps_e is at
+    most epsilon / 2, else None.
+    """
+    budget = SecurityBudget() if budget is None else budget
+    x_derived = model == "smb2"
+    ledgers = models.eps_ledgers(budget, x_derived)
+    eps_n, eps_e = (functools.reduce(operator.add, (v for _, v in terms), 0.0)
+                    for terms in ledgers)
+    eps = budget.eps_sf
+    c = budget.g_prob + budget.eps_pe + eps_n + eps_e
+    rep_log = 36.0 * math.log(2.0 / budget.epsilon) if c <= budget.epsilon / 2.0 else None
+    return models._Evaluation(
+        model=model, params=params, cfg=cfg, budget=budget,
+        channel=pulse_statistics(params, cfg), x_derived=x_derived, ledgers=ledgers,
+        eps_n=eps_n, eps_e=eps_e, log_inv_sf=math.log(1.0 / eps),
+        log_inv_pe=math.log(1.0 / budget.eps_pe),
+        gate=max((32.0 / 3.0) * math.log(2.0 / eps), 3.0 * math.log(1.0 / eps)),
+        rep_log=rep_log)
+
+
+def reference_build(ev: models._Evaluation, n_pulses: float) -> models._Pipeline | str:
+    """_build_pipeline's result at n_pulses, assembled from the four layers.
+
+    It reads the channel record, configuration and budget of ev and
+    attaches ev to the pipeline; every constant it needs comes from the
+    layers.
+    """
+    channel, cfg, budget = ev.channel, ev.cfg, ev.budget
     counts = pulse_counts(channel, n_pulses)
     est = single_photon_bounds(counts, eps1=budget.eps_sf, eps_cell=budget.eps_sf)
     if not est.valid:
         return "decoy validity gate failed"
-    if x_derived:
+    if ev.x_derived:
         pop_lo, pop_hi = single_photon_populations(counts, cfg, budget.eps_sf)
         if pop_lo <= 0 or pop_hi < 1:
             return "single-photon population bound non-positive"
@@ -221,13 +254,9 @@ def reference_build(channel: PulseStatistics, cfg: IntensityConfig,
     n_test = channel.r_test * z_signal
     if n_test < 1:
         return "error-test sample is empty"
-    c = budget.g_prob + budget.eps_pe + eps_n + eps_e
-    rep_log = 36.0 * math.log(2.0 / budget.epsilon) if c <= budget.epsilon / 2.0 else None
     return models._Pipeline(n_z1, est.n_x1, est.m_x1, e_z1, z_signal, n_test,
                             (1.0 - channel.r_test) * z_signal,
-                            counts.z_signal_errors / z_signal, budget, eps_n, eps_e,
-                            math.log(1.0 / budget.eps_sf), math.log(1.0 / budget.eps_pe),
-                            rep_log)
+                            counts.z_signal_errors / z_signal, ev)
 
 
 def project_to_keep(n_z1: float, e_z1: float, z_signal: float, length: int,

@@ -58,6 +58,11 @@ class TestSystemParams:
         with pytest.raises(ValueError, match="n_pulses must be <= 1e\\+150"):
             SystemParams(n_pulses=1e151)
 
+    def test_security_level_is_not_a_link_parameter(self):
+        """epsilon lives in SecurityBudget alone, so no second value can shadow it."""
+        with pytest.raises(TypeError):
+            SystemParams(epsilon=1e-8)
+
 
 class TestExpectedTallies:
     def test_linear_in_pulse_count(self):

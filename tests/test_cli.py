@@ -78,6 +78,14 @@ class TestRate:
         _, records, _ = parse_csv(out)
         assert [r["feasible"] for r in records] == ["true", "true", "false"]
 
+    def test_epsilon_flag_sets_the_security_level(self, capsys):
+        """--epsilon reaches the budget: the solved length meets 1e-8, not 1e-5."""
+        code, out, _ = run_cli(capsys, "rate", "--epsilon", "1e-8", "--format", "json")
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["feasible"] is True
+        assert 1e-9 < rec["P_rep"] <= 1e-8
+
     def test_unknown_flag_exit(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--no-such-flag", "1")
         assert code == 1

@@ -27,10 +27,9 @@ CFG = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z
 CFG_SMB2 = IntensityConfig.symmetric(a_s=0.3, a_d1=0.05, p_as=0.95, p_ad1=0.03, p_z=0.9)
 
 
-def eps_totals(budget: SecurityBudget, x_derived: bool) -> tuple[float, float]:
-    """The (eps_n, eps_e) totals a rate evaluation hands its pipelines."""
-    return tuple(models._ledger_total(terms)
-                 for terms in models.eps_ledgers(budget, x_derived))
+def evaluation(params, cfg, budget=None, x_derived=False):
+    """The record an smb evaluation builds: smb2's if x_derived, else smb1's."""
+    return models._evaluation("smb2" if x_derived else "smb1", params, cfg, budget)
 
 
 class TestEstimateEZ1:
@@ -195,9 +194,7 @@ class TestRunners:
         """Returned length is feasible while length - 2 is not."""
         params = SystemParams(distance_km=100.0, n_pulses=1e14)
         r = models.run_smb1(params, CFG)
-        budget = SecurityBudget()
-        pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
-                                      1e14, False, *eps_totals(budget, False))
+        pipe = models._build_pipeline(evaluation(params, CFG), 1e14)
         assert pipe.outcome_at(r.length).feasible
         assert not pipe.outcome_at(r.length - 2).feasible
 
@@ -272,17 +269,14 @@ class TestRunners:
             cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
             params = SystemParams(distance_km=float(rng.uniform(0.0, 150.0)),
                                   n_pulses=n_pulses)
-            budget = SecurityBudget(epsilon=params.epsilon)
-            channel = pulse_statistics(params, cfg)
+            sob = models._evaluation("sob", params, cfg, None)
             grid = np.geomspace(1024, n_pulses, 40).astype(int)
-            flags = [models._sob_block(channel, cfg, budget, int(n),
-                                       *eps_totals(budget, False)) is not None
-                     for n in grid]
+            flags = [models._sob_block(sob, int(n)) is not None for n in grid]
             assert flags == sorted(flags)
             curves += 1
             for x_derived in (False, True):
-                pipe = models._build_pipeline(channel, cfg, budget, n_pulses, x_derived,
-                                              *eps_totals(budget, x_derived))
+                pipe = models._build_pipeline(evaluation(params, cfg, None, x_derived),
+                                              n_pulses)
                 if isinstance(pipe, str):
                     continue
                 cap = models._even_floor(pipe.n_pool / 2.0)
@@ -315,9 +309,8 @@ class TestRunners:
                                     eps_pe=float(10 ** rng.uniform(-15.0, -9.0)),
                                     eps_sf=float(10 ** rng.uniform(-15.0, -9.0)))
             x_derived = bool(rng.uniform() < 0.5)
-            pipe = models._build_pipeline(pulse_statistics(params, cfg), cfg, budget,
-                                          params.n_pulses, x_derived,
-                                          *eps_totals(budget, x_derived))
+            pipe = models._build_pipeline(evaluation(params, cfg, budget, x_derived),
+                                          params.n_pulses)
             if isinstance(pipe, str):
                 continue
             l_max = models._even_floor(pipe.n_pool / 2.0)
@@ -544,11 +537,9 @@ def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):
 def test_failed_projection_skips_security_chain(monkeypatch):
     """feasible_at answers False on a failed keep-block projection at once."""
     params = SystemParams(distance_km=50.0, n_pulses=1e12)
-    budget = SecurityBudget()
-    pipe = models._build_pipeline(pulse_statistics(params, CFG), CFG, budget,
-                                  params.n_pulses, False, *eps_totals(budget, False))
+    pipe = models._build_pipeline(evaluation(params, CFG), params.n_pulses)
     assert not reference_chain.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
-                                      budget.eps_sf)[2]
+                                               SecurityBudget().eps_sf)[2]
     calls = []
     eve = models.eve_error_rate
 
@@ -679,9 +670,8 @@ def seeded_screen_pipelines(seed, count):
                                 eps_sf=float(10 ** rng.uniform(-15.0, -9.0)),
                                 g_prob=float(10 ** rng.uniform(-15.0, -9.0)))
         for x_derived in (False, True):
-            pipe = models._build_pipeline(pulse_statistics(params, cfg), cfg, budget,
-                                          params.n_pulses, x_derived,
-                                          *eps_totals(budget, x_derived))
+            pipe = models._build_pipeline(evaluation(params, cfg, budget, x_derived),
+                                          params.n_pulses)
             if not isinstance(pipe, str) and models._even_floor(pipe.n_pool / 2.0) >= 2:
                 pipes.append(pipe)
     return pipes
@@ -708,7 +698,7 @@ def test_screen_agrees_with_the_full_chain(sweep_pass, monkeypatch):
     _, sweep_probes = sweep_pass
     # the default budget leaves the screen on, so every fallback here is
     # a probe inside the tau band
-    assert all(pipe.rep_log is not None for pipe, _ in sweep_probes)
+    assert all(pipe.ev.rep_log is not None for pipe, _ in sweep_probes)
     decided, total = assert_screen_agrees(sweep_probes, monkeypatch)
     assert 0 < decided < total
 
@@ -748,10 +738,9 @@ def test_screen_off_where_the_forging_ledger_may_bind(budget, monkeypatch):
     cfg = config_from_vector(REFERENCE_VECTOR)
     probes = []
     for x_derived in (False, True):
-        pipe = models._build_pipeline(pulse_statistics(params, cfg), cfg, budget,
-                                      params.n_pulses, x_derived,
-                                      *eps_totals(budget, x_derived))
-        assert pipe.rep_log is None
+        ev = evaluation(params, cfg, budget, x_derived)
+        assert ev.rep_log is None
+        pipe = models._build_pipeline(ev, params.n_pulses)
         probes += [probe for probe in solve_probes(pipe) if pipe._keep(probe[1])[2]]
     verdicts = screened_verdicts(probes, monkeypatch)
     assert len(verdicts) >= 10
@@ -767,9 +756,9 @@ def test_keep_block_is_bit_identical_to_the_reference():
         l_max = models._even_floor(pipe.n_pool / 2.0)
         for length in {models._even_floor(v) for v in np.geomspace(2, l_max, 30)} | {2, 3}:
             want = (*reference_chain.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal,
-                                                     length, pipe.budget.eps_sf),
+                                                     length, pipe.ev.budget.eps_sf),
                     reference_chain.keep_error_bound(pipe.e_test, length, pipe.n_test,
-                                                     pipe.budget.eps_pe))
+                                                     pipe.ev.budget.eps_pe))
             assert pipe._keep(length) == want
             seen[want[2]] += 1
         for length in (1, 2 * pipe.z_signal + 2):
@@ -783,12 +772,10 @@ def test_sob_feasibility_not_monotone_at_integer_scale():
     a little below the one the bisection returns can be feasible."""
     params = SystemParams(distance_km=75.0, n_pulses=1e13)
     cfg = config_from_vector(REFERENCE_VECTOR)
-    budget = SecurityBudget(epsilon=params.epsilon)
-    record = pulse_statistics(params, cfg)
+    ev = models._evaluation("sob", params, cfg, None)
 
     def feasible(n_s):
-        return models._sob_block(record, cfg, budget, n_s,
-                                 *eps_totals(budget, False)) is not None
+        return models._sob_block(ev, n_s) is not None
 
     result = models.run_sob(params, cfg)
     assert result.block_size == 61_741_560_275
@@ -798,9 +785,8 @@ def test_sob_feasibility_not_monotone_at_integer_scale():
     assert feasible(61_741_068_698) and not feasible(61_741_068_699)
     # the optimistic relaxed probe admits both, the pessimistic one neither
     for n_s in (61_741_560_275, 61_741_068_698):
-        assert models._sob_relaxed(record, cfg, budget, n_s, *eps_totals(budget, False), True)
-        assert not models._sob_relaxed(record, cfg, budget, n_s, *eps_totals(budget, False),
-                                       False)
+        assert models._sob_relaxed(ev, n_s, True)
+        assert not models._sob_relaxed(ev, n_s, False)
 
 
 def test_x_sample_below_one_is_an_infeasible_block():
@@ -808,14 +794,12 @@ def test_x_sample_below_one_is_an_infeasible_block():
     params = SystemParams(distance_km=200.0, p_dc=1e-5, n_pulses=276292500.9)
     cfg = IntensityConfig.symmetric(a_s=0.9857, a_d1=0.0095, p_as=0.5572,
                                     p_ad1=0.4418, p_z=0.5683)
-    budget = SecurityBudget(epsilon=params.epsilon)
-    record = pulse_statistics(params, cfg)
+    ev = models._evaluation("sob", params, cfg, None)
     n_s = int(params.n_pulses)
-    est = reference_chain.single_photon_bounds(reference_chain.pulse_counts(record, n_s),
-                                               budget.eps_sf, budget.eps_sf)
+    est = reference_chain.single_photon_bounds(reference_chain.pulse_counts(ev.channel, n_s),
+                                               ev.budget.eps_sf, ev.budget.eps_sf)
     assert est.valid and 0.0 < est.n_x1 < 1.0
-    reason = models._build_pipeline(record, cfg, budget, float(n_s), False,
-                                    *eps_totals(budget, False))
+    reason = models._build_pipeline(ev, float(n_s))
     assert reason == "x-basis single-photon bound below one"
     block, relaxed = sob_predicates(params, cfg)  # _sob_block gives None
     assert not block(n_s) and not relaxed(n_s) and not relaxed(n_s, optimistic=False)
@@ -827,15 +811,13 @@ def sob_predicates(params, cfg):
     relaxed(n) is the optimistic Q, relaxed(n, optimistic=False) the
     pessimistic R.
     """
-    budget = SecurityBudget(epsilon=params.epsilon)
-    record = pulse_statistics(params, cfg)
-    eps_n, eps_e = eps_totals(budget, False)
+    ev = models._evaluation("sob", params, cfg, None)
 
     def block(n):
-        return models._sob_block(record, cfg, budget, n, eps_n, eps_e) is not None
+        return models._sob_block(ev, n) is not None
 
     def relaxed(n, optimistic=True):
-        return models._sob_relaxed(record, cfg, budget, n, eps_n, eps_e, optimistic)
+        return models._sob_relaxed(ev, n, optimistic)
 
     return block, relaxed
 
@@ -1002,9 +984,9 @@ def test_floored_sob_builds_nothing_above_its_certificate(monkeypatch):
     builds = []
     build = models._build_pipeline
 
-    def recording(channel, cfg, budget, n_pulses, *args):
+    def recording(ev, n_pulses):
         builds.append(n_pulses)
-        return build(channel, cfg, budget, n_pulses, *args)
+        return build(ev, n_pulses)
 
     params = SystemParams(distance_km=75.0, n_pulses=1e13)
     cfg = config_from_vector(REFERENCE_VECTOR)
@@ -1028,12 +1010,39 @@ def test_floored_sob_builds_nothing_above_its_certificate(monkeypatch):
     assert certified >= 8
 
 
+def test_evaluation_record_holds_its_defining_constants():
+    """models._evaluation equals reference_chain.reference_evaluation field by field.
+
+    Over seeded budgets (epsilon 1e-10-1e-2; eps_pe, eps_sf and g_prob
+    1e-15-1e-3, so that the screen is off for some) and every model, and
+    for a budget of None, which resolves to SecurityBudget().
+    """
+    rng = np.random.default_rng(83)
+    params = SystemParams(distance_km=50.0, n_pulses=1e13)
+    budgets = [None] + [SecurityBudget(epsilon=float(10 ** rng.uniform(-10.0, -2.0)),
+                                       eps_pe=float(10 ** rng.uniform(-15.0, -3.0)),
+                                       eps_sf=float(10 ** rng.uniform(-15.0, -3.0)),
+                                       g_prob=float(10 ** rng.uniform(-15.0, -3.0)))
+                        for _ in range(60)]
+    screen_off = 0
+    for budget in budgets:
+        for model in models.MODELS:
+            ev = models._evaluation(model, params, CFG, budget)
+            want = reference_chain.reference_evaluation(model, params, CFG, budget)
+            for name, g, w in zip(models._Evaluation._fields, ev, want):
+                assert g == w, (name, model, budget)
+            screen_off += ev.rep_log is None
+    assert models._evaluation("sob", params, CFG, None).budget == SecurityBudget()
+    assert 0 < screen_off < len(budgets) * len(models.MODELS), screen_off
+
+
 def test_build_pipeline_is_bit_identical_to_the_layered_chain():
     """_build_pipeline equals tests/reference_chain.py's four layers exactly.
 
-    Every _Pipeline field is compared with ==, and every reason string as
-    it is, over seeded configurations (varied link, error-test fraction
-    and eps_sf) x pulse counts 1e3-1e16 x x_derived; every reason is
+    Every _Pipeline field is compared with ==, its evaluation record ev
+    against the reference's own record, and every reason string as it
+    is, over seeded configurations (varied link, error-test fraction and
+    eps_sf) x pulse counts 1e3-1e16 x smb1/smb2; every reason is
     reached. Two fixed configurations reach the reasons the box rarely
     does: a bright signal with few single photons (the population bound),
     and the n_X1 < 1 point of test_x_sample_below_one_is_an_infeasible_block.
@@ -1060,17 +1069,18 @@ def test_build_pipeline_is_bit_identical_to_the_layered_chain():
         cases.append((params, cfg, budget, grid))
     seen = {}
     for params, cfg, budget, sizes in cases:
-        record = pulse_statistics(params, cfg)
-        for n in sizes:
-            for x_derived in (False, True):
-                args = (record, cfg, budget, n, x_derived, *eps_totals(budget, x_derived))
-                got, want = models._build_pipeline(*args), reference_chain.reference_build(*args)
+        for model in ("smb1", "smb2"):
+            ev = models._evaluation(model, params, cfg, budget)
+            reference = reference_chain.reference_evaluation(model, params, cfg, budget)
+            for n in sizes:
+                got = models._build_pipeline(ev, n)
+                want = reference_chain.reference_build(reference, n)
                 if isinstance(want, str):
-                    assert got == want, (params, cfg, n, x_derived)
+                    assert got == want, (params, cfg, n, model)
                 else:
                     assert type(got) is models._Pipeline
                     for name, g, w in zip(models._Pipeline._fields, got, want):
-                        assert g == w, (name, params, cfg, n, x_derived)
+                        assert g == w, (name, params, cfg, n, model)
                 key = want if isinstance(want, str) else "pipeline"
                 seen[key] = seen.get(key, 0) + 1
     assert set(seen) == {"pipeline", "decoy validity gate failed",

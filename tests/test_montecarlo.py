@@ -75,13 +75,20 @@ class TestSimulateRepudiation:
 
     def test_bit_level_route_agrees_with_hypergeometric(self):
         # at a small length the success probability is measurable; the
-        # two routes must agree within Monte Carlo resolution
+        # hypergeometric batches must agree, within Monte Carlo
+        # resolution, with bit strings played out one trial at a time
         kw = dict(length=200, s_a=0.2, s_v=0.3, mismatches=50)
         fast = mc.simulate_repudiation(trials=40_000, seed=7, **kw)
-        bits = mc.simulate_repudiation(trials=8_000, seed=8, method="bits", **kw)
+        # the generator simulate_repudiation(seed=8) gives its one batch
+        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0])
+        successes = 0
+        for _ in range(8_000):
+            km = mc.make_key_material(rng, 200, 50, 50)
+            bob, charlie = mc.recipient_mismatches(km)
+            successes += bob / 200 < 0.2 and charlie / 200 >= 0.3
         assert fast.frequency > 0.005
         sigma = math.sqrt(fast.frequency * (1 - fast.frequency) / 8_000)
-        assert abs(bits.frequency - fast.frequency) <= 4 * sigma
+        assert abs(successes / 8_000 - fast.frequency) <= 4 * sigma
 
     def test_threshold_ordering_required(self):
         with pytest.raises(ValueError):
