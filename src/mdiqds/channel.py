@@ -40,7 +40,7 @@ stochastic end-to-end runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
@@ -109,11 +109,13 @@ class SystemParams:
     r_test: float = 0.055
 
     def __post_init__(self) -> None:
-        # NaN passes every chained range comparison below
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # NaN passes every chained range comparison below; the fields are
+        # read by name, since reading vars(self) would build the instance
+        # dict and slow every later attribute read of this object
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.eta_d <= 1.0:
             raise ValueError(f"eta_d must be in [0, 1], got {self.eta_d}")
         if not 0.0 <= self.p_dc < 1.0:
@@ -155,11 +157,12 @@ class IntensityConfig:
     p_z: float
 
     def __post_init__(self) -> None:
-        # an infinite intensity passes the ordering check below
-        for f in fields(self):
-            value = getattr(self, f.name)
+        # an infinite intensity passes the ordering check below; read by
+        # name, as in SystemParams
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.a_s > self.a_d1 > self.a_d2 >= 0.0:
             raise ValueError(f"intensities must satisfy a_s > a_d1 > a_d2 >= 0, "
                              f"got {self.intensities}")

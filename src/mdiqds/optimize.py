@@ -4,11 +4,14 @@ Local search over (a_s, a_d1, p_as, p_ad1, p_z) with the weak decoy
 intensity and the error-test fraction held fixed. Each coordinate visit
 tries a step in both directions and halves the step until it finds an
 improvement or hits the minimum step; a full cycle that improves the
-objective by less than 1e-4 relative terminates the search. Candidate
-points are projected onto the feasible box/simplex before evaluation,
-each distinct projected point is scored once per descent, and
-infeasible protocol configurations score 0 so the search can cross
-infeasible regions.
+objective by less than 1e-4 relative terminates the search. Each
+candidate is clamped to the box and then goes to the nearest point of
+the box below the simplex edge p_as + p_ad1 = 0.999 (see
+_qds_projection), so a step along the edge moves the point by half the
+step, not by the step scaled down by the other probability. Each
+distinct projected point is scored once per descent, and infeasible
+protocol configurations score 0 so the search can cross infeasible
+regions.
 
 An objective is called as objective(x, floor). It returns the exact
 value at x when that value exceeds floor, and otherwise any value
@@ -226,7 +229,17 @@ def multi_start(objective: Objective, space: SearchSpace,
 
 
 def _qds_projection(a_d2: float) -> Callable[[list[float]], list[float]]:
-    """Restore intensity ordering and the selection-probability simplex."""
+    """Restore intensity ordering and the selection-probability simplex.
+
+    The probabilities p_as and p_ad1 are clamped to [1e-3, 0.999]; a pair
+    then beyond the edge p_as + p_ad1 = 0.999 (which keeps p_ad2 >= 1e-3)
+    goes to the nearest point of the box on that edge: the excess is
+    taken from the two in equal halves, neither going below 1e-3. A step
+    s on p_as at the edge so moves p_as by s/2. p_ad1 is set as
+    0.999 - p_as, the same expression the edge test compares it with, so
+    a projected point never re-enters the branch and the projection is
+    idempotent bit for bit, as the descent's point memo needs.
+    """
 
     def project(x: list[float]) -> list[float]:
         y = list(x)
@@ -234,11 +247,10 @@ def _qds_projection(a_d2: float) -> Callable[[list[float]], list[float]]:
         y[0] = min(max(y[0], y[1] + 1e-3), 1.0)      # a_s above a_d1
         y[2] = min(max(y[2], _PROB_LO), _PROB_HI)    # p_as
         y[3] = min(max(y[3], _PROB_LO), _PROB_HI)    # p_ad1
-        excess = y[2] + y[3]
-        if excess > 1.0 - _PROB_LO:                  # keep p_ad2 >= floor
-            scale = (1.0 - _PROB_LO) / excess
-            y[2] *= scale
-            y[3] *= scale
+        if y[3] > _PROB_HI - y[2]:                   # keep p_ad2 >= floor
+            y[2] = min(max(0.5 * (_PROB_HI + y[2] - y[3]), _PROB_LO),
+                       _PROB_HI - _PROB_LO)
+            y[3] = _PROB_HI - y[2]
         y[4] = min(max(y[4], _PROB_LO), _PROB_HI)    # p_z
         return y
 
@@ -296,14 +308,18 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
                     initial: Sequence[float] | None = None) -> dict[str, RateResult]:
     """Optimize each model, then cross-evaluate the pooled optima.
 
-    Every model is re-evaluated at every model's best configuration, at
+    Every model is compared at every model's best configuration, at
     the plain reference vector and at the supplied warm start, and keeps
     its own argmax. The pooling costs a handful of extra evaluations and
     removes spurious cross-model rate inversions caused by one local
     search stopping short of a configuration another search found. Each
     candidate is scored with the best rate so far as its floor, so one
     that cannot beat it stops early; only a strictly higher rate
-    replaces the best, so the first of equal rates is kept.
+    replaces the best, so the first of equal rates is kept. A candidate
+    whose exact rate the model's own descent already holds (its optimum
+    and, with one start, its start) is compared by that rate and not run
+    again; the model runs once more at the winner only when the winner
+    is such a candidate, for its RateResult.
 
     The reference vector is pooled as projected into the search space
     of a_d2 (unchanged at the default a_d2), so a weak decoy above its
@@ -320,19 +336,32 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
     start = reference if initial is None else tuple(initial)
     space = replace(space, initial=start)
     candidates: list[tuple[float, ...]] = [reference, start]
+    # exact rates each descent holds: its optimum and, with one start,
+    # the projected start it scored first
+    known: dict[str, dict[tuple[float, ...], float]] = {}
+    projected_start = tuple(space.clip_project(start))
     for model in models:
         point = multi_start(rate_objective(params, model, budget, a_d2),
                             space, k=starts, seed=seed)
         candidates.append(point.x)
+        known[model] = {point.x: point.value}
+        if starts == 1:
+            known[model].setdefault(projected_start, point.history[0])
     # a repeated candidate scores what its first copy did, and only a
     # higher rate replaces the best, so scoring it again changes nothing
-    distinct = [config_from_vector(vec, a_d2) for vec in dict.fromkeys(candidates)]
+    distinct = {vec: config_from_vector(vec, a_d2) for vec in candidates}
     results = {}
     for model in models:
-        best = run_model(model, params, distinct[0], budget)
-        for cfg in distinct[1:]:
-            result = run_model(model, params, cfg, budget, floor=best.rate)
-            if result.rate > best.rate:
-                best = result
+        best_rate, best_vec, best = -math.inf, None, None
+        for vec, cfg in distinct.items():
+            if vec in known[model]:  # compared by its rate, not run again
+                rate, result = known[model][vec], None
+            else:
+                result = run_model(model, params, cfg, budget, floor=max(best_rate, 0.0))
+                rate = result.rate
+            if rate > best_rate:
+                best_rate, best_vec, best = rate, vec, result
+        if best is None:  # a known rate won: run it once for its RateResult
+            best = run_model(model, params, distinct[best_vec], budget)
         results[model] = best
     return results

@@ -121,7 +121,7 @@ class TestRate:
 
 # SHA-256 of the stdout of `mdiqds sweep --optimize --model all --pulses 1e13
 # --start 0 --stop 150 --step 25`, version comment included
-OPTIMIZED_SWEEP_SHA256 = "705075372aeb618fdd314504211242892685d159eaf89d8e910374e171f89e61"
+OPTIMIZED_SWEEP_SHA256 = "e46a5328fb9e116cb665124b09622ef00cc1d14fc7626db43e70c673d4c574b6"
 
 
 class TestSweep:

@@ -1,9 +1,7 @@
 """Pipeline tests for the three estimation models."""
-import contextlib
 import dataclasses
 import functools
 import hashlib
-import io
 import math
 import operator
 import sys
@@ -11,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mdiqds import channel, cli, models, optimize, security
+from mdiqds import channel, models, security
 from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
 from mdiqds.cli import record_dict, render_csv
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
@@ -555,69 +553,19 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     assert len(calls) == 1
 
 
-SWEEP_ARGV = ("sweep", "--optimize", "--model", "all", "--pulses", "1e13",
-              "--start", "0", "--stop", "150", "--step", "25")
-
-
-@pytest.fixture(scope="module")
-def sweep_pass():
-    """One seed-0 optimized sweep (the paper's curve), counted and recorded.
-
-    Counts the forger-rate inversions (models.eve_error_rate, one inverse
-    H2 each), the pipeline builds and the optimizer's evaluations, and
-    keeps every (pipeline, L) the length searches probed.
-    """
-    counts = {"inverse": 0, "builds": 0, "evals": 0}
-    probes = []
-    eve, build = models.eve_error_rate, models._build_pipeline
-    descent, feasible_at = optimize.coordinate_descent, models._Pipeline.feasible_at
-
-    def counting_eve(*args):
-        counts["inverse"] += 1
-        return eve(*args)
-
-    def counting_build(*args):
-        counts["builds"] += 1
-        return build(*args)
-
-    def counting_descent(*args, **kwargs):
-        point = descent(*args, **kwargs)
-        counts["evals"] += point.evaluations
-        return point
-
-    def recording_feasible_at(self, length):
-        probes.append((self, length))
-        return feasible_at(self, length)
-
-    patches = [(models, "eve_error_rate", counting_eve),
-               (models, "_build_pipeline", counting_build),
-               (optimize, "coordinate_descent", counting_descent),
-               (models._Pipeline, "feasible_at", recording_feasible_at)]
-    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
-    try:
-        for owner, name, value in patches:
-            setattr(owner, name, value)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(list(SWEEP_ARGV)) == 0
-    finally:
-        for owner, name, value in originals:
-            setattr(owner, name, value)
-    return counts, probes
-
-
 def test_sweep_decides_most_length_probes_without_inverting_h2(sweep_pass):
     """The entropy-space screen replaces most inversions and no decision.
 
     Each probe the screen decides costs no inverse H2; what is left is
-    its fallbacks and one outcome_at per feasible result (32,414
-    inversions per pass without the screen, 4,095 with it). The pipeline
+    its fallbacks and one outcome_at per feasible result (17,029
+    inversions per pass without the screen, 1,978 with it). The pipeline
     builds and the optimizer's evaluations are those of the unscreened
     search, so the screen changed no verdict the searches acted on.
     """
     counts, _ = sweep_pass
     assert counts["inverse"] <= 4500, counts
-    assert counts["builds"] == 24195, counts
-    assert counts["evals"] == 3949, counts
+    assert counts["builds"] == 13864, counts
+    assert counts["evals"] == 2773, counts
 
 
 def screened_verdicts(probes, monkeypatch):

@@ -1,5 +1,6 @@
 """Coordinate-descent optimizer tests."""
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,92 @@ class TestCoordinateDescent:
                         **{field: (0.5, 0.5, 0.5)})
         with pytest.raises(ValueError, match=f"{field} must have 5 coordinates, got 4"):
             replace(qds_search_space(), **{field: (0.4, 0.05, 0.3, 0.3)})
+
+
+EDGE = 1.0 - 1e-3  # p_as + p_ad1 at most, so that p_ad2 >= 1e-3
+
+
+def edge_points(seed, count):
+    """Seeded candidates: a third anywhere around the box, a third on the
+    edge p_as + p_ad1 = 0.999 and a third within 1e-9 of it, either side."""
+    rng = random.Random(seed)
+    points = []
+    for i in range(count):
+        p_as = rng.uniform(-0.05, 1.05)
+        p_ad1 = (rng.uniform(-0.05, 1.05), EDGE - p_as,
+                 EDGE - p_as + rng.uniform(-1e-9, 1e-9))[i % 3]
+        points.append([rng.uniform(-0.1, 1.1), rng.uniform(-0.05, 0.35), p_as, p_ad1,
+                       rng.uniform(-0.05, 1.05)])
+    return points
+
+
+def bits(x):
+    return [float(v).hex() for v in x]
+
+
+class TestQdsProjection:
+    """Candidates go to the nearest point of the box below the edge."""
+
+    @pytest.mark.parametrize("a_d2", (5e-4, 0.06))
+    def test_projected_points_lie_in_the_box_below_the_edge(self, a_d2):
+        space = qds_search_space(a_d2=a_d2)
+        for x in edge_points(3, 6000):
+            y = space.clip_project(x)
+            assert all(lo <= v <= hi for v, lo, hi in zip(y, space.lower, space.upper)), (x, y)
+            assert y[2] + y[3] <= EDGE + 1e-15, (x, y)
+            config_from_vector(y, a_d2)  # a valid configuration
+
+    @pytest.mark.parametrize("a_d2", (5e-4, 0.06))
+    def test_projection_is_idempotent_bit_for_bit(self, a_d2):
+        space = qds_search_space(a_d2=a_d2)
+        for x in edge_points(4, 6000):
+            y = space.clip_project(x)
+            assert bits(space.clip_project(y)) == bits(y), (x, y)
+
+    def test_edge_step_moves_the_probability_by_half(self):
+        """A step s on p_as (p_ad1) from the edge moves it by s/2, the other
+        by -s/2, or both to their bounds. The step is clamped to 0.999
+        first, as any coordinate is."""
+        space = qds_search_space()
+        rng = random.Random(5)
+        moved = 0
+        for _ in range(3000):
+            x = space.clip_project([0.4, 0.05, rng.uniform(0.0, 1.0), 1.0, 0.5])
+            assert x[3] == EDGE - x[2]  # on the edge
+            i = rng.choice((2, 3))
+            j = 5 - i
+            s = 0.05 * 0.5 ** rng.randrange(17)
+            cand = list(x)
+            cand[i] += s
+            y = space.clip_project(cand)
+            half = (min(x[i] + s, EDGE) - x[i]) / 2.0
+            assert math.isclose(y[i], min(x[i] + half, EDGE - 1e-3), rel_tol=0, abs_tol=1e-15)
+            assert math.isclose(y[j], max(x[j] - half, 1e-3), rel_tol=0, abs_tol=1e-15)
+            moved += y[i] < EDGE - 1e-3
+        assert moved > 2000  # most steps stop short of the bound
+
+
+def test_no_sweep_descent_exceeds_300_evaluations(sweep_pass):
+    """The seed-0 sweep's 21 descents (7 points x 3 models) stay short.
+
+    With a proportional rescale at the edge the 0 km descents crept to
+    the corner in steps of ~1e-5 relative gain (smb1: 1,165 evaluations).
+    """
+    counts, _ = sweep_pass
+    assert len(counts["descents"]) == 21
+    assert max(counts["descents"]) <= 300, counts["descents"]
+
+
+def test_sweep_reports_probabilities_inside_the_box(sweep_pass):
+    counts, _ = sweep_pass
+    rows = [line.split(",") for line in counts["stdout"].splitlines()
+            if line and not line.startswith("#")]
+    header, records = rows[0], [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert len(records) == 21 and "p_as" in header
+    for rec in records:
+        p_as, p_ad1 = float(rec["p_as"]), float(rec["p_ad1"])
+        assert 1e-3 <= p_as <= EDGE and 1e-3 <= p_ad1 <= EDGE, rec
+        assert p_as + p_ad1 <= EDGE + 1e-15, rec
 
 
 def reference_descent(objective, space, seed=0):
@@ -291,26 +378,17 @@ class TestRateOptimization:
         assert results["smb1"].rate >= reference.rate
 
     def test_optimize_models_scores_each_distinct_candidate_once(self, monkeypatch):
-        """The pool holds REFERENCE_VECTOR twice when no warm start is given."""
-        optima, scored = [], []
-        search, run = optimize.multi_start, optimize.run_model
+        """The pool holds REFERENCE_VECTOR twice when no warm start is given.
 
-        def recording_search(*args, **kwargs):
-            point = search(*args, **kwargs)
-            optima.append(point.x)
-            return point
-
-        def counting_run(model, params, cfg, budget=None, floor=0.0):
-            scored.append((model, cfg))
-            return run(model, params, cfg, budget, floor)
-
-        monkeypatch.setattr(optimize, "multi_start", recording_search)
-        monkeypatch.setattr(optimize, "run_model", counting_run)
+        Each model is run once at most per distinct candidate, and not at
+        all where its own descent holds the exact rate, unless that
+        candidate wins.
+        """
         models = ("smb1", "smb2")
-        optimize_models(self.PARAMS, models=models, seed=1)
-        distinct = {tuple(REFERENCE_VECTOR), *optima}
-        assert len(scored) == len(distinct) * len(models)
-        assert len(set(scored)) == len(scored)
+        results, optima, runs = pooled_runs(monkeypatch, self.PARAMS, models=models, seed=1)
+        pool = list(dict.fromkeys([tuple(REFERENCE_VECTOR), *optima]))
+        assert_pooling_runs_only_what_it_lacks(results, optima, runs, pool,
+                                               tuple(REFERENCE_VECTOR), models)
 
     def test_repeated_objective_calls_are_deterministic(self):
         objective = rate_objective(self.PARAMS, "smb1")
@@ -366,36 +444,64 @@ class TestFlooredEvaluations:
             assert point.value > 0.0
 
     def test_optimize_models_same_as_unbounded_pooling(self, monkeypatch):
-        optima, pooled = [], []
-        search, run = optimize.multi_start, optimize.run_model
-
-        def recording_search(*args, **kwargs):
-            point = search(*args, **kwargs)
-            optima.append(point.x)
-            return point
-
-        def recording_run(model, params, cfg, budget=None, floor=0.0):
-            result = run(model, params, cfg, budget, floor)
-            if len(optima) == 3:  # after the three descents: a pooled call
-                pooled.append((floor, result.reason))
-            return result
-
-        monkeypatch.setattr(optimize, "multi_start", recording_search)
-        monkeypatch.setattr(optimize, "run_model", recording_run)
         warm = (0.35, 0.12, 0.6, 0.2, 0.8)
-        results = optimize_models(self.PARAMS, initial=warm)
+        results, optima, runs = pooled_runs(monkeypatch, self.PARAMS, initial=warm)
         pool = list(dict.fromkeys([tuple(REFERENCE_VECTOR), warm, *optima]))
         for model in ("sob", "smb1", "smb2"):
-            unbounded = max((run(model, self.PARAMS, config_from_vector(vec))
+            unbounded = max((models.run_model(model, self.PARAMS, config_from_vector(vec))
                              for vec in pool), key=lambda r: r.rate)
             assert results[model] == unbounded
-        # the pooling scored every candidate, and stopped some early
-        assert len(pooled) == 3 * len(pool)
-        assert any(reason == models.FLOOR_REASON for _, reason in pooled)
+        # the pooling ran every candidate its descent had not scored, and
+        # stopped some early
+        assert_pooling_runs_only_what_it_lacks(results, optima, runs, pool, warm,
+                                               ("sob", "smb1", "smb2"))
+        assert any(reason == models.FLOOR_REASON for *_, reason in runs)
+
+
+def vector(cfg: IntensityConfig) -> tuple[float, ...]:
+    return (cfg.a_s, cfg.a_d1, cfg.p_as, cfg.p_ad1, cfg.p_z)
+
+
+def pooled_runs(monkeypatch, params, **kwargs):
+    """optimize_models' results, each descent's optimum, and the
+    (model, vector, floor, reason) of every run_model call it makes after
+    its descents (the sob descent calls run_model too)."""
+    optima, runs = [], []
+    search, run = optimize.multi_start, optimize.run_model
+    count = len(kwargs.get("models", models.MODELS))
+
+    def recording_search(*args, **kw):
+        point = search(*args, **kw)
+        optima.append(point.x)
+        return point
+
+    def recording_run(model, params, cfg, budget=None, floor=0.0):
+        result = run(model, params, cfg, budget, floor)
+        if len(optima) == count:
+            runs.append((model, vector(cfg), floor, result.reason))
+        return result
+
+    monkeypatch.setattr(optimize, "multi_start", recording_search)
+    monkeypatch.setattr(optimize, "run_model", recording_run)
+    return optimize_models(params, **kwargs), optima, runs
+
+
+def assert_pooling_runs_only_what_it_lacks(results, optima, runs, pool, start, names):
+    """Each model runs at every pooled candidate except its (one-start)
+    descent's start and optimum, whose exact rates the descent holds,
+    plus once at the winner when that is one of those two."""
+    assert len({(model, vec) for model, vec, *_ in runs}) == len(runs)
+    for model, optimum in zip(names, optima):
+        known = {start, optimum}
+        winner = vector(results[model].config)
+        expected = (set(pool) - known) | ({winner} & known)
+        assert {vec for name, vec, *_ in runs if name == model} == expected
 
 
 # smb1's optimum at 75 km (1e13 pulses) in `mdiqds sweep --optimize --model all
-# --pulses 1e13 --start 0 --stop 150 --step 25`: the warm start of its 100 km point
+# --pulses 1e13 --start 0 --stop 150 --step 25` under the earlier proportional
+# rescale onto p_as + p_ad1 = 0.999 (so p_ad1 sits a hair below 1e-3), the warm
+# start of its 100 km point; the descents start from its projection
 SWEEP_WARM_100KM = (0.27617950439453126, 0.25000000000000006, 0.9980000010010001,
                     0.000999998999000001, 0.9699218750000004)
 
