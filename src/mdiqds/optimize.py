@@ -84,6 +84,8 @@ class SearchSpace:
                 raise ValueError(f"{name} must have {k} coordinates, got {len(value)}")
 
     def clip_project(self, x: Sequence[float]) -> list[float]:
+        if len(x) != len(self.names):
+            raise ValueError(f"vector must have {len(self.names)} coordinates, got {len(x)}")
         y = [min(max(v, lo), hi) for v, lo, hi in zip(x, self.lower, self.upper)]
         if self.project is not None:
             y = self.project(y)

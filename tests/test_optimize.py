@@ -83,6 +83,10 @@ class TestCoordinateDescent:
                         **{field: (0.5, 0.5, 0.5)})
         with pytest.raises(ValueError, match=f"{field} must have 5 coordinates, got 4"):
             replace(qds_search_space(), **{field: (0.4, 0.05, 0.3, 0.3)})
+        # clip_project would zip a longer vector down, and index past a shorter one
+        for x in ([0.4, 0.05, 0.3, 0.3, 0.5, 0.1], [0.4, 0.05, 0.3, 0.3]):
+            with pytest.raises(ValueError, match=f"vector must have 5 coordinates, got {len(x)}"):
+                qds_search_space().clip_project(x)
 
 
 EDGE = 1.0 - 1e-3  # p_as + p_ad1 at most, so that p_ad2 >= 1e-3

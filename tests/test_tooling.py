@@ -70,37 +70,105 @@ def test_bench_call_point_resolves(module, name):
 
 
 # The rate engine runs without numpy: only the Monte Carlo samplers, the
-# table oracles and multi-start's extra starts import it, when called. The
-# probe runs in a fresh interpreter, where no other test has loaded numpy.
+# table oracles and multi-start's extra starts import it, when called. Nor
+# does it load the optimizer or Monte Carlo modules, which the package loads
+# on first access; mdiqds.cli imports both, so that bench/run.py can patch
+# its handlers' names as module globals. The probe runs in a fresh
+# interpreter, where no other test has loaded numpy or a submodule.
 NUMPY_FREE_PROBE = """
 import json, sys
-import mdiqds, mdiqds.cli
+import mdiqds
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "mdiqds")
 params = mdiqds.SystemParams(distance_km=50.0, n_pulses=1e13)
 cfg = mdiqds.IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3,
                                        p_ad1=1 / 3, p_z=0.5)
 rates = [mdiqds.run_model(model, params, cfg).rate for model in mdiqds.MODELS]
+engine = {"modules": loaded(), "numpy": "numpy" in sys.modules}
+import mdiqds.cli
 code = mdiqds.cli.main(["rate", "--model", "all", "--out", sys.argv[1]])
 bench_names = [callable(getattr(mdiqds.cli, name, None)) for name in
-               ("validate_bound", "simulate_repudiation", "simulate_forging")]
+               ("optimize_models", "validate_bound", "simulate_repudiation",
+                "simulate_forging")]
 bench_names.append(callable(getattr(mdiqds.montecarlo, "_repudiation_batch", None)))
 print(json.dumps({"numpy": "numpy" in sys.modules, "code": code, "rates": rates,
-                  "bench_names": bench_names}))
+                  "engine": engine, "modules": loaded(), "bench_names": bench_names}))
 """
 
+ENGINE_MODULES = ["mdiqds", "mdiqds.bounds", "mdiqds.channel", "mdiqds.models",
+                  "mdiqds.security"]
 
-def test_engine_path_loads_no_numpy(tmp_path):
+
+def run_fresh(probe, *args):
+    """Run probe in a fresh interpreter that imports this package; its JSON."""
     src = str(Path(mdiqds.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_PROBE,
-                           str(tmp_path / "rate.csv")],
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    probe = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_engine_path_loads_no_numpy(tmp_path):
+    probe = run_fresh(NUMPY_FREE_PROBE, str(tmp_path / "rate.csv"))
     assert probe["code"] == 0 and min(probe["rates"][:2]) > 0.0
+    assert probe["engine"] == {"modules": ENGINE_MODULES, "numpy": False}
     assert probe["numpy"] is False
+    assert {"mdiqds.cli", "mdiqds.optimize", "mdiqds.montecarlo"} <= set(probe["modules"])
     # the names bench/run.py patches still resolve, numpy or not
-    assert probe["bench_names"] == [True] * 4
+    assert probe["bench_names"] == [True] * 5
+
+
+# The names `from mdiqds import *` bound when the package imported every
+# submodule eagerly; the optimizer's and Monte Carlo's now load on first use.
+STAR_NAMES = {
+    "bounds", "channel", "models", "montecarlo", "optimize", "security",
+    "binary_entropy", "hoeffding_delta", "inverse_binary_entropy", "sampling_lambda",
+    "serfling_count_gamma", "serfling_fraction_gamma", "test_sample_penalty",
+    "IntensityConfig", "SinglePhotonTruth", "SystemParams", "TallySet",
+    "expected_tallies", "sample_tallies", "single_photon_truth",
+    "MODELS", "RateResult", "run_model", "run_smb1", "run_smb2", "run_sob",
+    "SecurityBudget", "SecurityOutcome", "solve_signature_length",
+    "OptimalPoint", "SearchSpace", "coordinate_descent", "multi_start", "optimize_models",
+    "BOUND_IDS", "TrialStats", "simulate_forging", "simulate_honest",
+    "simulate_repudiation", "validate_bound",
+}
+LAZY_NAMES = {
+    "optimize": ("OptimalPoint", "SearchSpace", "coordinate_descent", "multi_start",
+                 "optimize_models"),
+    "montecarlo": ("BOUND_IDS", "TrialStats", "simulate_forging", "simulate_honest",
+                   "simulate_repudiation", "validate_bound"),
+}
+
+LAZY_SUBMODULE_PROBE = """
+import json, sys
+import mdiqds
+before = "mdiqds.optimize" in sys.modules or "mdiqds.montecarlo" in sys.modules
+names = [mdiqds.optimize.__name__, mdiqds.montecarlo.__name__]
+print(json.dumps({"before": before, "names": names}))
+"""
+
+
+def test_lazy_submodules_resolve_without_an_import():
+    probe = run_fresh(LAZY_SUBMODULE_PROBE)
+    assert probe == {"before": False, "names": ["mdiqds.optimize", "mdiqds.montecarlo"]}
+
+
+def test_package_namespace_is_unchanged():
+    star = {}
+    exec("from mdiqds import *", star)
+    assert len(STAR_NAMES) == 40 and set(star) - {"__builtins__"} == STAR_NAMES
+    assert sorted(mdiqds.__all__) == sorted(STAR_NAMES)
+    for module, names in LAZY_NAMES.items():
+        owner = importlib.import_module(f"mdiqds.{module}")
+        assert getattr(mdiqds, module) is owner
+        for name in names:
+            assert getattr(mdiqds, name) is getattr(owner, name)
+    assert set(dir(mdiqds)) >= set(mdiqds.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mdiqds.no_such_name
+    from mdiqds import optimize_models
+    assert optimize_models is mdiqds.optimize.optimize_models
 
 
 def test_bench_reference_vector_resolves():
@@ -239,6 +307,7 @@ def test_package_exports_are_module_exports():
     for module in EXPORTING:
         owner = importlib.import_module(f"mdiqds.{module}")
         exported.update((name, getattr(owner, name)) for name in owner.__all__)
-    public = {name: value for name, value in vars(mdiqds).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    names = set(mdiqds.__all__) | {name for name in vars(mdiqds) if not name.startswith("_")}
+    public = {name: getattr(mdiqds, name) for name in names
+              if not isinstance(getattr(mdiqds, name), types.ModuleType)}
     assert public and {name: exported.get(name) for name in public} == public
