@@ -5,8 +5,8 @@ three-party measurement-device-independent quantum digital signature
 protocol under three finite-size parameter-estimation models, optimizes
 the protocol parameters by coordinate descent, and validates every tail
 bound it relies on by Monte Carlo. Importing the package or computing a
-rate loads no numpy; the Monte Carlo samplers, the 3x3 table oracles
-and multi-start's random starts import it when called.
+rate loads no numpy; the Monte Carlo samplers and multi-start's random
+starts import it when called.
 
 ``import mdiqds`` loads only the rate engine (``bounds``, ``channel``,
 ``models`` and ``security``). The ``optimize`` and ``montecarlo``
@@ -24,15 +24,7 @@ from .bounds import (
     serfling_fraction_gamma,
     test_sample_penalty,
 )
-from .channel import (
-    IntensityConfig,
-    SinglePhotonTruth,
-    SystemParams,
-    TallySet,
-    expected_tallies,
-    sample_tallies,
-    single_photon_truth,
-)
+from .channel import IntensityConfig, SystemParams
 from .models import (
     MODELS,
     RateResult,
@@ -55,8 +47,7 @@ __all__ = [
     "bounds", "channel", "models", "montecarlo", "optimize", "security",
     "binary_entropy", "hoeffding_delta", "inverse_binary_entropy", "sampling_lambda",
     "serfling_count_gamma", "serfling_fraction_gamma", "test_sample_penalty",
-    "IntensityConfig", "SinglePhotonTruth", "SystemParams", "TallySet",
-    "expected_tallies", "sample_tallies", "single_photon_truth",
+    "IntensityConfig", "SystemParams",
     "MODELS", "RateResult", "run_model", "run_smb1", "run_smb2", "run_sob",
     "SecurityBudget", "SecurityOutcome", "solve_signature_length",
     *_LAZY,

@@ -23,19 +23,13 @@ double sum over (n, m) is a product of two single sums over n: the
 yield of cell (i, j) is Y_i Y_j and its photon-photon part Q_i Q_j,
 where Y_i and Q_i are the Poisson(mu_i)-weighted sums of the
 click-with-dark-count and photon-click probabilities. These sums are
-plain floats, so the rate engine needs no numpy; the 3x3 tables and
-sampled tallies, which only oracles and Monte Carlo use, import it when
-called.
+plain floats, so the channel needs no numpy.
 
 Everything here is an expected-value computation, linear in the pulse
 count: `pulse_statistics` holds the per-pulse-pair quantities of one
-configuration and scales them to any pulse count: the estimation chain
-(`models._build_pipeline`) reads its fields and scales the few scalars
-it needs in place, and `tallies`/`truth` scale them to full 3x3 tables;
-`expected_tallies` and `single_photon_truth` are the table scaling at
-one count.
-`sample_tallies` additionally draws integer Poisson tallies for
-stochastic end-to-end runs.
+configuration, and the estimation chain (`models._build_pipeline`)
+reads its fields and scales the few scalars it needs to a pulse count
+in place.
 """
 from __future__ import annotations
 
@@ -43,10 +37,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MAX_PULSES",
@@ -54,12 +44,7 @@ __all__ = [
     "SystemParams",
     "IntensityConfig",
     "PulseStatistics",
-    "TallySet",
-    "SinglePhotonTruth",
-    "expected_tallies",
     "pulse_statistics",
-    "sample_tallies",
-    "single_photon_truth",
 ]
 
 PHOTON_CUTOFF = 10
@@ -67,10 +52,6 @@ PHOTON_CUTOFF = 10
 # Largest accepted pulse count N. Beyond it, products of two counts such
 # as sampling_lambda's (x - y + 1) * y overflow float64.
 MAX_PULSES = 1e150
-
-# Intensity index convention used throughout: 0 = signal, 1 = strong
-# decoy, 2 = weak decoy.
-SIGNAL = 0
 
 
 @dataclass(frozen=True)
@@ -197,55 +178,6 @@ class IntensityConfig:
         raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
-@dataclass
-class TallySet:
-    """Detection statistics of one configuration, per intensity cell.
-
-    counts_*/errors_* are 3x3 matrices over (Alice intensity, Bob
-    intensity) with index order (signal, decoy1, decoy2); pulses_* hold
-    the pulse-pair allocations N_{W,ab}. Counts are expected values in
-    the default mode and integer draws in sampled mode.
-    """
-
-    counts_z: np.ndarray
-    counts_x: np.ndarray
-    errors_z: np.ndarray
-    errors_x: np.ndarray
-    pulses_z: np.ndarray
-    pulses_x: np.ndarray
-
-    def __post_init__(self) -> None:
-        for errs, counts, basis in ((self.errors_z, self.counts_z, "Z"),
-                                    (self.errors_x, self.counts_x, "X")):
-            if (errs > counts + 1e-9).any():
-                raise ValueError(f"error counts exceed event counts in basis {basis}")
-
-
-@dataclass
-class SinglePhotonTruth:
-    """Channel-model truth about the (1,1)-photon-pair component.
-
-    s11_* are 3x3 expected counts of successful events caused by both
-    senders emitting exactly one photon; e11_x holds the expected error
-    counts among the X-basis ones. y11/e11_rate are the per-(1,1)-pair
-    yield and error rate (cell independent in this channel model).
-    """
-
-    s11_z: np.ndarray
-    s11_x: np.ndarray
-    e11_x: np.ndarray
-    y11: float
-    e11_rate: float
-
-    @property
-    def s11_x_total(self) -> float:
-        return float(self.s11_x.sum())
-
-    @property
-    def e11_x_total(self) -> float:
-        return float(self.e11_x.sum())
-
-
 _PHOTON_NUMBERS = range(PHOTON_CUTOFF + 1)
 # log n! for each photon number, summed left to right
 _LOG_FACTORIAL = tuple(accumulate(math.log(n) if n else 0.0 for n in _PHOTON_NUMBERS))
@@ -298,10 +230,10 @@ class PulseStatistics:
     frac_* are the basis/intensity selection fractions, cell_* the
     per-pulse yield and error matrices of _pair_statistics and pair11 the
     (1,1) emission weights, each a row-major tuple over the 9 intensity
-    cells; y11/e11 are the (1,1) yield and error rate. Every expected
-    count is linear in the pulse count, so the estimation chain,
-    tallies(n) and truth(n) scale this one record instead of recomputing
-    the channel.
+    cells (index 0 = signal, 1 = strong decoy, 2 = weak decoy, Alice's
+    intensity first); y11/e11 are the (1,1) yield and error rate. Every
+    expected count is linear in the pulse count, so the estimation chain
+    scales this one record instead of recomputing the channel.
 
     cell_err <= cell_yield is checked here, once: scaling both sides by
     the same positive pulse count keeps the order under rounding, so no
@@ -321,42 +253,16 @@ class PulseStatistics:
         if any(e > y for e, y in zip(self.cell_err, self.cell_yield)):
             raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
 
-    def tallies(self, n: float) -> TallySet:
-        """Expected counts/errors per basis and intensity cell at n pulses."""
-        pulses_z = n * _cells(self.frac_z)
-        pulses_x = n * _cells(self.frac_x)
-        cell_yield, cell_err = _cells(self.cell_yield), _cells(self.cell_err)
-        return TallySet(
-            counts_z=pulses_z * cell_yield,
-            counts_x=pulses_x * cell_yield,
-            errors_z=pulses_z * cell_err,
-            errors_x=pulses_x * cell_err,
-            pulses_z=pulses_z,
-            pulses_x=pulses_x,
-        )
-
-    def truth(self, n: float) -> SinglePhotonTruth:
-        """Expected (1,1)-pair detection statistics at n pulses."""
-        pair11 = _cells(self.pair11)
-        s11_z = n * _cells(self.frac_z) * pair11 * self.y11
-        s11_x = n * _cells(self.frac_x) * pair11 * self.y11
-        return SinglePhotonTruth(s11_z=s11_z, s11_x=s11_x, e11_x=s11_x * self.e11,
-                                 y11=self.y11, e11_rate=self.e11)
-
-
-def _cells(values: tuple[float, ...]) -> np.ndarray:
-    import numpy as np
-    return np.array(values).reshape(3, 3)
-
 
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
     """Per-pulse-pair channel statistics of one link and configuration.
 
     Every rate evaluation builds one, so the 9-cell tuples are formed in
-    plain floats, each product in the order of the numpy tables (the
-    basis weight times outer(p, p) of the selection probabilities, and
-    the outer product of the single-photon weights); the cells come from
-    _pair_statistics' cache.
+    plain floats, each product in the order numpy's outer products form
+    it (the basis weight times outer(p, p) of the selection
+    probabilities, and the outer product of the single-photon weights),
+    so they equal the tests' numpy tables bit for bit; the cells come
+    from _pair_statistics' cache.
     """
     cell_yield, cell_err, y11, e11 = _pair_statistics(
         params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
@@ -370,48 +276,3 @@ def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatist
         cell_yield=cell_yield, cell_err=cell_err,
         pair11=tuple(a * b for a in p1 for b in p1), y11=y11, e11=e11,
     )
-
-
-def expected_tallies(params: SystemParams, cfg: IntensityConfig,
-                     n_pulses: float | None = None) -> TallySet:
-    """Expected counts/errors per basis and intensity cell.
-
-    Parameters
-    ----------
-    params, cfg
-        Link constants and intensity configuration.
-    n_pulses : float, optional
-        Overrides params.n_pulses (counts scale linearly).
-    """
-    n = params.n_pulses if n_pulses is None else n_pulses
-    return pulse_statistics(params, cfg).tallies(n)
-
-
-def sample_tallies(params: SystemParams, cfg: IntensityConfig,
-                   rng: np.random.Generator,
-                   n_pulses: float | None = None) -> TallySet:
-    """Poisson-sampled integer tallies around the expected values.
-
-    Counts are drawn per cell as Poisson(expected count); error counts
-    as Binomial(count, cell error rate), which keeps errors <= counts.
-    """
-    import numpy as np
-    mean = expected_tallies(params, cfg, n_pulses)
-    out = {}
-    for basis in ("z", "x"):
-        counts = rng.poisson(getattr(mean, f"counts_{basis}")).astype(float)
-        mean_counts = getattr(mean, f"counts_{basis}")
-        mean_errors = getattr(mean, f"errors_{basis}")
-        rate = np.divide(mean_errors, mean_counts,
-                         out=np.zeros_like(mean_errors), where=mean_counts > 0)
-        errors = rng.binomial(counts.astype(np.int64), rate).astype(float)
-        out[f"counts_{basis}"] = counts
-        out[f"errors_{basis}"] = errors
-    return TallySet(pulses_z=mean.pulses_z, pulses_x=mean.pulses_x, **out)
-
-
-def single_photon_truth(params: SystemParams, cfg: IntensityConfig,
-                        n_pulses: float | None = None) -> SinglePhotonTruth:
-    """Expected (1,1)-pair detection statistics per basis and cell."""
-    n = params.n_pulses if n_pulses is None else n_pulses
-    return pulse_statistics(params, cfg).truth(n)

@@ -189,14 +189,6 @@ class RateResult:
     config: IntensityConfig | None = None
     reason: str = ""
 
-    @property
-    def eps_n(self) -> float:
-        return _ledger_total(self.eps_n_terms)
-
-    @property
-    def eps_e(self) -> float:
-        return _ledger_total(self.eps_e_terms)
-
 
 class _Evaluation(NamedTuple):
     """What every probe of one rate evaluation shares; _evaluation builds it.
@@ -388,7 +380,7 @@ def _build_pipeline(ev: _Evaluation, n_pulses: float) -> _Pipeline | str:
     ln(1/eps_sf) and the gate threshold read from ev:
 
     - the expected counts at n pulses, each product and nine-cell sum in
-      the order of the channel's 3x3 tables (numpy's pairwise order);
+      the order numpy forms them on 3x3 tables (its pairwise sum order);
     - the decoy validity gates: the exposure mu_L = count -
       sqrt(total/2 ln(1/eps)) of the signal-signal Z cell and of the
       X-basis aggregate must reach (32/3) ln(2/eps) and 3 ln(1/eps), or

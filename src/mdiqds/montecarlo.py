@@ -120,10 +120,6 @@ class KeyMaterial:
         if self.keep_b.sum() != length // 2 or self.keep_c.sum() != length // 2:
             raise ValueError("each recipient must keep exactly half of its string")
 
-    @property
-    def length(self) -> int:
-        return int(self.sig_b.size)
-
 
 def make_key_material(rng: np.random.Generator, length: int,
                       mismatches_b: int = 0, mismatches_c: int = 0) -> KeyMaterial:

@@ -58,6 +58,7 @@ REFERENCE_VECTOR = (0.4, 0.05, 1.0 / 3.0, 1.0 / 3.0, 0.5)
 
 _QDS_NAMES = ("a_s", "a_d1", "p_as", "p_ad1", "p_z")
 _PROB_LO, _PROB_HI = 1e-3, 1.0 - 1e-3
+_A_D1_HI = 0.3  # cap on the strong decoy intensity
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def _qds_projection(a_d2: float) -> Callable[[list[float]], list[float]]:
 
     def project(x: list[float]) -> list[float]:
         y = list(x)
-        y[1] = min(max(y[1], a_d2 + 1e-4), 0.3)      # a_d1
+        y[1] = min(max(y[1], a_d2 + 1e-4), _A_D1_HI)  # a_d1
         y[0] = min(max(y[0], y[1] + 1e-3), 1.0)      # a_s above a_d1
         y[2] = min(max(y[2], _PROB_LO), _PROB_HI)    # p_as
         y[3] = min(max(y[3], _PROB_LO), _PROB_HI)    # p_ad1
@@ -261,11 +262,18 @@ def _qds_projection(a_d2: float) -> Callable[[list[float]], list[float]]:
 
 def qds_search_space(initial: Sequence[float] | None = REFERENCE_VECTOR,
                      a_d2: float = 5e-4) -> SearchSpace:
-    """Search space over (a_s, a_d1, p_as, p_ad1, p_z)."""
+    """Search space over (a_s, a_d1, p_as, p_ad1, p_z).
+
+    a_d1 ranges over [a_d2 + 1e-4, 0.3], so a_d2 must lie below
+    0.3 - 1e-4.
+    """
+    if a_d2 + 1e-4 >= _A_D1_HI:
+        raise ValueError(f"a_d2 must leave a_d1 room below its {_A_D1_HI} cap "
+                         f"(a_d2 + 1e-4 < {_A_D1_HI}), got a_d2 = {a_d2}")
     return SearchSpace(
         names=_QDS_NAMES,
         lower=(a_d2 + 1e-4 + 1e-3, a_d2 + 1e-4, _PROB_LO, _PROB_LO, _PROB_LO),
-        upper=(1.0, 0.3, _PROB_HI, _PROB_HI, _PROB_HI),
+        upper=(1.0, _A_D1_HI, _PROB_HI, _PROB_HI, _PROB_HI),
         initial=None if initial is None else tuple(initial),
         steps=(0.05, 0.01, 0.05, 0.05, 0.05),
         project=_qds_projection(a_d2),

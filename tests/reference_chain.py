@@ -6,7 +6,8 @@ in the order the build forms it:
 
 1. channel: pulse_counts scales a PulseStatistics record to the scalars
    the chain reads, each one bit-identical to a cell or a numpy .sum()
-   of the 3x3 tables (tests/test_channel.py checks that);
+   of the 3x3 tables that tables() builds (tests/test_channel.py checks
+   that);
 2. decoy: single_photon_bounds runs the Chernoff validity gates and the
    Hoeffding bounds n_Z1, n_X1 and m_X1 on those scalars;
 3. smb2's transfer: single_photon_populations and estimate_n_z1_from_x;
@@ -28,7 +29,10 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
+
+import numpy as np
 
 from mdiqds import models
 from mdiqds.bounds import (
@@ -41,12 +45,44 @@ from mdiqds.bounds import (
 from mdiqds.channel import IntensityConfig, PulseStatistics, SystemParams, pulse_statistics
 from mdiqds.security import SecurityBudget
 
+SIGNAL = 0  # table index of the signal intensity; 1 = strong decoy, 2 = weak decoy
+
+
+def tables(record: PulseStatistics, n: float) -> SimpleNamespace:
+    """A PulseStatistics record at n pulses, as 3x3 numpy tables.
+
+    Rows are Alice's intensity and columns Bob's. counts_*/errors_* are
+    the expected detections and errors per basis, pulses_* the pulse
+    pairs sent, s11_* the detections caused by a (1,1) photon pair and
+    e11_x their X-basis errors; y11/e11_rate are the (1,1) yield and
+    error rate. Each cell is (n * fraction) * cell value, and each (1,1)
+    cell ((n * fraction) * pair11) * y11, the order pulse_counts and
+    models._build_pipeline form their scalars in.
+    """
+    frac_z, frac_x, cell_yield, cell_err, pair11 = (
+        np.array(cells).reshape(3, 3) for cells in
+        (record.frac_z, record.frac_x, record.cell_yield, record.cell_err, record.pair11))
+    pulses_z, pulses_x = n * frac_z, n * frac_x
+    s11_x = pulses_x * pair11 * record.y11
+    return SimpleNamespace(counts_z=pulses_z * cell_yield, counts_x=pulses_x * cell_yield,
+                           errors_z=pulses_z * cell_err, errors_x=pulses_x * cell_err,
+                           pulses_z=pulses_z, pulses_x=pulses_x,
+                           s11_z=pulses_z * pair11 * record.y11, s11_x=s11_x,
+                           e11_x=s11_x * record.e11, y11=record.y11, e11_rate=record.e11)
+
+
+def expected_tables(params: SystemParams, cfg: IntensityConfig,
+                    n_pulses: float | None = None) -> SimpleNamespace:
+    """tables() of the link's record, at params.n_pulses unless n_pulses is given."""
+    n = params.n_pulses if n_pulses is None else n_pulses
+    return tables(pulse_statistics(params, cfg), n)
+
 
 class PulseCounts(NamedTuple):
-    """The scalars of tallies(n)/truth(n) that the estimation chain reads.
+    """The scalars of tables(record, n) that the estimation chain reads.
 
     Each value is bit-identical to the matching cell, or to the numpy
-    .sum(), of the TallySet and SinglePhotonTruth tables at n pulses.
+    .sum(), of those tables.
     """
 
     z_signal: float          # counts_z[SIGNAL, SIGNAL]
@@ -205,7 +241,7 @@ def reference_evaluation(model: str, params: SystemParams, cfg: IntensityConfig,
                          budget: SecurityBudget | None) -> models._Evaluation:
     """models._evaluation's record, each constant from its definition.
 
-    The ledger totals run left to right, as RateResult.eps_n does; rep_log
+    The ledger totals run left to right, as models._ledger_total does; rep_log
     is 36 ln(2/epsilon) where c = g_prob + eps_pe + eps_n + eps_e is at
     most epsilon / 2, else None.
     """

@@ -11,7 +11,7 @@ import pytest
 
 from helpers_mc import counts_match, sample_cell, sample_pair11
 from mdiqds import bounds
-from mdiqds.channel import SystemParams, expected_tallies, single_photon_truth
+from mdiqds.channel import SystemParams
 from mdiqds.models import run_model, run_smb1, run_sob
 from mdiqds.montecarlo import (
     BOUND_IDS,
@@ -27,6 +27,7 @@ from mdiqds.optimize import (
     qds_search_space,
     rate_objective,
 )
+from reference_chain import expected_tables
 
 EPSILON = 1e-5
 SEED = 1
@@ -203,8 +204,7 @@ def test_criterion_6_numerical_identities():
     cells = 0
     for distance in (0.0, 50.0, 100.0):
         p = params_at(distance, 1e12)
-        tallies = expected_tallies(p, REFERENCE_CFG)
-        truth = single_photon_truth(p, REFERENCE_CFG)
+        tallies = expected_tables(p, REFERENCE_CFG)
         eta = p.arm_transmittance
         for i, a in enumerate(REFERENCE_CFG.intensities):
             for j, b in enumerate(REFERENCE_CFG.intensities):
@@ -215,8 +215,8 @@ def test_criterion_6_numerical_identities():
                 assert counts_match(errs, e_exp, samples), (distance, i, j)
                 cells += 1
         succ11, err11 = sample_pair11(rng, eta, p.p_dc, p.e_d, samples)
-        assert counts_match(succ11, truth.y11, samples)
-        assert counts_match(err11, truth.y11 * truth.e11_rate, samples)
+        assert counts_match(succ11, tallies.y11, samples)
+        assert counts_match(err11, tallies.y11 * tallies.e11_rate, samples)
     print(f"\nACCEPTANCE 6 PASS: identity grid, {len(frozen)} frozen scalars, "
           f"{cells} oracle cells at 3 distances within 3 sigma")
 

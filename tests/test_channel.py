@@ -9,18 +9,14 @@ from helpers_mc import binomial_sigma, counts_match, sample_cell, sample_pair11
 from mdiqds.channel import (
     MAX_PULSES,
     PHOTON_CUTOFF,
-    SIGNAL,
     IntensityConfig,
     PulseStatistics,
     SystemParams,
     _pair_statistics,
-    expected_tallies,
     pulse_statistics,
-    sample_tallies,
-    single_photon_truth,
 )
 from mdiqds.optimize import config_from_vector, qds_search_space
-from reference_chain import pulse_counts
+from reference_chain import SIGNAL, expected_tables, pulse_counts, tables
 
 CFG = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
 
@@ -67,32 +63,32 @@ class TestSystemParams:
 class TestExpectedTallies:
     def test_linear_in_pulse_count(self):
         p = params_at(50.0)
-        t1 = expected_tallies(p, CFG)
-        t2 = expected_tallies(p, CFG, n_pulses=2 * p.n_pulses)
+        t1 = expected_tables(p, CFG)
+        t2 = expected_tables(p, CFG, n_pulses=2 * p.n_pulses)
         assert np.allclose(t2.counts_z, 2 * t1.counts_z, rtol=1e-12)
         assert np.allclose(t2.errors_x, 2 * t1.errors_x, rtol=1e-12)
 
     def test_counts_decrease_with_distance(self):
-        totals = [expected_tallies(params_at(d), CFG).counts_z.sum()
+        totals = [expected_tables(params_at(d), CFG).counts_z.sum()
                   for d in (0.0, 25.0, 50.0, 100.0, 200.0)]
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
     def test_error_rate_increases_with_dark_counts(self):
         rates = []
         for p_dc in (1e-8, 1e-7, 1e-6, 1e-5):
-            t = expected_tallies(params_at(100.0, p_dc=p_dc), CFG)
+            t = expected_tables(params_at(100.0, p_dc=p_dc), CFG)
             rates.append(t.errors_z.sum() / t.counts_z.sum())
         assert all(a < b for a, b in zip(rates, rates[1:]))
 
     def test_long_distance_dark_floor(self):
         p = params_at(2000.0)
-        t = expected_tallies(p, CFG)
+        t = expected_tables(p, CFG)
         cell_yield = t.counts_z / t.pulses_z
         assert np.allclose(cell_yield, p.p_dc**2, rtol=0.05)
 
     def test_zero_distance_misalignment_floor(self):
         p = params_at(0.0, p_dc=0.0)
-        t = expected_tallies(p, CFG)
+        t = expected_tables(p, CFG)
         for counts, errors in ((t.counts_z, t.errors_z), (t.counts_x, t.errors_x)):
             rate = errors.sum() / counts.sum()
             assert rate == pytest.approx(p.e_d, rel=1e-9)
@@ -102,23 +98,22 @@ class TestSinglePhotonTruth:
     def test_vacuum_pair_emits_nothing(self):
         cfg = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, a_d2=0.0,
                                         p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
-        truth = single_photon_truth(params_at(50.0), cfg)
+        truth = expected_tables(params_at(50.0), cfg)
         assert truth.s11_z[2, 2] == 0.0
         assert truth.s11_x[2, 2] == 0.0
         # and every (1,1) count is bounded by its cell tally
-        tallies = expected_tallies(params_at(50.0), CFG)
-        full = single_photon_truth(params_at(50.0), CFG)
-        assert np.all(full.s11_z <= tallies.counts_z + 1e-9)
+        full = expected_tables(params_at(50.0), CFG)
+        assert np.all(full.s11_z <= full.counts_z + 1e-9)
 
     def test_error_rate_within_operating_band(self):
         for distance in (0.0, 50.0, 150.0, 400.0):
-            truth = single_photon_truth(params_at(distance), CFG)
+            truth = expected_tables(params_at(distance), CFG)
             assert 0.03 <= truth.e11_rate <= 0.5  # misalignment floor to random
 
     def test_no_error_sources_no_errors(self):
-        truth = single_photon_truth(params_at(0.0, p_dc=0.0, e_d=0.0), CFG)
+        truth = expected_tables(params_at(0.0, p_dc=0.0, e_d=0.0), CFG)
         assert truth.e11_rate == 0.0
-        assert truth.e11_x_total == 0.0
+        assert truth.e11_x.sum() == 0.0
 
     def test_apportionment_matches_posterior(self):
         """p_{a,b|11,W} * total equals the per-cell truth entry.
@@ -126,7 +121,7 @@ class TestSinglePhotonTruth:
         The posterior is Bayes' rule over explicit joint weights
         P_W(a,b) Pois(1|a) Pois(1|b).
         """
-        truth = single_photon_truth(params_at(50.0), CFG)
+        truth = expected_tables(params_at(50.0), CFG)
         for basis, s11 in (("Z", truth.s11_z), ("X", truth.s11_x)):
             weights = np.zeros((3, 3))
             for i, (a, pa) in enumerate(zip(CFG.intensities, CFG.probs)):
@@ -143,7 +138,7 @@ class TestSinglePhotonTruth:
         rests on (exact here up to the photon cutoff).
         """
         p = params_at(50.0)
-        t = expected_tallies(p, CFG)
+        t = expected_tables(p, CFG)
         eta = p.arm_transmittance
         n = np.arange(PHOTON_CUTOFF + 1)
         q = 1.0 - (1.0 - eta) ** n
@@ -163,7 +158,7 @@ class TestSinglePhotonTruth:
 
 class TestPulseStatistics:
     def test_counts_equal_table_cells_and_sums(self):
-        """The chain's scalars at n are the cells and sums of tallies(n)/truth(n), bit for bit.
+        """The chain's scalars at n are the cells and sums of tables(record, n), bit for bit.
 
         reference_chain.pulse_counts forms them in the order
         models._build_pipeline does, which test_models.py checks it against.
@@ -181,14 +176,14 @@ class TestPulseStatistics:
             for n in (1.0, float(rng.integers(2, 10**6)),
                       float(10 ** rng.uniform(6, 150)), MAX_PULSES):
                 got = pulse_counts(record, n)
-                t, tr = record.tallies(n), record.truth(n)
+                t = tables(record, n)
                 want = dict(
                     z_signal=t.counts_z[SIGNAL, SIGNAL],
                     z_signal_errors=t.errors_z[SIGNAL, SIGNAL],
                     z_signal_pulses=t.pulses_z[SIGNAL, SIGNAL],
                     z_total=t.counts_z.sum(), x_total=t.counts_x.sum(),
-                    s11_z_signal=tr.s11_z[SIGNAL, SIGNAL],
-                    s11_x_total=tr.s11_x.sum(), e11_x_total=tr.e11_x.sum())
+                    s11_z_signal=t.s11_z[SIGNAL, SIGNAL],
+                    s11_x_total=t.s11_x.sum(), e11_x_total=t.e11_x.sum())
                 for name, value in want.items():
                     assert getattr(got, name) == float(value), (name, n)
                 assert got.pulses_x == tuple(t.pulses_x.ravel().tolist())
@@ -332,32 +327,11 @@ def test_record_is_symmetric_in_the_senders():
             assert np.allclose(cells, cells.T, rtol=1e-12, atol=0.0), name
 
 
-class TestSampledTallies:
-    def test_reproducible_and_integer(self):
-        p = params_at(50.0, n_pulses=1e10)
-        t1 = sample_tallies(p, CFG, np.random.default_rng(5))
-        t2 = sample_tallies(p, CFG, np.random.default_rng(5))
-        assert np.array_equal(t1.counts_z, t2.counts_z)
-        assert np.array_equal(t1.errors_x, t2.errors_x)
-        assert np.all(t1.counts_z == np.floor(t1.counts_z))
-        assert np.all(t1.errors_z <= t1.counts_z)
-
-    def test_concentrates_on_expectation(self):
-        p = params_at(50.0, n_pulses=1e10)
-        mean = expected_tallies(p, CFG)
-        draws = [sample_tallies(p, CFG, np.random.default_rng(s)).counts_z
-                 for s in range(30)]
-        avg = np.mean(draws, axis=0)
-        sigma = np.sqrt(mean.counts_z / 30)
-        assert np.all(np.abs(avg - mean.counts_z) <= 5 * sigma + 1e-9)
-
-
 @pytest.mark.slow
 def test_monte_carlo_oracle_50km():
     """Expected cell statistics match the sampling oracle within 3 sigma."""
     p = params_at(50.0)
-    t = expected_tallies(p, CFG)
-    truth = single_photon_truth(p, CFG)
+    t = expected_tables(p, CFG)
     eta = p.arm_transmittance
     rng = np.random.default_rng(20240517)
     samples = 400_000
@@ -369,4 +343,4 @@ def test_monte_carlo_oracle_50km():
             assert counts_match(succ, y_exp, samples), (i, j)
             assert counts_match(errs, e_exp, samples), (i, j)
     succ11, _ = sample_pair11(rng, eta, p.p_dc, p.e_d, samples)
-    assert abs(succ11 / samples - truth.y11) <= 3 * binomial_sigma(truth.y11, samples)
+    assert abs(succ11 / samples - t.y11) <= 3 * binomial_sigma(t.y11, samples)

@@ -312,6 +312,16 @@ class TestOptimize:
         assert rec["a_d2"] == 0.06
         assert rec["feasible"] is True
 
+    @pytest.mark.parametrize("a_d2", ["0.3", "0.2999"])
+    def test_weak_decoy_leaving_no_decoy_range_rejected(self, capsys, a_d2):
+        # rate accepts this configuration, but the search range of a_d1,
+        # [a_d2 + 1e-4, 0.3], is empty: the error names a_d2 and the cap
+        code, out, err = run_cli(capsys, "optimize", "--a-d2", a_d2, "--a-d1", "0.31",
+                                 "--a-s", "0.4")
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: a_d2 must leave a_d1 room below its 0.3 cap")
+        assert f"got a_d2 = {a_d2}" in err
+
 
 class TestVerify:
     def test_small_run_passes(self, capsys):

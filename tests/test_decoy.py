@@ -11,13 +11,8 @@ import pytest
 
 import reference_chain as decoy
 from mdiqds.bounds import hoeffding_delta
-from mdiqds.channel import (
-    SIGNAL,
-    IntensityConfig,
-    SystemParams,
-    pulse_statistics,
-    single_photon_truth,
-)
+from mdiqds.channel import IntensityConfig, SystemParams, pulse_statistics
+from reference_chain import SIGNAL, expected_tables
 
 EPS12 = 1e-12
 NEAR_ONE = 1.0 - 1e-15
@@ -28,7 +23,7 @@ PARAMS = SystemParams(distance_km=50.0, n_pulses=1e12)
 
 @pytest.fixture(scope="module")
 def truth():
-    return single_photon_truth(PARAMS, CFG)
+    return expected_tables(PARAMS, CFG)
 
 
 @pytest.fixture(scope="module")
@@ -92,9 +87,9 @@ class TestEstimates:
         assert decoy.estimate_n_x1(float(cells.sum()), EPS12) == pytest.approx(expected, rel=1e-12)
 
     def test_m_x1_upper_direction_and_flag(self, truth):
-        n_x1 = decoy.estimate_n_x1(truth.s11_x_total, EPS12)
-        up = decoy.estimate_m_x1(truth.e11_x_total, EPS12)
-        mean = truth.e11_x_total
+        n_x1 = decoy.estimate_n_x1(float(truth.s11_x.sum()), EPS12)
+        mean = float(truth.e11_x.sum())
+        up = decoy.estimate_m_x1(mean, EPS12)
         delta = hoeffding_delta(mean, EPS12)
         assert delta > 0.0
         assert up == mean + delta
@@ -145,13 +140,13 @@ class TestPoissonCoverage:
         assert (draws < bound).mean() <= self.EPS
 
     def test_n_x1_lower_coverage(self, truth):
-        mean = truth.s11_x_total
+        mean = truth.s11_x.sum()
         bound = mean - math.sqrt(2 * mean * math.log(1 / self.EPS))
         draws = np.random.default_rng(12).poisson(mean, self.DRAWS)
         assert (draws < bound).mean() <= self.EPS
 
     def test_m_x1_upper_coverage(self, truth):
-        mean = truth.e11_x_total
+        mean = truth.e11_x.sum()
         bound = mean + math.sqrt(2 * mean * math.log(1 / self.EPS))
         draws = np.random.default_rng(13).poisson(mean, self.DRAWS)
         assert (draws > bound).mean() <= self.EPS

@@ -3,14 +3,13 @@ import dataclasses
 import functools
 import hashlib
 import math
-import operator
 import sys
 
 import numpy as np
 import pytest
 
 from mdiqds import channel, models, security
-from mdiqds.channel import IntensityConfig, SystemParams, expected_tallies, pulse_statistics
+from mdiqds.channel import IntensityConfig, SystemParams, pulse_statistics
 from mdiqds.cli import record_dict, render_csv
 from mdiqds.optimize import REFERENCE_VECTOR, config_from_vector, qds_search_space
 from mdiqds.security import SecurityBudget
@@ -95,7 +94,7 @@ class TestSinglePhotonPopulations:
 
     def test_vanishing_confidence_poisson_weights(self):
         params = SystemParams(distance_km=10.0, n_pulses=1e12)
-        tallies = expected_tallies(params, CFG)
+        tallies = reference_chain.expected_tables(params, CFG)
         counts = reference_chain.pulse_counts(pulse_statistics(params, CFG), params.n_pulses)
         lo, hi = reference_chain.single_photon_populations(counts, CFG, NEAR_ONE)
         a = CFG.a_s
@@ -205,12 +204,10 @@ class TestRunners:
     def test_budget_ledger_audit(self):
         params = SystemParams(distance_km=50.0, n_pulses=1e12)
         r = models.run_smb1(params, CFG)
-        assert r.eps_n == pytest.approx(sum(v for _, v in r.eps_n_terms), rel=1e-12)
-        assert r.eps_e == pytest.approx(sum(v for _, v in r.eps_e_terms), rel=1e-12)
         # direct route: z-cell gates + fluctuation + projection
-        assert r.eps_n == pytest.approx(5 * EPS12)
+        assert models._ledger_total(r.eps_n_terms) == pytest.approx(5 * EPS12)
         # error route: m_X1 + n_X1 (with x gates) + sampling + projection
-        assert r.eps_e == pytest.approx((1 + 28 + 1 + 1) * EPS12)
+        assert models._ledger_total(r.eps_e_terms) == pytest.approx((1 + 28 + 1 + 1) * EPS12)
 
     def test_smb2_ledger_includes_population_terms(self):
         params = SystemParams(distance_km=50.0, n_pulses=1e12)
@@ -218,7 +215,7 @@ class TestRunners:
         labels = [name for name, _ in r.eps_n_terms]
         assert "single-photon populations" in labels
         assert "x-to-z count transfer" in labels
-        assert r.eps_n == pytest.approx((28 + 9 + 1 + 1) * EPS12)
+        assert models._ledger_total(r.eps_n_terms) == pytest.approx((28 + 9 + 1 + 1) * EPS12)
 
     def test_unknown_model_rejected(self):
         params = SystemParams(distance_km=50.0, n_pulses=1e12)
@@ -252,8 +249,6 @@ class TestRunners:
                 assert max(r.p_robust, r.p_repudiation, r.p_forge) <= budget.epsilon * (1 + 1e-9)
                 assert r.n_l1 <= r.length / 2
                 assert 0.0 <= r.e_l1 <= 1.0
-                assert r.eps_n == pytest.approx(sum(v for _, v in r.eps_n_terms))
-                assert r.eps_e == pytest.approx(sum(v for _, v in r.eps_e_terms))
         assert feasible_seen >= 20
 
     def test_feasibility_monotone_over_random_configs(self):
@@ -473,8 +468,6 @@ def test_feasible_results_carry_the_models_ledger():
                 feasible[model] += 1
                 n_terms, e_terms = models.eps_ledgers(budget, model == "smb2")
                 assert (r.eps_n_terms, r.eps_e_terms) == (n_terms, e_terms)
-                assert r.eps_n == functools.reduce(operator.add, (v for _, v in n_terms))
-                assert r.eps_e == functools.reduce(operator.add, (v for _, v in e_terms))
                 # each decoy estimate spends its gates plus its own fluctuation
                 gated = dict(r.eps_n_terms)
                 if model == "smb2":
@@ -490,23 +483,23 @@ def test_feasible_results_carry_the_models_ledger():
 
 @pytest.mark.parametrize("model", models.MODELS)
 def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
-    """A rate evaluation scales the record to scalars on every probe."""
-    built = {"TallySet": 0, "SinglePhotonTruth": 0, "SecurityOutcome": 0}
+    """A rate evaluation builds one SecurityOutcome, for its result.
 
-    def counting(cls):
-        original = cls.__init__
+    Its probes decide feasibility from the scaled record's scalars alone.
+    """
+    built = 0
+    original = security.SecurityOutcome.__init__
 
-        def init(self, *args, **kwargs):
-            built[cls.__name__] += 1
-            original(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", init)
+    def init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
 
-    for cls in (channel.TallySet, channel.SinglePhotonTruth, security.SecurityOutcome):
-        counting(cls)
+    monkeypatch.setattr(security.SecurityOutcome, "__init__", init)
     cfg = CFG_SMB2 if model == "smb2" else CFG
     result = models.run_model(model, SystemParams(distance_km=50.0, n_pulses=1e12), cfg)
     assert result.feasible
-    assert built == {"TallySet": 0, "SinglePhotonTruth": 0, "SecurityOutcome": 1}
+    assert built == 1
 
 
 def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):

@@ -13,7 +13,7 @@ class TestKeyMaterial:
     def test_shapes_and_halves(self):
         rng = np.random.default_rng(1)
         km = mc.make_key_material(rng, 2000, mismatches_b=50, mismatches_c=70)
-        assert km.length == 2000
+        assert km.sig_b.size == km.key_c.size == 2000
         assert km.keep_b.sum() == 1000
         assert (km.key_b != km.sig_b).sum() == 50
         assert (km.key_c != km.sig_c).sum() == 70
