@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 __all__ = [
     "MAX_PULSES",
@@ -138,21 +139,25 @@ class IntensityConfig:
     p_z: float
 
     def __post_init__(self) -> None:
-        # an infinite intensity passes the ordering check below; read by
-        # name, as in SystemParams
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+        # each field is read once; an infinite intensity passes the
+        # ordering check below
+        values = (self.a_s, self.a_d1, self.a_d2, self.p_as, self.p_ad1, self.p_ad2,
+                  self.p_z)
+        for name, value in zip(self.__dataclass_fields__, values):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.a_s > self.a_d1 > self.a_d2 >= 0.0:
+        a_s, a_d1, a_d2, p_as, p_ad1, p_ad2, p_z = values
+        if not a_s > a_d1 > a_d2 >= 0.0:
             raise ValueError(f"intensities must satisfy a_s > a_d1 > a_d2 >= 0, "
-                             f"got {self.intensities}")
-        if min(self.probs) <= 0.0:
-            raise ValueError(f"selection probabilities must be positive, got {self.probs}")
-        if not math.isclose(sum(self.probs), 1.0, rel_tol=0, abs_tol=1e-9):
-            raise ValueError(f"selection probabilities must sum to 1, got {sum(self.probs)}")
-        if not 0.0 < self.p_z < 1.0:
-            raise ValueError(f"p_z must be in (0, 1), got {self.p_z}")
+                             f"got {(a_s, a_d1, a_d2)}")
+        probs = (p_as, p_ad1, p_ad2)
+        if min(probs) <= 0.0:
+            raise ValueError(f"selection probabilities must be positive, got {probs}")
+        total = sum(probs)
+        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
+            raise ValueError(f"selection probabilities must sum to 1, got {total}")
+        if not 0.0 < p_z < 1.0:
+            raise ValueError(f"p_z must be in (0, 1), got {p_z}")
 
     @classmethod
     def symmetric(cls, a_s: float, a_d1: float, p_as: float, p_ad1: float,
@@ -168,14 +173,6 @@ class IntensityConfig:
     @property
     def probs(self) -> tuple[float, float, float]:
         return (self.p_as, self.p_ad1, self.p_ad2)
-
-    def basis_pair_prob(self, basis: str) -> float:
-        """Probability that both senders choose the given basis."""
-        if basis == "Z":
-            return self.p_z * self.p_z
-        if basis == "X":
-            return (1.0 - self.p_z) * (1.0 - self.p_z)
-        raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
 _PHOTON_NUMBERS = range(PHOTON_CUTOFF + 1)
@@ -198,6 +195,11 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     the per-(n, m) form e_d photon + (yield - photon) / 2. The sums run
     left to right, not through builtin sum(), which compensates from
     Python 3.12 on.
+
+    cell_err <= cell_yield is checked here, once per set of cells:
+    scaling both sides by the same positive pulse count keeps the order
+    under rounding, so no count derived from the cells has more errors
+    than events.
     """
     q = [1.0 - (1.0 - eta) ** n for n in _PHOTON_NUMBERS]  # photon-click prob
     click = [1.0 - (1.0 - qn) * (1.0 - p_dc) for qn in q]  # threshold detector incl. dark
@@ -217,14 +219,15 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     cell_yield = tuple(a * b for a in y_sums for b in y_sums)
     photon = [a * b for a in q_sums for b in q_sums]
     cell_err = tuple(e_d * ph + 0.5 * (y - ph) for y, ph in zip(cell_yield, photon))
+    if any(e > y for e, y in zip(cell_err, cell_yield)):
+        raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
     y11 = click[1] * click[1]
     photon11 = q[1] * q[1]
     e11 = (e_d * photon11 + 0.5 * (y11 - photon11)) / y11 if y11 > 0 else 0.0
     return cell_yield, cell_err, y11, e11
 
 
-@dataclass(frozen=True)
-class PulseStatistics:
+class PulseStatistics(NamedTuple):
     """Per-pulse-pair channel statistics of one (params, cfg).
 
     frac_* are the basis/intensity selection fractions, cell_* the
@@ -233,11 +236,9 @@ class PulseStatistics:
     cells (index 0 = signal, 1 = strong decoy, 2 = weak decoy, Alice's
     intensity first); y11/e11 are the (1,1) yield and error rate. Every
     expected count is linear in the pulse count, so the estimation chain
-    scales this one record instead of recomputing the channel.
-
-    cell_err <= cell_yield is checked here, once: scaling both sides by
-    the same positive pulse count keeps the order under rounding, so no
-    count derived from the record has more errors than events.
+    scales this one record instead of recomputing the channel. A
+    NamedTuple, built once per rate evaluation; its cells come checked
+    from _pair_statistics.
     """
 
     r_test: float
@@ -249,30 +250,25 @@ class PulseStatistics:
     y11: float
     e11: float
 
-    def __post_init__(self) -> None:
-        if any(e > y for e, y in zip(self.cell_err, self.cell_yield)):
-            raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
-
 
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
     """Per-pulse-pair channel statistics of one link and configuration.
 
     Every rate evaluation builds one, so the 9-cell tuples are formed in
     plain floats, each product in the order numpy's outer products form
-    it (the basis weight times outer(p, p) of the selection
-    probabilities, and the outer product of the single-photon weights),
-    so they equal the tests' numpy tables bit for bit; the cells come
-    from _pair_statistics' cache.
+    it (the basis weight p_z^2 or (1 - p_z)^2 times outer(p, p) of the
+    selection probabilities, and the outer product of the single-photon
+    weights), so they equal the tests' numpy tables bit for bit; the
+    cells come from _pair_statistics' cache.
     """
+    intensities = cfg.intensities
     cell_yield, cell_err, y11, e11 = _pair_statistics(
-        params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
+        params.arm_transmittance, params.p_dc, params.e_d, intensities)
     probs = cfg.probs
-    w_z, w_x = cfg.basis_pair_prob("Z"), cfg.basis_pair_prob("X")
-    p1 = [mu * math.exp(-mu) for mu in cfg.intensities]
-    return PulseStatistics(
-        r_test=params.r_test,
-        frac_z=tuple(w_z * (pa * pb) for pa in probs for pb in probs),
-        frac_x=tuple(w_x * (pa * pb) for pa in probs for pb in probs),
-        cell_yield=cell_yield, cell_err=cell_err,
-        pair11=tuple(a * b for a in p1 for b in p1), y11=y11, e11=e11,
-    )
+    outer = [pa * pb for pa in probs for pb in probs]
+    p_z = cfg.p_z
+    w_z, w_x = p_z * p_z, (1.0 - p_z) * (1.0 - p_z)
+    p1 = [mu * math.exp(-mu) for mu in intensities]
+    return PulseStatistics(params.r_test, tuple([w_z * o for o in outer]),
+                           tuple([w_x * o for o in outer]), cell_yield, cell_err,
+                           tuple([a * b for a in p1 for b in p1]), y11, e11)

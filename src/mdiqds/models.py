@@ -26,9 +26,11 @@ They differ in two places. The sign-one-bit model ("sob") dedicates a
 whole block of N_s pulse pairs to a single signed bit, with the entire
 key pool forming that bit's signature material, and bisects for a
 self-sufficient N_s whose predecessor is not; its rate 1/N_s is
-independent of the total pulse count. (sob feasibility is not monotone
-at the scale of single pulses: the ceil of the Serfling step makes e_Z1
-jump by 1/n_Z1, so a feasible size can sit a little below the one found.)
+independent of the total pulse count N, except where N lies below the
+top of the search's geometric bracket (see run_sob). (sob feasibility is
+not monotone at the scale of single pulses: the ceil of the Serfling
+step makes e_Z1 jump by 1/n_Z1, so a feasible size can sit a little
+below the one found.)
 The two sign-multiple-bits models ("smb1", "smb2") solve for the
 smallest secure signature length L and sign n_pool/(2L) bits from the
 shared pool; smb1 bounds the signal-basis single-photon count directly
@@ -58,7 +60,6 @@ both senders use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, NamedTuple
 
@@ -112,6 +113,9 @@ _SCREEN_TAU = 1e-9
 
 EpsTerms = tuple[tuple[str, float], ...]
 
+# the budget of a caller that passes None; frozen, so one serves all
+_DEFAULT_BUDGET = SecurityBudget()
+
 
 def signed_bits(n_pool: float, length: float) -> float:
     """Bits signable from a pool: each bit consumes 2L pool bits."""
@@ -149,14 +153,14 @@ def _ledger_total(terms: EpsTerms) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     """Signature rate of one model at one configuration.
 
     rate * n_pulses equals n_bits within 2 ulp of n_bits on every
     feasible result (rate is n_bits / n_pulses, or 1 / block_size for
     sob, and the product rounds); the block_size field is populated by
-    the sign-one-bit model only.
+    the sign-one-bit model only. A NamedTuple, as every floored-out
+    optimizer candidate builds one.
     """
 
     model: str
@@ -184,8 +188,8 @@ class RateResult:
     p_robust: float = 0.0
     p_repudiation: float = 0.0
     p_forge: float = 0.0
-    eps_n_terms: EpsTerms = field(default_factory=tuple)
-    eps_e_terms: EpsTerms = field(default_factory=tuple)
+    eps_n_terms: EpsTerms = ()
+    eps_e_terms: EpsTerms = ()
     config: IntensityConfig | None = None
     reason: str = ""
 
@@ -224,7 +228,7 @@ class _Evaluation(NamedTuple):
 def _evaluation(model: str, params: SystemParams, cfg: IntensityConfig,
                 budget: SecurityBudget | None) -> _Evaluation:
     """The record of one rate evaluation of model at (params, cfg)."""
-    budget = budget if budget is not None else SecurityBudget()
+    budget = _DEFAULT_BUDGET if budget is None else budget
     x_derived = model == "smb2"
     ledgers = eps_ledgers(budget, x_derived)
     eps_n, eps_e = map(_ledger_total, ledgers)
@@ -627,11 +631,15 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     Within one block the whole key pool backs the single bit (L =
     n_pool/2 per message value). The block size comes from the same
     bisection as the signature length (smallest_feasible), started at a
-    fixed size, so the result does not depend on the total pulse count
-    once it exceeds the found block size. N_s is feasible and N_s - 1 is
-    not, but since sob feasibility is not monotone in single pulses (see
-    the module docstring) a smaller feasible block may exist. floor is
-    as in run_model.
+    fixed size, so the result does not depend on the total pulse count N
+    once N reaches the top of the geometric bracket around the found
+    block. Below that top the cap N cuts the bracket short, and the
+    bisection can land on another transition: at the optimizer's
+    REFERENCE_VECTOR, 25 km, N = 1e10 gives N_s = 4,817,187,104, while
+    every N from 1.41e10 up gives 4,817,270,209 (bracket top 1.72e10).
+    N_s is feasible and N_s - 1 is not, but since sob feasibility is not
+    monotone in single pulses (see the module docstring) a smaller
+    feasible block may exist. floor is as in run_model.
 
     With a stop, the relaxed probes (_sob_relaxed) run first. The
     optimistic Q false at stop - 1 shows that no block below the stop is

@@ -63,14 +63,19 @@ _A_D1_HI = 0.3  # cap on the strong decoy intensity
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box-constrained coordinate space with an optional projection."""
+    """Box-constrained coordinate space with an optional projection.
+
+    project, when given, replaces the box clamp: it must map every
+    vector into the box (the QDS projection clamps each coordinate into
+    a sub-range of it), and must not modify its argument.
+    """
 
     names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     initial: tuple[float, ...] | None = None
     steps: tuple[float, ...] | None = None
-    project: Callable[[list[float]], list[float]] | None = None
+    project: Callable[[Sequence[float]], list[float]] | None = None
 
     def __post_init__(self) -> None:
         k = len(self.names)
@@ -87,10 +92,9 @@ class SearchSpace:
     def clip_project(self, x: Sequence[float]) -> list[float]:
         if len(x) != len(self.names):
             raise ValueError(f"vector must have {len(self.names)} coordinates, got {len(x)}")
-        y = [min(max(v, lo), hi) for v, lo, hi in zip(x, self.lower, self.upper)]
         if self.project is not None:
-            y = self.project(y)
-        return y
+            return self.project(x)
+        return [min(max(v, lo), hi) for v, lo, hi in zip(x, self.lower, self.upper)]
 
     def base_steps(self) -> list[float]:
         if self.steps is not None:
@@ -231,20 +235,23 @@ def multi_start(objective: Objective, space: SearchSpace,
     return replace(best, start_values=tuple(r.value for r in results))
 
 
-def _qds_projection(a_d2: float) -> Callable[[list[float]], list[float]]:
+def _qds_projection(a_d2: float) -> Callable[[Sequence[float]], list[float]]:
     """Restore intensity ordering and the selection-probability simplex.
 
-    The probabilities p_as and p_ad1 are clamped to [1e-3, 0.999]; a pair
-    then beyond the edge p_as + p_ad1 = 0.999 (which keeps p_ad2 >= 1e-3)
-    goes to the nearest point of the box on that edge: the excess is
-    taken from the two in equal halves, neither going below 1e-3. A step
-    s on p_as at the edge so moves p_as by s/2. p_ad1 is set as
-    0.999 - p_as, the same expression the edge test compares it with, so
-    a projected point never re-enters the branch and the projection is
-    idempotent bit for bit, as the descent's point memo needs.
+    Each coordinate is clamped into its range of qds_search_space's box
+    (a_s into a sub-range, above a_d1), so the projection needs no box
+    clamp before it. The probabilities p_as and p_ad1 are clamped to
+    [1e-3, 0.999]; a pair then beyond the edge p_as + p_ad1 = 0.999
+    (which keeps p_ad2 >= 1e-3) goes to the nearest point of the box on
+    that edge: the excess is taken from the two in equal halves, neither
+    going below 1e-3. A step s on p_as at the edge so moves p_as by s/2.
+    p_ad1 is set as 0.999 - p_as, the same expression the edge test
+    compares it with, so a projected point never re-enters the branch
+    and the projection is idempotent bit for bit, as the descent's point
+    memo needs.
     """
 
-    def project(x: list[float]) -> list[float]:
+    def project(x: Sequence[float]) -> list[float]:
         y = list(x)
         y[1] = min(max(y[1], a_d2 + 1e-4), _A_D1_HI)  # a_d1
         y[0] = min(max(y[0], y[1] + 1e-3), 1.0)      # a_s above a_d1
@@ -281,20 +288,26 @@ def qds_search_space(initial: Sequence[float] | None = REFERENCE_VECTOR,
 
 
 def config_from_vector(x: Sequence[float], a_d2: float = 5e-4) -> IntensityConfig:
-    a_s, a_d1, p_as, p_ad1, p_z = (float(v) for v in x)
-    return IntensityConfig.symmetric(a_s=a_s, a_d1=a_d1, p_as=p_as,
-                                     p_ad1=p_ad1, p_z=p_z, a_d2=a_d2)
+    """The configuration at (a_s, a_d1, p_as, p_ad1, p_z), p_ad2 = 1 - p_as - p_ad1."""
+    a_s, a_d1, p_as, p_ad1, p_z = map(float, x)
+    return IntensityConfig(a_s, a_d1, a_d2, p_as, p_ad1, 1.0 - p_as - p_ad1, p_z)
 
 
 def rate_objective(params: SystemParams, model: str,
                    budget: SecurityBudget | None = None,
-                   a_d2: float = 5e-4) -> Objective:
+                   a_d2: float = 5e-4, *,
+                   exact: dict[tuple[float, ...], RateResult] | None = None) -> Objective:
     """Objective (config-vector, floor) -> signature rate; 0 on any infeasibility.
 
     floor goes to the model's runner, which returns the exact rate when
     it exceeds floor and may otherwise stop early with rate 0 <= floor,
-    as the module's objective contract allows. The objective keeps no
-    state between calls: each value depends on (x, floor) alone.
+    as the module's objective contract allows. The objective's values
+    depend on (x, floor) alone.
+
+    With exact given, each result whose rate exceeds the floor it was
+    scored at is stored there under tuple(x): by run_model's contract it
+    is the unfloored result. In a descent these are its start and every
+    point it accepted.
     """
 
     def objective(x: Sequence[float], floor: float) -> float:
@@ -307,6 +320,8 @@ def rate_objective(params: SystemParams, model: str,
             result = runner(params, cfg, budget, floor=floor)
         else:
             result = run_model(model, params, cfg, budget, floor=floor)
+        if exact is not None and result.rate > floor:
+            exact[tuple(x)] = result
         return result.rate
 
     return objective
@@ -326,10 +341,9 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
     candidate is scored with the best rate so far as its floor, so one
     that cannot beat it stops early; only a strictly higher rate
     replaces the best, so the first of equal rates is kept. A candidate
-    whose exact rate the model's own descent already holds (its optimum
-    and, with one start, its start) is compared by that rate and not run
-    again; the model runs once more at the winner only when the winner
-    is such a candidate, for its RateResult.
+    the model's own descents scored exactly (their starts and accepted
+    points, the optimum among them) is compared by the RateResult they
+    hold and not run again, the winner included.
 
     The reference vector is pooled as projected into the search space
     of a_d2 (unchanged at the default a_d2), so a weak decoy above its
@@ -346,32 +360,25 @@ def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
     start = reference if initial is None else tuple(initial)
     space = replace(space, initial=start)
     candidates: list[tuple[float, ...]] = [reference, start]
-    # exact rates each descent holds: its optimum and, with one start,
-    # the projected start it scored first
-    known: dict[str, dict[tuple[float, ...], float]] = {}
-    projected_start = tuple(space.clip_project(start))
+    # the unfloored result at every point each model's descents scored exactly
+    known: dict[str, dict[tuple[float, ...], RateResult]] = {}
     for model in models:
-        point = multi_start(rate_objective(params, model, budget, a_d2),
+        known[model] = {}
+        point = multi_start(rate_objective(params, model, budget, a_d2, exact=known[model]),
                             space, k=starts, seed=seed)
         candidates.append(point.x)
-        known[model] = {point.x: point.value}
-        if starts == 1:
-            known[model].setdefault(projected_start, point.history[0])
     # a repeated candidate scores what its first copy did, and only a
     # higher rate replaces the best, so scoring it again changes nothing
     distinct = {vec: config_from_vector(vec, a_d2) for vec in candidates}
     results = {}
     for model in models:
-        best_rate, best_vec, best = -math.inf, None, None
+        best = None
         for vec, cfg in distinct.items():
-            if vec in known[model]:  # compared by its rate, not run again
-                rate, result = known[model][vec], None
-            else:
-                result = run_model(model, params, cfg, budget, floor=max(best_rate, 0.0))
-                rate = result.rate
-            if rate > best_rate:
-                best_rate, best_vec, best = rate, vec, result
-        if best is None:  # a known rate won: run it once for its RateResult
-            best = run_model(model, params, distinct[best_vec], budget)
+            result = known[model].get(vec)
+            if result is None:
+                result = run_model(model, params, cfg, budget,
+                                   floor=0.0 if best is None else best.rate)
+            if best is None or result.rate > best.rate:
+                best = result
         results[model] = best
     return results

@@ -1,5 +1,4 @@
 """Channel-model tests: linearity, limits, Bayes posterior, MC oracle."""
-import dataclasses
 import math
 
 import numpy as np
@@ -122,11 +121,11 @@ class TestSinglePhotonTruth:
         P_W(a,b) Pois(1|a) Pois(1|b).
         """
         truth = expected_tables(params_at(50.0), CFG)
-        for basis, s11 in (("Z", truth.s11_z), ("X", truth.s11_x)):
+        for basis_prob, s11 in ((CFG.p_z, truth.s11_z), (1.0 - CFG.p_z, truth.s11_x)):
             weights = np.zeros((3, 3))
             for i, (a, pa) in enumerate(zip(CFG.intensities, CFG.probs)):
                 for j, (b, pb) in enumerate(zip(CFG.intensities, CFG.probs)):
-                    weights[i, j] = (CFG.basis_pair_prob(basis) * pa * pb
+                    weights[i, j] = (basis_prob * basis_prob * pa * pb
                                      * a * math.exp(-a) * b * math.exp(-b))
             assert np.allclose(weights / weights.sum() * s11.sum(), s11, rtol=1e-9)
 
@@ -151,7 +150,7 @@ class TestSinglePhotonTruth:
                     for mm in range(PHOTON_CUTOFF + 1):
                         pois_a = math.exp(-a) * a**nn / math.factorial(nn)
                         pois_b = math.exp(-b) * b**mm / math.factorial(mm)
-                        rebuilt[i, j] += (CFG.basis_pair_prob("Z") * pa * pb
+                        rebuilt[i, j] += (CFG.p_z * CFG.p_z * pa * pb
                                           * pois_a * pois_b * yield_nm[nn, mm] * p.n_pulses)
         assert np.allclose(rebuilt, t.counts_z, rtol=1e-6)
 
@@ -191,15 +190,19 @@ class TestPulseStatistics:
         assert checked == 240
 
     def test_error_rate_above_yield_rejected(self):
-        record = pulse_statistics(params_at(50.0), CFG)
-        cell_err = list(record.cell_err)
-        cell_err[4] = record.cell_yield[4] * (1.0 + 1e-12)
-        fields = {f: getattr(record, f) for f in record.__dataclass_fields__}
-        fields["cell_err"] = tuple(cell_err)
+        """_pair_statistics checks err <= yield in every cell it makes.
+
+        SystemParams keeps e_d in [0, 0.5], so a raw e_d above 1 breaks
+        the order. At eta = 1 and p_dc = 0 every click is a photon click,
+        so yield and photon cells are equal bit for bit and e_d = 1 makes
+        each error cell equal its yield, which is allowed.
+        """
         with pytest.raises(ValueError, match="exceeds yield"):
-            PulseStatistics(**fields)
-        fields["cell_err"] = record.cell_yield  # equality is allowed
-        PulseStatistics(**fields)
+            _pair_statistics(1.0, 0.0, 1.0 + 1e-12, CFG.intensities)
+        with pytest.raises(ValueError, match="exceeds yield"):
+            _pair_statistics(params_at(50.0).arm_transmittance, 1e-7, 1.5, CFG.intensities)
+        cell_yield, cell_err, _, _ = _pair_statistics(1.0, 0.0, 1.0, CFG.intensities)
+        assert cell_err == cell_yield and min(cell_yield) > 0.0
 
 
 def numpy_pair_statistics(eta: float, p_dc: float, e_d: float,
@@ -271,8 +274,9 @@ def numpy_record(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
     p1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities])
     return PulseStatistics(
         r_test=params.r_test,
-        frac_z=tuple((cfg.basis_pair_prob("Z") * np.outer(probs, probs)).ravel().tolist()),
-        frac_x=tuple((cfg.basis_pair_prob("X") * np.outer(probs, probs)).ravel().tolist()),
+        frac_z=tuple((cfg.p_z * cfg.p_z * np.outer(probs, probs)).ravel().tolist()),
+        frac_x=tuple(((1.0 - cfg.p_z) * (1.0 - cfg.p_z) * np.outer(probs, probs))
+                     .ravel().tolist()),
         cell_yield=cell_yield, cell_err=cell_err,
         pair11=tuple(np.outer(p1, p1).ravel().tolist()), y11=y11, e11=e11)
 
@@ -291,12 +295,11 @@ def test_record_bit_identical_to_numpy_tables():
                            e_d=float(rng.uniform(0.0, 0.5)),
                            r_test=float(rng.uniform(0.01, 0.5)))
         got, want = pulse_statistics(params, cfg), numpy_record(params, cfg)
-        for f in dataclasses.fields(PulseStatistics):
-            value, reference = getattr(got, f.name), getattr(want, f.name)
+        for name, value, reference in zip(PulseStatistics._fields, got, want):
             if isinstance(reference, tuple):
-                assert [v.hex() for v in value] == [v.hex() for v in reference], f.name
+                assert [v.hex() for v in value] == [v.hex() for v in reference], name
             else:
-                assert value.hex() == reference.hex(), f.name
+                assert value.hex() == reference.hex(), name
 
 
 def test_pair_statistics_caches_flat_tuples():

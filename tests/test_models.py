@@ -1,5 +1,4 @@
 """Pipeline tests for the three estimation models."""
-import dataclasses
 import functools
 import hashlib
 import math
@@ -440,13 +439,12 @@ def test_engine_within_rounding_of_numpy_channel_tables(monkeypatch):
     for got, want in zip(plain, tables):
         assert (got.length, got.feasible, got.reason) == (want.length, want.feasible,
                                                           want.reason)
-        for f in dataclasses.fields(models.RateResult):
-            g, w = getattr(got, f.name), getattr(want, f.name)
-            if isinstance(w, float) or (f.name == "block_size" and w is not None):
-                rel = 1e-11 if f.name in _SEARCH_FLOATS else 1e-9
-                assert g == pytest.approx(w, rel=rel, abs=0.0), (f.name, got, want)
+        for name, g, w in zip(models.RateResult._fields, got, want):
+            if isinstance(w, float) or (name == "block_size" and w is not None):
+                rel = 1e-11 if name in _SEARCH_FLOATS else 1e-9
+                assert g == pytest.approx(w, rel=rel, abs=0.0), (name, got, want)
             else:
-                assert g == w, f.name
+                assert g == w, name
 
 
 def test_feasible_results_carry_the_models_ledger():
@@ -551,13 +549,16 @@ def test_sweep_decides_most_length_probes_without_inverting_h2(sweep_pass):
 
     Each probe the screen decides costs no inverse H2; what is left is
     its fallbacks and one outcome_at per feasible result (17,029
-    inversions per pass without the screen, 1,978 with it). The pipeline
-    builds and the optimizer's evaluations are those of the unscreened
-    search, so the screen changed no verdict the searches acted on.
+    inversions per pass without the screen and 1,978 with it when it
+    landed). The pipeline builds and the optimizer's evaluations are
+    those of the unscreened search, so the screen changed no verdict the
+    searches acted on. Since the pooling stopped re-running winners whose
+    exact result a descent holds, a pass makes 13,536 builds (13,864
+    before) and 1,917 inversions.
     """
     counts, _ = sweep_pass
     assert counts["inverse"] <= 4500, counts
-    assert counts["builds"] == 13864, counts
+    assert counts["builds"] == 13536, counts
     assert counts["evals"] == 2773, counts
 
 

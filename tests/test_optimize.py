@@ -129,6 +129,22 @@ class TestQdsProjection:
             y = space.clip_project(x)
             assert bits(space.clip_project(y)) == bits(y), (x, y)
 
+    @pytest.mark.parametrize("a_d2", (5e-4, 0.06))
+    def test_projection_of_the_clamped_vector_bit_for_bit(self, a_d2):
+        """clip_project leaves the box clamp to the projection, which
+        clamps every coordinate into a sub-range of the box: projecting the
+        box-clamped vector gives the same point, bit for bit."""
+        space = qds_search_space(a_d2=a_d2)
+        rng = random.Random(6)
+        far = [[rng.uniform(-10.0, 10.0) for _ in range(5)] for _ in range(2000)]
+        points = edge_points(6, 6000) + far + [[math.inf, -math.inf, math.inf, 0.0, -math.inf]]
+        outside = 0
+        for x in points:
+            clamped = [min(max(v, lo), hi) for v, lo, hi in zip(x, space.lower, space.upper)]
+            outside += clamped != x
+            assert bits(space.clip_project(x)) == bits(space.project(clamped)), x
+        assert outside > len(points) // 2
+
     def test_edge_step_moves_the_probability_by_half(self):
         """A step s on p_as (p_ad1) from the edge moves it by s/2, the other
         by -s/2, or both to their bounds. The step is clamped to 0.999
@@ -385,13 +401,13 @@ class TestRateOptimization:
         """The pool holds REFERENCE_VECTOR twice when no warm start is given.
 
         Each model is run once at most per distinct candidate, and not at
-        all where its own descent holds the exact rate, unless that
-        candidate wins.
+        all where its own descent holds the exact result, the winner
+        included.
         """
         models = ("smb1", "smb2")
-        results, optima, runs = pooled_runs(monkeypatch, self.PARAMS, models=models, seed=1)
+        _, optima, scored, runs = pooled_runs(monkeypatch, self.PARAMS, models=models, seed=1)
         pool = list(dict.fromkeys([tuple(REFERENCE_VECTOR), *optima]))
-        assert_pooling_runs_only_what_it_lacks(results, optima, runs, pool,
+        assert_pooling_runs_only_what_it_lacks(optima, scored, runs, pool,
                                                tuple(REFERENCE_VECTOR), models)
 
     def test_repeated_objective_calls_are_deterministic(self):
@@ -449,7 +465,7 @@ class TestFlooredEvaluations:
 
     def test_optimize_models_same_as_unbounded_pooling(self, monkeypatch):
         warm = (0.35, 0.12, 0.6, 0.2, 0.8)
-        results, optima, runs = pooled_runs(monkeypatch, self.PARAMS, initial=warm)
+        results, optima, scored, runs = pooled_runs(monkeypatch, self.PARAMS, initial=warm)
         pool = list(dict.fromkeys([tuple(REFERENCE_VECTOR), warm, *optima]))
         for model in ("sob", "smb1", "smb2"):
             unbounded = max((models.run_model(model, self.PARAMS, config_from_vector(vec))
@@ -457,7 +473,7 @@ class TestFlooredEvaluations:
             assert results[model] == unbounded
         # the pooling ran every candidate its descent had not scored, and
         # stopped some early
-        assert_pooling_runs_only_what_it_lacks(results, optima, runs, pool, warm,
+        assert_pooling_runs_only_what_it_lacks(optima, scored, runs, pool, warm,
                                                ("sob", "smb1", "smb2"))
         assert any(reason == models.FLOOR_REASON for *_, reason in runs)
 
@@ -467,11 +483,13 @@ def vector(cfg: IntensityConfig) -> tuple[float, ...]:
 
 
 def pooled_runs(monkeypatch, params, **kwargs):
-    """optimize_models' results, each descent's optimum, and the
-    (model, vector, floor, reason) of every run_model call it makes after
-    its descents (the sob descent calls run_model too)."""
-    optima, runs = [], []
+    """optimize_models' results, each descent's optimum, the vectors each
+    model's descents scored exactly (above the floor they were scored at),
+    and the (model, vector, floor, reason) of every run_model call it makes
+    after its descents (the sob descent calls run_model too)."""
+    optima, runs, scored = [], [], {}
     search, run = optimize.multi_start, optimize.run_model
+    objective_for = optimize.rate_objective
     count = len(kwargs.get("models", models.MODELS))
 
     def recording_search(*args, **kw):
@@ -485,21 +503,31 @@ def pooled_runs(monkeypatch, params, **kwargs):
             runs.append((model, vector(cfg), floor, result.reason))
         return result
 
+    def recording_objective(params, model, *args, **kw):
+        objective = objective_for(params, model, *args, **kw)
+        exact = scored.setdefault(model, set())
+
+        def recorded(x, floor):
+            value = objective(x, floor)
+            if value > floor:
+                exact.add(tuple(x))
+            return value
+        return recorded
+
     monkeypatch.setattr(optimize, "multi_start", recording_search)
     monkeypatch.setattr(optimize, "run_model", recording_run)
-    return optimize_models(params, **kwargs), optima, runs
+    monkeypatch.setattr(optimize, "rate_objective", recording_objective)
+    return optimize_models(params, **kwargs), optima, scored, runs
 
 
-def assert_pooling_runs_only_what_it_lacks(results, optima, runs, pool, start, names):
-    """Each model runs at every pooled candidate except its (one-start)
-    descent's start and optimum, whose exact rates the descent holds,
-    plus once at the winner when that is one of those two."""
+def assert_pooling_runs_only_what_it_lacks(optima, scored, runs, pool, start, names):
+    """Each model runs once at every pooled candidate its own descent did
+    not score exactly, and at none it did, its winner included; the
+    descent's start and optimum are among the ones it scored exactly."""
     assert len({(model, vec) for model, vec, *_ in runs}) == len(runs)
     for model, optimum in zip(names, optima):
-        known = {start, optimum}
-        winner = vector(results[model].config)
-        expected = (set(pool) - known) | ({winner} & known)
-        assert {vec for name, vec, *_ in runs if name == model} == expected
+        assert {start, optimum} <= scored[model]
+        assert {vec for name, vec, *_ in runs if name == model} == set(pool) - scored[model]
 
 
 # smb1's optimum at 75 km (1e13 pulses) in `mdiqds sweep --optimize --model all

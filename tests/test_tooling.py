@@ -72,6 +72,21 @@ def test_bench_call_point_resolves(module, name):
     assert callable(owner)
 
 
+# bench/run.py empties _pair_statistics before every pass, as a new
+# process would start, and clears no other cache: any other module-level
+# cache would be warm on every pass but the first. A cached function is
+# also entered only on a miss, which can hide it from the reachability
+# test below.
+def test_pair_statistics_is_the_only_module_level_cache():
+    cached = []
+    for info in pkgutil.iter_modules(mdiqds.__path__):
+        owner = importlib.import_module(f"mdiqds.{info.name}")
+        for name, value in vars(owner).items():
+            if callable(getattr(value, "cache_clear", None)):
+                cached.append((info.name, name))
+    assert cached == [("channel", "_pair_statistics")]
+
+
 # The rate engine runs without numpy: only the Monte Carlo samplers and
 # multi-start's extra starts import it, when called. Nor
 # does it load the optimizer or Monte Carlo modules, which the package loads
