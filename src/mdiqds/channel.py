@@ -34,7 +34,6 @@ in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -55,12 +54,24 @@ PHOTON_CUTOFF = 10
 MAX_PULSES = 1e150
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class _SystemParamsFields(NamedTuple):
+    alpha: float = 0.2
+    eta_d: float = 0.5
+    p_dc: float = 1e-7
+    e_d: float = 0.03
+    distance_km: float = 100.0
+    n_pulses: float = 1e12
+    r_test: float = 0.055
+
+
+class SystemParams(_SystemParamsFields):
     """Device constants, link geometry and error-test fraction of a run.
 
     The security level and its failure-probability split are a
-    security.SecurityBudget, passed to the runners beside these.
+    security.SecurityBudget, passed to the runners beside these. An
+    immutable NamedTuple: building it by position or keyword, through
+    _make or _replace, or by unpickling (protocol 2 and up) runs the
+    range checks.
 
     Attributes
     ----------
@@ -82,38 +93,37 @@ class SystemParams:
         test, in (0, 1).
     """
 
-    alpha: float = 0.2
-    eta_d: float = 0.5
-    p_dc: float = 1e-7
-    e_d: float = 0.03
-    distance_km: float = 100.0
-    n_pulses: float = 1e12
-    r_test: float = 0.055
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        # NaN passes every chained range comparison below; the fields are
-        # read by name, since reading vars(self) would build the instance
-        # dict and slow every later attribute read of this object
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs) -> "SystemParams":
+        self = super().__new__(cls, *args, **kwargs)
+        # NaN passes every chained range comparison below
+        for name, value in zip(cls._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not 0.0 <= self.eta_d <= 1.0:
-            raise ValueError(f"eta_d must be in [0, 1], got {self.eta_d}")
-        if not 0.0 <= self.p_dc < 1.0:
-            raise ValueError(f"p_dc must be in [0, 1), got {self.p_dc}")
-        if not 0.0 <= self.e_d <= 0.5:
-            raise ValueError(f"e_d must be in [0, 0.5], got {self.e_d}")
-        if self.distance_km < 0:
-            raise ValueError(f"distance_km must be >= 0, got {self.distance_km}")
-        if self.n_pulses < 1:
-            raise ValueError(f"n_pulses must be >= 1, got {self.n_pulses}")
-        if self.n_pulses > MAX_PULSES:
-            raise ValueError(f"n_pulses must be <= {MAX_PULSES:g}, got {self.n_pulses}")
-        if not 0.0 < self.r_test < 1.0:
-            raise ValueError(f"r_test must be in (0, 1), got {self.r_test}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        alpha, eta_d, p_dc, e_d, distance_km, n_pulses, r_test = self
+        if not 0.0 <= eta_d <= 1.0:
+            raise ValueError(f"eta_d must be in [0, 1], got {eta_d}")
+        if not 0.0 <= p_dc < 1.0:
+            raise ValueError(f"p_dc must be in [0, 1), got {p_dc}")
+        if not 0.0 <= e_d <= 0.5:
+            raise ValueError(f"e_d must be in [0, 0.5], got {e_d}")
+        if distance_km < 0:
+            raise ValueError(f"distance_km must be >= 0, got {distance_km}")
+        if n_pulses < 1:
+            raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
+        if n_pulses > MAX_PULSES:
+            raise ValueError(f"n_pulses must be <= {MAX_PULSES:g}, got {n_pulses}")
+        if not 0.0 < r_test < 1.0:
+            raise ValueError(f"r_test must be in (0, 1), got {r_test}")
+        if alpha < 0:
+            raise ValueError(f"alpha must be >= 0, got {alpha}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SystemParams":
+        # through __new__, so that _replace and copy.replace check too
+        return cls(*iterable)
 
     @property
     def arm_transmittance(self) -> float:
@@ -121,15 +131,7 @@ class SystemParams:
         return self.eta_d * 10.0 ** (-self.alpha * (self.distance_km / 2.0) / 10.0)
 
 
-@dataclass(frozen=True)
-class IntensityConfig:
-    """Decoy intensities and selection probabilities of the symmetric link.
-
-    Both senders use the same intensities (a_s, a_d1, a_d2), selected
-    with probabilities (p_as, p_ad1, p_ad2), and choose the Z basis with
-    probability p_z; the one set of fields describes either sender.
-    """
-
+class _IntensityConfigFields(NamedTuple):
     a_s: float
     a_d1: float
     a_d2: float
@@ -138,15 +140,26 @@ class IntensityConfig:
     p_ad2: float
     p_z: float
 
-    def __post_init__(self) -> None:
-        # each field is read once; an infinite intensity passes the
-        # ordering check below
-        values = (self.a_s, self.a_d1, self.a_d2, self.p_as, self.p_ad1, self.p_ad2,
-                  self.p_z)
-        for name, value in zip(self.__dataclass_fields__, values):
+
+class IntensityConfig(_IntensityConfigFields):
+    """Decoy intensities and selection probabilities of the symmetric link.
+
+    Both senders use the same intensities (a_s, a_d1, a_d2), selected
+    with probabilities (p_as, p_ad1, p_ad2), and choose the Z basis with
+    probability p_z; the one set of fields describes either sender. An
+    immutable NamedTuple, checked however it is built, as SystemParams
+    is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "IntensityConfig":
+        self = super().__new__(cls, *args, **kwargs)
+        # an infinite intensity passes the ordering check below
+        for name, value in zip(cls._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        a_s, a_d1, a_d2, p_as, p_ad1, p_ad2, p_z = values
+        a_s, a_d1, a_d2, p_as, p_ad1, p_ad2, p_z = self
         if not a_s > a_d1 > a_d2 >= 0.0:
             raise ValueError(f"intensities must satisfy a_s > a_d1 > a_d2 >= 0, "
                              f"got {(a_s, a_d1, a_d2)}")
@@ -158,6 +171,12 @@ class IntensityConfig:
             raise ValueError(f"selection probabilities must sum to 1, got {total}")
         if not 0.0 < p_z < 1.0:
             raise ValueError(f"p_z must be in (0, 1), got {p_z}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "IntensityConfig":
+        # through __new__, so that _replace and copy.replace check too
+        return cls(*iterable)
 
     @classmethod
     def symmetric(cls, a_s: float, a_d1: float, p_as: float, p_ad1: float,
@@ -168,11 +187,11 @@ class IntensityConfig:
 
     @property
     def intensities(self) -> tuple[float, float, float]:
-        return (self.a_s, self.a_d1, self.a_d2)
+        return self[:3]
 
     @property
     def probs(self) -> tuple[float, float, float]:
-        return (self.p_as, self.p_ad1, self.p_ad2)
+        return self[3:6]
 
 
 _PHOTON_NUMBERS = range(PHOTON_CUTOFF + 1)

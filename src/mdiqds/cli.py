@@ -123,7 +123,7 @@ class RunConfig:
         if self.starts < 1:
             raise ValueError(f"starts must be >= 1, got {self.starts}")
         _check_seed(self.seed)
-        # constructing the dataclasses runs their range checks
+        # constructing the engine records runs their range checks
         self.system_params()
         self.intensity_config()
         self.budget()

@@ -113,7 +113,7 @@ _SCREEN_TAU = 1e-9
 
 EpsTerms = tuple[tuple[str, float], ...]
 
-# the budget of a caller that passes None; frozen, so one serves all
+# the budget of a caller that passes None; immutable, so one serves all
 _DEFAULT_BUDGET = SecurityBudget()
 
 
@@ -358,12 +358,9 @@ class _Pipeline(NamedTuple):
         h_l1 = binary_entropy(e_l1)
         p_e, s_a, s_v, p_rob, p_rep, p_forge, ordered, secure = self._at(
             length, n_l1, h_l1, e_keep)
-        return SecurityOutcome(
-            length=length, n_l1=n_l1, e_l1=e_l1,
-            h_min=min_entropy(n_l1, h_l1), p_e=p_e,
-            e_test=self.e_test, e_keep=e_keep, s_a=s_a, s_v=s_v,
-            p_robust=p_rob, p_repudiation=p_rep, p_forge=p_forge,
-            thresholds_ok=ordered, feasible=keep_ok and secure)
+        return SecurityOutcome(length, n_l1, e_l1, min_entropy(n_l1, h_l1), p_e,
+                               self.e_test, e_keep, s_a, s_v, p_rob, p_rep, p_forge,
+                               ordered, keep_ok and secure)
 
 
 def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, log_inv_eps: float) -> float:

@@ -32,8 +32,7 @@ least p_E that meets the bounds, without inverting H2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bounds import inverse_binary_entropy
 
@@ -49,30 +48,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SecurityBudget:
-    """Security level and per-component failure probabilities.
-
-    epsilon is the overall target; eps_pe covers the error test, eps_sf
-    every statistical-fluctuation term, and g_prob the residual forging
-    term. Each component used by the estimation chain defaults to
-    eps_sf.
-    """
-
+class _SecurityBudgetFields(NamedTuple):
     epsilon: float = 1e-5
     eps_pe: float = 1e-12
     eps_sf: float = 1e-12
     g_prob: float = 1e-12
 
-    def __post_init__(self) -> None:
-        for name in ("epsilon", "eps_pe", "eps_sf", "g_prob"):
-            value = getattr(self, name)
+
+class SecurityBudget(_SecurityBudgetFields):
+    """Security level and per-component failure probabilities.
+
+    epsilon is the overall target; eps_pe covers the error test, eps_sf
+    every statistical-fluctuation term, and g_prob the residual forging
+    term. Each component used by the estimation chain defaults to
+    eps_sf. An immutable NamedTuple, checked however it is built, as
+    channel.SystemParams is.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SecurityBudget":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, self):
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "SecurityBudget":
+        # through __new__, so that _replace and copy.replace check too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SecurityOutcome:
+class SecurityOutcome(NamedTuple):
     """Security quantities evaluated at one block length."""
 
     length: int

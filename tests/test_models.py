@@ -485,19 +485,20 @@ def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
 
     Its probes decide feasibility from the scaled record's scalars alone.
     """
-    built = 0
-    original = security.SecurityOutcome.__init__
+    built = []
 
-    def init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        original(self, *args, **kwargs)
+    class CountingOutcome(security.SecurityOutcome):
+        __slots__ = ()
 
-    monkeypatch.setattr(security.SecurityOutcome, "__init__", init)
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(models, "SecurityOutcome", CountingOutcome)
     cfg = CFG_SMB2 if model == "smb2" else CFG
     result = models.run_model(model, SystemParams(distance_km=50.0, n_pulses=1e12), cfg)
     assert result.feasible
-    assert built == 1
+    assert len(built) == 1 and built[0][0] == result.length
 
 
 def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):

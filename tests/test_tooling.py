@@ -92,16 +92,22 @@ def test_pair_statistics_is_the_only_module_level_cache():
 # does it load the optimizer or Monte Carlo modules, which the package loads
 # on first access; mdiqds.cli imports both, so that bench/run.py can patch
 # its handlers' names as module globals. The probe runs in a fresh
-# interpreter, where no other test has loaded numpy or a submodule.
+# interpreter, where no other test has loaded numpy or a submodule. The
+# engine's records are NamedTuples, so a rate loads neither dataclasses nor
+# the inspect module it imports; the probe lists what the import and the
+# rates add to sys.modules, so that a module an interpreter's site hooks
+# load beforehand does not count.
 NUMPY_FREE_PROBE = """
 import json, sys
+before = set(sys.modules)
 import mdiqds
 loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "mdiqds")
 params = mdiqds.SystemParams(distance_km=50.0, n_pulses=1e13)
 cfg = mdiqds.IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3,
                                        p_ad1=1 / 3, p_z=0.5)
 rates = [mdiqds.run_model(model, params, cfg).rate for model in mdiqds.MODELS]
-engine = {"modules": loaded(), "numpy": "numpy" in sys.modules}
+engine = {"modules": loaded(), "numpy": "numpy" in sys.modules,
+          "records": sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))}
 import mdiqds.cli
 code = mdiqds.cli.main(["rate", "--model", "all", "--out", sys.argv[1]])
 bench_names = [callable(getattr(mdiqds.cli, name, None)) for name in
@@ -130,7 +136,7 @@ def run_fresh(probe, *args):
 def test_engine_path_loads_no_numpy(tmp_path):
     probe = run_fresh(NUMPY_FREE_PROBE, str(tmp_path / "rate.csv"))
     assert probe["code"] == 0 and min(probe["rates"][:2]) > 0.0
-    assert probe["engine"] == {"modules": ENGINE_MODULES, "numpy": False}
+    assert probe["engine"] == {"modules": ENGINE_MODULES, "numpy": False, "records": []}
     assert probe["numpy"] is False
     assert {"mdiqds.cli", "mdiqds.optimize", "mdiqds.montecarlo"} <= set(probe["modules"])
     # the names bench/run.py patches still resolve, numpy or not
@@ -331,13 +337,17 @@ def test_package_exports_are_module_exports():
 
 
 # Every function in src/mdiqds/ runs under a command, a demo or the console
-# entry point: code that only tests reach belongs in tests/. Two hooks are
+# entry point: code that only tests reach belongs in tests/. Some hooks are
 # allowed to stay unreached, each for the reason given.
 UNREACHED_ALLOWED = {
     ("__init__.py", "__getattr__"): "PEP 562 hook: reading a lazy name off the package "
                                     "before its submodule loads; the CLI imports "
                                     "the submodules directly",
     ("__init__.py", "__dir__"): "PEP 562 hook: dir(mdiqds), which no command calls",
+    ("channel.py", "_make"): "NamedTuple hook: _replace and copy.replace build through "
+                             "it, so that they run SystemParams' and IntensityConfig's "
+                             "range checks; no command replaces a field",
+    ("security.py", "_make"): "NamedTuple hook: the same for SecurityBudget",
 }
 
 
