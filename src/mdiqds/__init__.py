@@ -33,7 +33,7 @@ from .models import (
     run_smb2,
     run_sob,
 )
-from .security import SecurityBudget, SecurityOutcome, solve_signature_length
+from .security import SecurityBudget, solve_signature_length
 
 # Re-exported names whose submodule loads on first access, with that submodule.
 _LAZY = {
@@ -49,7 +49,7 @@ __all__ = [
     "serfling_count_gamma", "serfling_fraction_gamma", "test_sample_penalty",
     "IntensityConfig", "SystemParams",
     "MODELS", "RateResult", "run_model", "run_smb1", "run_smb2", "run_sob",
-    "SecurityBudget", "SecurityOutcome", "solve_signature_length",
+    "SecurityBudget", "solve_signature_length",
     *_LAZY,
 ]
 

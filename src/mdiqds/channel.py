@@ -70,8 +70,7 @@ class SystemParams(_SystemParamsFields):
     The security level and its failure-probability split are a
     security.SecurityBudget, passed to the runners beside these. An
     immutable NamedTuple: building it by position or keyword, through
-    _make or _replace, or by unpickling (protocol 2 and up) runs the
-    range checks.
+    _make or _replace, or by unpickling runs the range checks.
 
     Attributes
     ----------
@@ -125,6 +124,10 @@ class SystemParams(_SystemParamsFields):
         # through __new__, so that _replace and copy.replace check too
         return cls(*iterable)
 
+    def __reduce__(self):
+        # through __new__ on every pickle protocol and in copy.deepcopy
+        return type(self), tuple(self)
+
     @property
     def arm_transmittance(self) -> float:
         """Per-arm transmittance including detector efficiency."""
@@ -177,6 +180,10 @@ class IntensityConfig(_IntensityConfigFields):
     def _make(cls, iterable) -> "IntensityConfig":
         # through __new__, so that _replace and copy.replace check too
         return cls(*iterable)
+
+    def __reduce__(self):
+        # through __new__ on every pickle protocol and in copy.deepcopy
+        return type(self), tuple(self)
 
     @classmethod
     def symmetric(cls, a_s: float, a_d1: float, p_as: float, p_ad1: float,

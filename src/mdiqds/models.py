@@ -20,7 +20,9 @@ SecurityBudget() resolved there for a caller that passes none, the
 channel record, the ledgers and their totals, and the logarithms and
 thresholds the probes read. A probe scales it to a pulse count
 (_build_pipeline), and the _Pipeline it gets keeps only what depends
-on that count.
+on that count. A result, RateResult, has two constructors: _infeasible,
+and _Pipeline.outcome_at, which runs the full chain once at the length
+a feasible evaluation's search returned.
 
 They differ in two places. The sign-one-bit model ("sob") dedicates a
 whole block of N_s pulse pairs to a single signed bit, with the entire
@@ -67,7 +69,7 @@ from .bounds import binary_entropy
 from .channel import IntensityConfig, PulseStatistics, SystemParams, pulse_statistics
 from .security import (
     SecurityBudget,
-    SecurityOutcome,
+    _gallop_down,
     eve_error_rate,
     min_entropy,
     security_probabilities,
@@ -302,8 +304,8 @@ class _Pipeline(NamedTuple):
 
         h_l1 = H2(e_L1) serves both the forger's error rate and the
         min-entropy. Returns (p_e, s_a, s_v, p_robust, p_repudiation,
-        p_forge, thresholds_ok, secure), secure being the verdict of the
-        bounds alone; the length is feasible if the projection passed too.
+        p_forge, secure), secure being the verdict of the bounds alone;
+        the length is feasible if the projection passed too.
         """
         ev = self.ev
         p_e = eve_error_rate(n_l1, h_l1, length)
@@ -311,12 +313,12 @@ class _Pipeline(NamedTuple):
         p_rob, p_rep, p_forge = security_probabilities(
             s_a, s_v, length, p_e, ev.budget, ev.eps_n, ev.eps_e)
         secure = ordered and max(p_rob, p_rep, p_forge) <= ev.budget.epsilon
-        return p_e, s_a, s_v, p_rob, p_rep, p_forge, ordered, secure
+        return p_e, s_a, s_v, p_rob, p_rep, p_forge, secure
 
     def feasible_at(self, length: float) -> bool:
         """Whether signature length L meets the security level.
 
-        The length searches probe this; it builds no outcome object, and
+        The length searches probe this; it builds no result, and
         a failed keep-block projection answers False at once. Otherwise
         the probe is decided in entropy space, without inverting H2:
         where the projection passes, write d = p_E - E_keep. Then
@@ -353,14 +355,27 @@ class _Pipeline(NamedTuple):
                     return margin > 0.0
         return self._at(length, n_l1, h_l1, e_keep)[-1]
 
-    def outcome_at(self, length: int) -> SecurityOutcome:
+    def outcome_at(self, length: int, rate: float, n_bits: float,
+                   block_size: int | None = None) -> RateResult:
+        """The result of signing at L, at the rate and n_bits the caller found.
+
+        It runs the full chain, keeping the inverse H2, and its feasible
+        is that chain's verdict at L. A runner calls it once, on the
+        length its search returned; block_size is sob's N_s.
+        """
         n_l1, e_l1, keep_ok, e_keep = self._keep(length)
         h_l1 = binary_entropy(e_l1)
-        p_e, s_a, s_v, p_rob, p_rep, p_forge, ordered, secure = self._at(
-            length, n_l1, h_l1, e_keep)
-        return SecurityOutcome(length, n_l1, e_l1, min_entropy(n_l1, h_l1), p_e,
-                               self.e_test, e_keep, s_a, s_v, p_rob, p_rep, p_forge,
-                               ordered, keep_ok and secure)
+        p_e, s_a, s_v, p_rob, p_rep, p_forge, secure = self._at(length, n_l1, h_l1, e_keep)
+        ev = self.ev
+        return RateResult(
+            model=ev.model, distance_km=ev.params.distance_km, n_pulses=ev.params.n_pulses,
+            feasible=keep_ok and secure, rate=rate, n_bits=n_bits, length=length,
+            block_size=block_size, n_pool=self.n_pool, n_test=self.n_test,
+            n_z1=self.n_z1, n_x1=self.n_x1, m_x1=self.m_x1, e_z1=self.e_z1,
+            n_l1=n_l1, e_l1=e_l1, h_min=min_entropy(n_l1, h_l1), e_test=self.e_test,
+            e_keep=e_keep, p_e=p_e, s_a=s_a, s_v=s_v, p_robust=p_rob,
+            p_repudiation=p_rep, p_forge=p_forge, eps_n_terms=ev.ledgers[0],
+            eps_e_terms=ev.ledgers[1], config=ev.cfg)
 
 
 def _raw_m_z1(n_z1: float, n_x1: float, m_x1: float, log_inv_eps: float) -> float:
@@ -474,17 +489,7 @@ def _rate_stop(rate: Callable[[int], float], floor: float, cap: int) -> int | No
     step = 1
     while rate(hi) > floor:  # invariant: lo == 0 or rate(lo) > floor
         lo, hi, step = hi, min(hi + step, cap), 2 * step
-    step = 1
-    while hi - step > lo and rate(hi - step) <= floor:
-        hi, step = hi - step, 2 * step
-    lo = max(lo, hi - step)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rate(mid) <= floor:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _gallop_down(lambda n: rate(n) <= floor, lo, hi)
 
 
 def _even_floor(x: float) -> int:
@@ -497,21 +502,6 @@ def _infeasible(ev: _Evaluation, reason: str) -> RateResult:
     return RateResult(model=ev.model, distance_km=params.distance_km,
                       n_pulses=params.n_pulses, feasible=False,
                       config=ev.cfg, reason=reason)
-
-
-def _result_from(pipe: _Pipeline, outcome: SecurityOutcome, rate: float, n_bits: float,
-                 block_size: int | None = None) -> RateResult:
-    ev = pipe.ev
-    return RateResult(
-        model=ev.model, distance_km=ev.params.distance_km, n_pulses=ev.params.n_pulses,
-        feasible=True, rate=rate, n_bits=n_bits, length=outcome.length,
-        block_size=block_size, n_pool=pipe.n_pool, n_test=pipe.n_test,
-        n_z1=pipe.n_z1, n_x1=pipe.n_x1, m_x1=pipe.m_x1, e_z1=pipe.e_z1,
-        n_l1=outcome.n_l1, e_l1=outcome.e_l1, h_min=outcome.h_min,
-        e_test=outcome.e_test, e_keep=outcome.e_keep, p_e=outcome.p_e,
-        s_a=outcome.s_a, s_v=outcome.s_v, p_robust=outcome.p_robust,
-        p_repudiation=outcome.p_repudiation, p_forge=outcome.p_forge,
-        eps_n_terms=ev.ledgers[0], eps_e_terms=ev.ledgers[1], config=ev.cfg)
 
 
 def _run_smb(ev: _Evaluation, floor: float) -> RateResult:
@@ -533,9 +523,8 @@ def _run_smb(ev: _Evaluation, floor: float) -> RateResult:
     if length is None:
         reason = "no feasible signature length" if stop is None else FLOOR_REASON
         return _infeasible(ev, reason)
-    outcome = pipe.outcome_at(length)
     n_bits = signed_bits(n_pool, length)
-    return _result_from(pipe, outcome, rate=n_bits / n_pulses, n_bits=n_bits)
+    return pipe.outcome_at(length, n_bits / n_pulses, n_bits)
 
 
 def run_smb1(params: SystemParams, cfg: IntensityConfig,
@@ -649,20 +638,22 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     makes the same decisions as without the probes.
     """
     ev = _evaluation("sob", params, cfg, budget)
-    feasible_blocks: dict[int, tuple[_Pipeline, int]] = {}
+    last_block: tuple[_Pipeline, int] | None = None  # of the last size built feasible
     cap = int(params.n_pulses)
     known_infeasible = 0  # every block up to this size is infeasible
     known_feasible = cap + 1  # every block from this size up is feasible
 
     def block_feasible(n: int) -> bool:
+        nonlocal last_block
         if n <= known_infeasible:
             return False
         if n >= known_feasible:
             return True
         block = _sob_block(ev, n)
-        if block is not None:
-            feasible_blocks[n] = block
-        return block is not None
+        if block is None:
+            return False
+        last_block = block
+        return True
 
     stop = _rate_stop(lambda n: 1.0 / n, floor, cap)
     if stop is not None:  # stop <= cap; a block of 0 pulses fails the decoy gates
@@ -674,16 +665,15 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
         n_hi = math.ceil(stop * (1.0 + _SOB_SUFFIX_DELTA))
         if n_hi <= cap and _sob_relaxed(ev, n_hi, False):
             known_feasible = n_hi
-    # the search returns a size it probed feasible and below any stop, so
-    # its block is kept
+    # the search's answer is the last size it probed feasible (a feasible
+    # probe lowers the bracket's top), and it lies below any stop, so below
+    # known_feasible: the last block built is the answer's
     n_s = smallest_feasible(block_feasible, _SOB_BRACKET_START, cap, stop)
     if n_s is None:
         reason = "no feasible block size" if stop is None else FLOOR_REASON
         return _infeasible(ev, reason)
-    pipe, length = feasible_blocks[n_s]
-    n_bits = params.n_pulses / n_s
-    return _result_from(pipe, pipe.outcome_at(length), rate=1.0 / n_s, n_bits=n_bits,
-                        block_size=n_s)
+    pipe, length = last_block
+    return pipe.outcome_at(length, 1.0 / n_s, params.n_pulses / n_s, n_s)
 
 
 def run_model(model: str, params: SystemParams, cfg: IntensityConfig,

@@ -38,7 +38,6 @@ from .bounds import inverse_binary_entropy
 
 __all__ = [
     "SecurityBudget",
-    "SecurityOutcome",
     "min_entropy",
     "eve_error_rate",
     "thresholds",
@@ -79,24 +78,9 @@ class SecurityBudget(_SecurityBudgetFields):
         # through __new__, so that _replace and copy.replace check too
         return cls(*iterable)
 
-
-class SecurityOutcome(NamedTuple):
-    """Security quantities evaluated at one block length."""
-
-    length: int
-    n_l1: float
-    e_l1: float
-    h_min: float
-    p_e: float
-    e_test: float
-    e_keep: float
-    s_a: float
-    s_v: float
-    p_robust: float
-    p_repudiation: float
-    p_forge: float
-    thresholds_ok: bool
-    feasible: bool
+    def __reduce__(self):
+        # through __new__ on every pickle protocol and in copy.deepcopy
+        return type(self), tuple(self)
 
 
 def min_entropy(n_l1: float, h_l1: float) -> float:
@@ -212,6 +196,20 @@ def _bisect(feasible: Callable[[int], bool], lo: int, hi: int, stop: int) -> int
     return hi
 
 
+def _gallop_down(feasible: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The n in (lo, hi] that a downward gallop and a bisection end on.
+
+    hi is feasible, and lo infeasible or the search's lower edge. The
+    gallop steps down from hi by 1, 2, 4, ... while each probe above lo
+    is feasible; _bisect then closes the short bracket left. Under
+    monotone feasibility that is the smallest feasible n in (lo, hi].
+    """
+    step = 1
+    while hi - step > lo and feasible(hi - step):
+        hi, step = hi - step, 2 * step
+    return _bisect(feasible, max(lo, hi - step), hi, hi + 1)
+
+
 def solve_signature_length(feasible_at: Callable[[int], bool], l_max: int, *,
                            stop: int | None = None) -> int | None:
     """Smallest even L in [2, l_max] accepted by feasible_at, or None.
@@ -242,8 +240,5 @@ def solve_signature_length(feasible_at: Callable[[int], bool], l_max: int, *,
         k = min(l_max // 2, stop - 1)
         if k < 1 or not feasible(k):
             return None
-        step = 1
-        while k - step > 0 and feasible(k - step):
-            k, step = k - step, 2 * step
-        k = _bisect(feasible, max(0, k - step), k, stop)
+        k = _gallop_down(feasible, 0, k)
     return None if k is None else 2 * k

@@ -28,6 +28,14 @@ def evaluation(params, cfg, budget=None, x_derived=False):
     return models._evaluation("smb2" if x_derived else "smb1", params, cfg, budget)
 
 
+def full_chain(pipe, length):
+    """The full chain's verdict at L: the feasible of outcome_at's result.
+
+    rate and n_bits are the caller's and enter no verdict, so any do.
+    """
+    return pipe.outcome_at(length, 0.0, 0.0).feasible
+
+
 class TestEstimateEZ1:
     def test_no_errors_vanishing_confidence(self):
         m_z1, e_z1 = reference_chain.estimate_e_z1(1e6, 1e6, 0.0, NEAR_ONE)
@@ -191,8 +199,8 @@ class TestRunners:
         params = SystemParams(distance_km=100.0, n_pulses=1e14)
         r = models.run_smb1(params, CFG)
         pipe = models._build_pipeline(evaluation(params, CFG), 1e14)
-        assert pipe.outcome_at(r.length).feasible
-        assert not pipe.outcome_at(r.length - 2).feasible
+        assert full_chain(pipe, r.length)
+        assert not full_chain(pipe, r.length - 2)
 
     def test_epsilon_monotone_length(self):
         params = SystemParams(distance_km=100.0, n_pulses=1e14)
@@ -275,7 +283,7 @@ class TestRunners:
                 grid = sorted({models._even_floor(v) for v in np.geomspace(2, cap, 60)})
                 flags = [pipe.feasible_at(L) for L in grid]
                 assert flags == sorted(flags)
-                assert flags == [pipe.outcome_at(L).feasible for L in grid]
+                assert flags == [full_chain(pipe, L) for L in grid]
                 curves += 1
         assert curves >= 60
 
@@ -481,24 +489,43 @@ def test_feasible_results_carry_the_models_ledger():
 
 @pytest.mark.parametrize("model", models.MODELS)
 def test_probes_build_no_tables_and_one_outcome(model, monkeypatch):
-    """A rate evaluation builds one SecurityOutcome, for its result.
+    """A rate evaluation builds one RateResult: in outcome_at if feasible, else in _infeasible.
 
-    Its probes decide feasibility from the scaled record's scalars alone.
+    Its probes decide feasibility from the scaled record's scalars alone:
+    they call neither outcome_at nor the RateResult constructor, and an
+    infeasible evaluation, floored out or not, calls no outcome_at.
     """
-    built = []
+    calls, built = [], []
+    outcome_at = models._Pipeline.outcome_at
 
-    class CountingOutcome(security.SecurityOutcome):
+    def counting_outcome_at(self, length, *args):
+        calls.append(length)
+        return outcome_at(self, length, *args)
+
+    class CountingResult(models.RateResult):
         __slots__ = ()
 
-        def __new__(cls, *args):
-            built.append(args)
-            return super().__new__(cls, *args)
+        def __new__(cls, *args, **kwargs):
+            built.append(len(calls))  # the outcome_at calls made so far
+            return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(models, "SecurityOutcome", CountingOutcome)
     cfg = CFG_SMB2 if model == "smb2" else CFG
-    result = models.run_model(model, SystemParams(distance_km=50.0, n_pulses=1e12), cfg)
-    assert result.feasible
-    assert len(built) == 1 and built[0][0] == result.length
+    near = SystemParams(distance_km=50.0, n_pulses=1e12)
+    exact = models.run_model(model, near, cfg)
+    monkeypatch.setattr(models._Pipeline, "outcome_at", counting_outcome_at)
+    monkeypatch.setattr(models, "RateResult", CountingResult)
+    cases = [(near, 0.0, True), (near, exact.rate, False),
+             (SystemParams(distance_km=200.0, n_pulses=1e12), 0.0, False)]
+    for params, floor, feasible in cases:
+        calls.clear()
+        built.clear()
+        result = models.run_model(model, params, cfg, floor=floor)
+        assert type(result) is CountingResult and result.feasible is feasible
+        if feasible:
+            assert result == exact
+            assert calls == [result.length] and built == [1]
+        else:
+            assert calls == [] and built == [0]
 
 
 def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):
@@ -541,7 +568,7 @@ def test_failed_projection_skips_security_chain(monkeypatch):
     assert pipe.feasible_at(2) is False
     assert calls == []
     # the full chain, which outcome_at still runs, agrees
-    assert not pipe.outcome_at(2).feasible
+    assert not full_chain(pipe, 2)
     assert len(calls) == 1
 
 
@@ -583,7 +610,7 @@ def screened_verdicts(probes, monkeypatch):
         before = len(calls)
         screened = pipe.feasible_at(length)
         fell_back = len(calls) > before
-        verdicts.append((screened, pipe.outcome_at(length).feasible, fell_back))
+        verdicts.append((screened, full_chain(pipe, length), fell_back))
     return verdicts
 
 
@@ -853,6 +880,39 @@ def test_floored_sob_is_exact_or_stopped():
                     assert (result.feasible, result.reason) == (False, models.FLOOR_REASON)
                     stopped += 1
     assert stopped >= 100
+
+
+def test_floored_sob_answer_is_its_last_feasible_block(monkeypatch):
+    """run_sob signs with the last block _sob_block returned, at any floor.
+
+    The search's answer is the last size it probed feasible, and it lies
+    below any stop, where the relaxed probes answer nothing as feasible:
+    so the last block built is the answer's, and run_sob keeps only that.
+    """
+    sizes = []
+    sob_block = models._sob_block
+
+    def recording(ev, n_s):
+        block = sob_block(ev, n_s)
+        if block is not None:
+            sizes.append(n_s)
+        return block
+
+    cases = [(params, cfg, exact) for params, cfg, _, _, exact, _ in relaxed_cases(53, 30)
+             if exact.feasible]
+    monkeypatch.setattr(models, "_sob_block", recording)
+    checked = 0
+    for params, cfg, exact in cases:
+        rate = exact.rate
+        for floor in (0.0, rate / 2.0, math.nextafter(rate, 0.0), rate):
+            sizes.clear()
+            result = models.run_sob(params, cfg, floor=floor)
+            assert result.feasible is (floor < rate)
+            if result.feasible:
+                assert result == exact
+                assert sizes[-1] == result.block_size, (params, cfg, floor)
+                checked += 1
+    assert checked >= 40, checked
 
 
 def certified_cases(seed, count):
