@@ -29,7 +29,9 @@ Everything here is an expected-value computation, linear in the pulse
 count: `pulse_statistics` holds the per-pulse-pair quantities of one
 configuration, and the estimation chain (`models._build_pipeline`)
 reads its fields and scales the few scalars it needs to a pulse count
-in place.
+in place. Every Poisson weight the chain needs depends on the intensity
+triple alone, so `_pair_statistics` forms them with the cells, once per
+cache miss, and nothing downstream calls exp.
 """
 from __future__ import annotations
 
@@ -211,10 +213,13 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
                      intensities: tuple[float, float, float]) -> tuple:
     """Per-pulse yield and error-rate matrices over intensity cells.
 
-    Returns (yield, err_rate_contrib, y11, e11) where yield and
-    err_rate_contrib are row-major 9-tuples over the 3x3 cells, already
-    averaged over photon numbers but not yet weighted by basis/intensity
-    selection probabilities.
+    Returns (yield, err_rate_contrib, pair11, y11, e11, one_photon), in
+    PulseStatistics' field order. yield and err_rate_contrib are
+    row-major 9-tuples over the 3x3 cells, already averaged over photon
+    numbers but not yet weighted by basis/intensity selection
+    probabilities; pair11 and one_photon are the cells' Poisson weights
+    a e^{-a} b e^{-b} (the (1,1) emission) and (a+b) e^{-(a+b)} (one
+    photon from the pair in all), which depend on the intensities alone.
 
     Each cell is a product of per-sender sums (see the module docstring),
     yield_ij = Y_i Y_j and photon_ij = Q_i Q_j, and the error cell keeps
@@ -250,21 +255,26 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     y11 = click[1] * click[1]
     photon11 = q[1] * q[1]
     e11 = (e_d * photon11 + 0.5 * (y11 - photon11)) / y11 if y11 > 0 else 0.0
-    return cell_yield, cell_err, y11, e11
+    p1 = [mu * math.exp(-mu) for mu in intensities]
+    pair11 = tuple([a * b for a in p1 for b in p1])
+    one_photon = tuple([(a + b) * math.exp(-a - b) for a in intensities for b in intensities])
+    return cell_yield, cell_err, pair11, y11, e11, one_photon
 
 
 class PulseStatistics(NamedTuple):
     """Per-pulse-pair channel statistics of one (params, cfg).
 
     frac_* are the basis/intensity selection fractions, cell_* the
-    per-pulse yield and error matrices of _pair_statistics and pair11 the
-    (1,1) emission weights, each a row-major tuple over the 9 intensity
-    cells (index 0 = signal, 1 = strong decoy, 2 = weak decoy, Alice's
-    intensity first); y11/e11 are the (1,1) yield and error rate. Every
+    per-pulse yield and error matrices of _pair_statistics, pair11 the
+    (1,1) emission weights a e^{-a} b e^{-b} and one_photon the weights
+    (a+b) e^{-(a+b)} of one photon from the pair in all, each a row-major
+    tuple over the 9 intensity cells (index 0 = signal, 1 = strong decoy,
+    2 = weak decoy, Alice's intensity first; one_photon[0] is 2 a_s
+    e^{-2 a_s}); y11/e11 are the (1,1) yield and error rate. Every
     expected count is linear in the pulse count, so the estimation chain
     scales this one record instead of recomputing the channel. A
-    NamedTuple, built once per rate evaluation; its cells come checked
-    from _pair_statistics.
+    NamedTuple, built once per rate evaluation; everything after frac_x
+    comes checked from _pair_statistics' cache.
     """
 
     r_test: float
@@ -275,6 +285,7 @@ class PulseStatistics(NamedTuple):
     pair11: tuple[float, ...]
     y11: float
     e11: float
+    one_photon: tuple[float, ...]
 
 
 def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
@@ -285,16 +296,13 @@ def pulse_statistics(params: SystemParams, cfg: IntensityConfig) -> PulseStatist
     it (the basis weight p_z^2 or (1 - p_z)^2 times outer(p, p) of the
     selection probabilities, and the outer product of the single-photon
     weights), so they equal the tests' numpy tables bit for bit; the
-    cells come from _pair_statistics' cache.
+    cells and Poisson weights come from _pair_statistics' cache.
     """
-    intensities = cfg.intensities
-    cell_yield, cell_err, y11, e11 = _pair_statistics(
-        params.arm_transmittance, params.p_dc, params.e_d, intensities)
     probs = cfg.probs
     outer = [pa * pb for pa in probs for pb in probs]
     p_z = cfg.p_z
     w_z, w_x = p_z * p_z, (1.0 - p_z) * (1.0 - p_z)
-    p1 = [mu * math.exp(-mu) for mu in intensities]
-    return PulseStatistics(params.r_test, tuple([w_z * o for o in outer]),
-                           tuple([w_x * o for o in outer]), cell_yield, cell_err,
-                           tuple([a * b for a in p1 for b in p1]), y11, e11)
+    return PulseStatistics._make(
+        (params.r_test, tuple([w_z * o for o in outer]), tuple([w_x * o for o in outer]))
+        + _pair_statistics(params.arm_transmittance, params.p_dc, params.e_d,
+                           cfg.intensities))

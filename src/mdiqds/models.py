@@ -15,14 +15,17 @@ than given an unsound bound. Every gate and deviation consumes a failure
 probability; eps_ledgers lists them per model.
 
 Each rate evaluation (one model at one (params, cfg, budget)) builds one
-record, _Evaluation, of what all its probes share: the budget, with
-SecurityBudget() resolved there for a caller that passes none, the
-channel record, the ledgers and their totals, and the logarithms and
-thresholds the probes read. A probe scales it to a pulse count
-(_build_pipeline), and the _Pipeline it gets keeps only what depends
-on that count. A result, RateResult, has two constructors: _infeasible,
-and _Pipeline.outcome_at, which runs the full chain once at the length
-a feasible evaluation's search returned.
+record, _Evaluation, of what all its probes share: the channel record,
+and the budget, with SecurityBudget() resolved there for a caller that
+passes none, its ledgers and their totals, and the logarithms and
+thresholds the probes read. The budget's terms depend on (model,
+budget) alone: for the default budget they are computed once per model
+at import, and any other budget derives them per evaluation. A probe
+scales the record to a pulse count (_build_pipeline), and the _Pipeline
+it gets keeps only what depends on that count. A result, RateResult,
+has two constructors: _infeasible, and _Pipeline.outcome_at, which runs
+the full chain once at the length a feasible evaluation's search
+returned.
 
 They differ in two places. The sign-one-bit model ("sob") dedicates a
 whole block of N_s pulse pairs to a single signed bit, with the entire
@@ -62,7 +65,6 @@ both senders use.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Callable, NamedTuple
 
 from .bounds import binary_entropy
@@ -199,10 +201,12 @@ class RateResult(NamedTuple):
 class _Evaluation(NamedTuple):
     """What every probe of one rate evaluation shares; _evaluation builds it.
 
-    model, params and cfg name the evaluation, and budget is the one
-    it spends (SecurityBudget() where the caller passes None). channel
-    is pulse_statistics(params, cfg), x_derived whether n_Z1 comes from
-    the X basis (smb2), ledgers the model's eps_ledgers and eps_n/eps_e
+    model, params and cfg name the evaluation, and channel is
+    pulse_statistics(params, cfg). The fields from budget on are
+    _budget_terms(budget, x_derived), fixed at import for the default
+    budget: budget is the one the evaluation spends (SecurityBudget()
+    where the caller passes None), x_derived whether n_Z1 comes from the
+    X basis (smb2), ledgers the model's eps_ledgers and eps_n/eps_e
     their totals. log_inv_sf/log_inv_pe are ln(1/eps_sf) and
     ln(1/eps_pe), and gate = max((32/3) ln(2/eps_sf), 3 ln(1/eps_sf)) is
     the decoy validity threshold. rep_log = 36 ln(2/epsilon) gives the
@@ -215,8 +219,8 @@ class _Evaluation(NamedTuple):
     model: str
     params: SystemParams
     cfg: IntensityConfig
-    budget: SecurityBudget
     channel: PulseStatistics
+    budget: SecurityBudget
     x_derived: bool
     ledgers: tuple[EpsTerms, EpsTerms]
     eps_n: float
@@ -227,20 +231,28 @@ class _Evaluation(NamedTuple):
     rep_log: float | None
 
 
-def _evaluation(model: str, params: SystemParams, cfg: IntensityConfig,
-                budget: SecurityBudget | None) -> _Evaluation:
-    """The record of one rate evaluation of model at (params, cfg)."""
-    budget = _DEFAULT_BUDGET if budget is None else budget
-    x_derived = model == "smb2"
+def _budget_terms(budget: SecurityBudget, x_derived: bool) -> tuple:
+    """_Evaluation's fields from budget on, which depend on (model, budget) alone."""
     ledgers = eps_ledgers(budget, x_derived)
     eps_n, eps_e = map(_ledger_total, ledgers)
     eps, epsilon = budget.eps_sf, budget.epsilon
     log_inv = math.log(1.0 / eps)
     rep_log = (36.0 * math.log(2.0 / epsilon)
                if budget.g_prob + budget.eps_pe + eps_n + eps_e <= 0.5 * epsilon else None)
-    return _Evaluation(model, params, cfg, budget, pulse_statistics(params, cfg), x_derived,
-                       ledgers, eps_n, eps_e, log_inv, math.log(1.0 / budget.eps_pe),
-                       max(32.0 / 3.0 * math.log(2.0 / eps), 3.0 * log_inv), rep_log)
+    return (budget, x_derived, ledgers, eps_n, eps_e, log_inv, math.log(1.0 / budget.eps_pe),
+            max(32.0 / 3.0 * math.log(2.0 / eps), 3.0 * log_inv), rep_log)
+
+
+# the default budget's terms of each model, fixed at import
+_DEFAULT_TERMS = {model: _budget_terms(_DEFAULT_BUDGET, model == "smb2") for model in MODELS}
+
+
+def _evaluation(model: str, params: SystemParams, cfg: IntensityConfig,
+                budget: SecurityBudget | None) -> _Evaluation:
+    """The record of one rate evaluation of model at (params, cfg)."""
+    terms = (_DEFAULT_TERMS[model] if budget is None or budget == _DEFAULT_BUDGET
+             else _budget_terms(budget, model == "smb2"))
+    return _Evaluation._make((model, params, cfg, pulse_statistics(params, cfg)) + terms)
 
 
 class _Pipeline(NamedTuple):
@@ -405,7 +417,9 @@ def _build_pipeline(ev: _Evaluation, n_pulses: float) -> _Pipeline | str:
       the channel model's (1,1) means, g = sqrt(2 x ln(1/eps));
     - for smb2 (ev.x_derived), the preparation populations N-_Z1 = 2 a_s
       e^{-2 a_s} N_{z,ss} - g and N+_X1 = sum of (a+b) e^{-a-b} N_{x,ab}
-      + g, and the transfer n_Z1 = n_X1 N-_Z1/N+_X1 - gamma_count;
+      + g, each Poisson weight read from the channel's one_photon
+      (cell 0 is 2 a_s e^{-2 a_s}) and multiplied by its cell's pulses,
+      and the transfer n_Z1 = n_X1 N-_Z1/N+_X1 - gamma_count;
     - the Serfling step e_Z1 = min(ceil(raw m_Z1), n_Z1) / n_Z1.
 
     tests/reference_chain.py keeps the chain as its separate layers, the
@@ -450,13 +464,11 @@ def _build_pipeline(ev: _Evaluation, n_pulses: float) -> _Pipeline | str:
              + ((s4 * e11 + s5 * e11) + (s6 * e11 + s7 * e11))) + s8 * e11
     m_x1 = e11_x + math.sqrt(2.0 * e11_x * log_inv)
     if ev.x_derived:
-        a_s = ev.cfg.a_s
-        pop_lo = 2.0 * a_s * math.exp(-2.0 * a_s) * pulses_z0 - math.sqrt(
-            2.0 * pulses_z0 * log_inv)
+        one_photon = channel.one_photon
+        pop_lo = one_photon[0] * pulses_z0 - math.sqrt(2.0 * pulses_z0 * log_inv)
         pop_hi = 0.0
-        for (a, b), p in zip(product(ev.cfg.intensities, repeat=2),
-                             (p0, p1, p2, p3, p4, p5, p6, p7, p8)):
-            pop_hi += (a + b) * math.exp(-a - b) * p + math.sqrt(2.0 * p * log_inv)
+        for c, p in zip(one_photon, (p0, p1, p2, p3, p4, p5, p6, p7, p8)):
+            pop_hi += c * p + math.sqrt(2.0 * p * log_inv)
         if pop_lo <= 0 or pop_hi < 1:
             return "single-photon population bound non-positive"
         n_z1 = n_x1 * (pop_lo / pop_hi) - math.sqrt(

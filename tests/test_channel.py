@@ -201,7 +201,7 @@ class TestPulseStatistics:
             _pair_statistics(1.0, 0.0, 1.0 + 1e-12, CFG.intensities)
         with pytest.raises(ValueError, match="exceeds yield"):
             _pair_statistics(params_at(50.0).arm_transmittance, 1e-7, 1.5, CFG.intensities)
-        cell_yield, cell_err, _, _ = _pair_statistics(1.0, 0.0, 1.0, CFG.intensities)
+        cell_yield, cell_err, *_ = _pair_statistics(1.0, 0.0, 1.0, CFG.intensities)
         assert cell_err == cell_yield and min(cell_yield) > 0.0
 
 
@@ -210,8 +210,9 @@ def numpy_pair_statistics(eta: float, p_dc: float, e_d: float,
     """_pair_statistics as full numpy tables: pmf @ table @ pmf.T per cell.
 
     The reference for the plain-float rank-1 sums. It forms the 11x11
-    photon-number tables and sums them by BLAS, so it agrees with
-    _pair_statistics to rounding, not bit for bit.
+    photon-number tables and sums them by BLAS, and the Poisson weights
+    by numpy's exp, so it agrees with _pair_statistics to rounding, not
+    bit for bit.
     """
     n = np.arange(PHOTON_CUTOFF + 1)
     q = 1.0 - (1.0 - eta) ** n
@@ -231,8 +232,12 @@ def numpy_pair_statistics(eta: float, p_dc: float, e_d: float,
     cell_err = pmf @ err_nm @ pmf.T
     y11 = float(yield_nm[1, 1])
     e11 = float(err_nm[1, 1] / yield_nm[1, 1]) if yield_nm[1, 1] > 0 else 0.0
+    mu = np.asarray(intensities)
+    p1 = mu * np.exp(-mu)
+    total = np.add.outer(mu, mu)
     return (tuple(cell_yield.ravel().tolist()), tuple(cell_err.ravel().tolist()),
-            y11, e11)
+            tuple(np.outer(p1, p1).ravel().tolist()), y11, e11,
+            tuple((total * np.exp(-total)).ravel().tolist()))
 
 
 def test_pair_statistics_within_rounding_of_numpy_tables():
@@ -240,7 +245,8 @@ def test_pair_statistics_within_rounding_of_numpy_tables():
 
     Error cells are compared to their cell's yield: at e_d = 0 both forms
     take e = (yield - photon) / 2, a difference of nearly equal terms, so
-    the error cell alone can differ far more than 1e-12 of itself.
+    the error cell alone can differ far more than 1e-12 of itself. The
+    Poisson weights pair11 and one_photon agree within 1e-15 relative.
     """
     rng = np.random.default_rng(31)
     zero_cells = 0
@@ -254,21 +260,28 @@ def test_pair_statistics_within_rounding_of_numpy_tables():
                            p_dc=float(rng.choice([0.0, 1e-8, 1e-7, 1e-3])),
                            e_d=float(rng.choice([0.0, 0.03, rng.uniform(0.0, 0.5)])))
         args = (params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
-        got_yield, got_err, got_y11, got_e11 = _pair_statistics(*args)
-        want_yield, want_err, want_y11, want_e11 = numpy_pair_statistics(*args)
+        got_yield, got_err, got_pair11, got_y11, got_e11, got_one = _pair_statistics(*args)
+        (want_yield, want_err, want_pair11, want_y11, want_e11,
+         want_one) = numpy_pair_statistics(*args)
         for g_y, g_e, w_y, w_e in zip(got_yield, got_err, want_yield, want_err):
             assert abs(g_y - w_y) <= 1e-12 * w_y
             assert abs(g_e - w_e) <= 1e-12 * w_y
             assert (g_y == 0.0) == (w_y == 0.0) and (g_e == 0.0) == (w_e == 0.0)
         assert got_y11 == pytest.approx(want_y11, rel=1e-12, abs=0.0)
         assert got_e11 == pytest.approx(want_e11, rel=1e-12, abs=1e-12)
+        assert got_pair11 == pytest.approx(want_pair11, rel=1e-15, abs=0.0)
+        assert got_one == pytest.approx(want_one, rel=1e-15, abs=0.0)
         zero_cells += want_yield.count(0.0)
     assert zero_cells > 0  # p_dc = 0 with a vacuum weak decoy
 
 
 def numpy_record(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
-    """The record as formed from numpy tables: the reference for pulse_statistics."""
-    cell_yield, cell_err, y11, e11 = _pair_statistics(
+    """The record as formed from numpy tables: the reference for pulse_statistics.
+
+    The Poisson weights come from math.exp, as in _pair_statistics, and
+    one_photon from a list, each cell (a + b) * exp(-a - b).
+    """
+    cell_yield, cell_err, _, y11, e11, _ = _pair_statistics(
         params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities)
     probs = np.asarray(cfg.probs)
     p1 = np.array([mu * math.exp(-mu) for mu in cfg.intensities])
@@ -278,11 +291,17 @@ def numpy_record(params: SystemParams, cfg: IntensityConfig) -> PulseStatistics:
         frac_x=tuple(((1.0 - cfg.p_z) * (1.0 - cfg.p_z) * np.outer(probs, probs))
                      .ravel().tolist()),
         cell_yield=cell_yield, cell_err=cell_err,
-        pair11=tuple(np.outer(p1, p1).ravel().tolist()), y11=y11, e11=e11)
+        pair11=tuple(np.outer(p1, p1).ravel().tolist()), y11=y11, e11=e11,
+        one_photon=tuple([(a + b) * math.exp(-a - b)
+                          for a in cfg.intensities for b in cfg.intensities]))
 
 
 def test_record_bit_identical_to_numpy_tables():
-    """pulse_statistics' plain-float cells equal the numpy tables' bit for bit."""
+    """pulse_statistics' plain-float cells equal the numpy tables' bit for bit.
+
+    one_photon's signal cell is also smb2's signal-signal weight 2 a_s
+    e^{-2 a_s} bit for bit: a_s + a_s and -a_s - a_s are exact doublings.
+    """
     rng = np.random.default_rng(29)
     for _ in range(200):
         a_d2 = float(rng.choice([0.0, 5e-4, rng.uniform(0.0, 0.05)]))
@@ -300,6 +319,7 @@ def test_record_bit_identical_to_numpy_tables():
                 assert [v.hex() for v in value] == [v.hex() for v in reference], name
             else:
                 assert value.hex() == reference.hex(), name
+        assert got.one_photon[0].hex() == (2.0 * cfg.a_s * math.exp(-2.0 * cfg.a_s)).hex()
 
 
 def test_pair_statistics_caches_flat_tuples():
@@ -308,10 +328,10 @@ def test_pair_statistics_caches_flat_tuples():
     assert _pair_statistics.cache_info().misses == 1
     assert pulse_statistics(params_at(50.0), CFG) == record
     assert _pair_statistics.cache_info().hits == 1
-    cell_yield, cell_err, _, _ = _pair_statistics(
-        params_at(50.0).arm_transmittance, 1e-7, 0.03, CFG.intensities)
-    assert cell_yield is record.cell_yield and cell_err is record.cell_err
-    assert len(cell_yield) == 9 and all(type(v) is float for v in cell_yield)
+    cached = _pair_statistics(params_at(50.0).arm_transmittance, 1e-7, 0.03, CFG.intensities)
+    assert all(a is b for a, b in zip(cached, record[3:]))
+    for cells in (record.cell_yield, record.pair11, record.one_photon):
+        assert len(cells) == 9 and all(type(v) is float for v in cells)
 
 
 def test_record_is_symmetric_in_the_senders():
@@ -322,7 +342,7 @@ def test_record_is_symmetric_in_the_senders():
     for _ in range(20):
         cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
         record = pulse_statistics(params_at(float(rng.uniform(0.0, 150.0))), cfg)
-        for name in ("frac_z", "frac_x", "pair11"):
+        for name in ("frac_z", "frac_x", "pair11", "one_photon"):
             cells = np.array(getattr(record, name)).reshape(3, 3)
             assert np.array_equal(cells, cells.T), name
         for name in ("cell_yield", "cell_err"):

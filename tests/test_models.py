@@ -1013,20 +1013,30 @@ def test_floored_sob_builds_nothing_above_its_certificate(monkeypatch):
     assert certified >= 8
 
 
+def one_field_off_budgets() -> list[SecurityBudget]:
+    """SecurityBudget() with one field moved up by one ulp, for each field."""
+    default = SecurityBudget()
+    return [default._replace(**{name: math.nextafter(value, 1.0)})
+            for name, value in zip(SecurityBudget._fields, default)]
+
+
 def test_evaluation_record_holds_its_defining_constants():
     """models._evaluation equals reference_chain.reference_evaluation field by field.
 
     Over seeded budgets (epsilon 1e-10-1e-2; eps_pe, eps_sf and g_prob
-    1e-15-1e-3, so that the screen is off for some) and every model, and
-    for a budget of None, which resolves to SecurityBudget().
+    1e-15-1e-3, so that the screen is off for some) and every model, for
+    a budget of None and an explicit SecurityBudget(), which take the
+    terms fixed at import, and for the four budgets one ulp off the
+    default in one field, which derive their own.
     """
     rng = np.random.default_rng(83)
     params = SystemParams(distance_km=50.0, n_pulses=1e13)
-    budgets = [None] + [SecurityBudget(epsilon=float(10 ** rng.uniform(-10.0, -2.0)),
-                                       eps_pe=float(10 ** rng.uniform(-15.0, -3.0)),
-                                       eps_sf=float(10 ** rng.uniform(-15.0, -3.0)),
-                                       g_prob=float(10 ** rng.uniform(-15.0, -3.0)))
-                        for _ in range(60)]
+    budgets = [None, SecurityBudget(), *one_field_off_budgets()] + [
+        SecurityBudget(epsilon=float(10 ** rng.uniform(-10.0, -2.0)),
+                       eps_pe=float(10 ** rng.uniform(-15.0, -3.0)),
+                       eps_sf=float(10 ** rng.uniform(-15.0, -3.0)),
+                       g_prob=float(10 ** rng.uniform(-15.0, -3.0)))
+        for _ in range(60)]
     screen_off = 0
     for budget in budgets:
         for model in models.MODELS:
@@ -1034,9 +1044,56 @@ def test_evaluation_record_holds_its_defining_constants():
             want = reference_chain.reference_evaluation(model, params, CFG, budget)
             for name, g, w in zip(models._Evaluation._fields, ev, want):
                 assert g == w, (name, model, budget)
+            assert ev.budget == (SecurityBudget() if budget is None else budget)
             screen_off += ev.rep_log is None
-    assert models._evaluation("sob", params, CFG, None).budget == SecurityBudget()
     assert 0 < screen_off < len(budgets) * len(models.MODELS), screen_off
+
+
+class _CountingMath:
+    """The math module, counting the calls of exp."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, x):
+        self.exp_calls += 1
+        return math.exp(x)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def test_evaluation_pays_no_pulse_count_independent_term_again(monkeypatch):
+    """A rate evaluation calls no exp, and the default budget derives no ledger.
+
+    With the pair-statistics cache warm, run_model at a rate-grid point
+    (the reference vector, 80 km, 1e15 pulses) calls exp neither in
+    models nor in channel, for every model: the Poisson weights come with
+    the cached cells. With budget None or SecurityBudget() it calls
+    eps_ledgers 0 times, since those terms are fixed at import; a budget
+    one ulp off in any one field derives them, once per evaluation.
+    """
+    params = SystemParams(distance_km=80.0, n_pulses=1e15)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    for model in models.MODELS:
+        models.run_model(model, params, cfg)  # warms the cache
+    counting = _CountingMath()
+    monkeypatch.setattr(models, "math", counting)
+    monkeypatch.setattr(channel, "math", counting)
+    ledgers = []
+    ledger = models.eps_ledgers
+
+    def recording(budget, x_derived):
+        ledgers.append(budget)
+        return ledger(budget, x_derived)
+
+    monkeypatch.setattr(models, "eps_ledgers", recording)
+    for model in models.MODELS:
+        for budget in (None, SecurityBudget(), *one_field_off_budgets()):
+            ledgers.clear()
+            models.run_model(model, params, cfg, budget)
+            assert ledgers == ([] if budget in (None, SecurityBudget()) else [budget])
+    assert counting.exp_calls == 0
 
 
 def test_build_pipeline_is_bit_identical_to_the_layered_chain():

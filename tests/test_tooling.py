@@ -52,6 +52,24 @@ def test_trace_point_resolves(module, name):
     assert callable(owner)
 
 
+# bench/tracing.py times the rate grid's evaluations by wrapping
+# models.run_sob/run_smb1/run_smb2, which run_model reaches only if it looks
+# the runner up by its module name at call time; a table of the functions
+# bound at import would bypass the wrappers, and models.evals.* would read 0.
+def test_run_model_resolves_its_runner_by_module_name(monkeypatch):
+    from mdiqds import models
+    called = []
+    for model in models.MODELS:
+        monkeypatch.setattr(models, f"run_{model}",
+                            lambda *args, model=model: called.append(model))
+    params = mdiqds.SystemParams(distance_km=50.0, n_pulses=1e13)
+    cfg = mdiqds.IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3,
+                                           p_ad1=1 / 3, p_z=0.5)
+    for model in models.MODELS:
+        models.run_model(model, params, cfg)
+    assert called == list(models.MODELS)
+
+
 # bench/run.py calls these directly, and reads the pair-statistics cache
 # through getattr(..., None): a break there reads as 0 cache hits or an
 # uncleared cache rather than an error, so it must fail here instead.
@@ -378,6 +396,8 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch, capsys):
     commands = [
         (["rate", "--model", "all", "--dump-config", config, "--out", out], 0),
         (["rate", "--config", config, "--format", "json", "--strict", "--out", out], 0),
+        # the default budget's terms are fixed at import; another budget derives its own
+        (["rate", "--model", "all", "--epsilon", "1e-6", "--out", out], 0),
         (["sweep", "--model", "all", "--start", "0", "--stop", "100", "--step", "50",
           "--out", out], 0),
         (["optimize", "--model", "all", "--starts", "2", "--out", out], 0),
