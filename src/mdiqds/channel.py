@@ -15,15 +15,16 @@ Coincidences caused by photons on both sides suffer the misalignment
 error e_d; any coincidence involving a dark-only click is random (error
 probability 1/2).
 
-Photon-number sums are truncated at n, m <= PHOTON_CUTOFF; the neglected
-tail is below 1e-12 relative for intensities up to ~0.4 and below 1e-8
-at intensity 1.0, far inside the statistical tolerances used downstream.
-The click probabilities of the two arms are independent, so every cell's
-double sum over (n, m) is a product of two single sums over n: the
-yield of cell (i, j) is Y_i Y_j and its photon-photon part Q_i Q_j,
-where Y_i and Q_i are the Poisson(mu_i)-weighted sums of the
-click-with-dark-count and photon-click probabilities. These sums are
-plain floats, so the channel needs no numpy.
+Every cell is an exact expectation over both senders' photon numbers,
+with no truncation. The click probabilities of the two arms are
+independent, so every cell's double sum over (n, m) is a product of two
+single sums over n: the yield of cell (i, j) is Y_i Y_j and its
+photon-photon part Q_i Q_j, where Y_i and Q_i are the Poisson(mu_i)
+expectations of the click-with-dark-count and photon-click
+probabilities. Each has a closed form through the Poisson generating
+function, sum_n Pois(n|mu) (1 - eta)^n = e^{-eta mu} (Ma & Razavi, PRA
+86, 062319 (2012)): Q_i = 1 - e^{-eta mu_i} and Y_i = Q_i + p_dc
+e^{-eta mu_i}. They are plain floats, so the channel needs no numpy.
 
 Everything here is an expected-value computation, linear in the pulse
 count: `pulse_statistics` holds the per-pulse-pair quantities of one
@@ -37,19 +38,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 __all__ = [
     "MAX_PULSES",
-    "PHOTON_CUTOFF",
     "SystemParams",
     "IntensityConfig",
     "PulseStatistics",
     "pulse_statistics",
 ]
-
-PHOTON_CUTOFF = 10
 
 # Largest accepted pulse count N. Beyond it, products of two counts such
 # as sampling_lambda's (x - y + 1) * y overflow float64.
@@ -203,11 +200,6 @@ class IntensityConfig(_IntensityConfigFields):
         return self[3:6]
 
 
-_PHOTON_NUMBERS = range(PHOTON_CUTOFF + 1)
-# log n! for each photon number, summed left to right
-_LOG_FACTORIAL = tuple(accumulate(math.log(n) if n else 0.0 for n in _PHOTON_NUMBERS))
-
-
 @lru_cache(maxsize=512)
 def _pair_statistics(eta: float, p_dc: float, e_d: float,
                      intensities: tuple[float, float, float]) -> tuple:
@@ -221,39 +213,32 @@ def _pair_statistics(eta: float, p_dc: float, e_d: float,
     a e^{-a} b e^{-b} (the (1,1) emission) and (a+b) e^{-(a+b)} (one
     photon from the pair in all), which depend on the intensities alone.
 
-    Each cell is a product of per-sender sums (see the module docstring),
-    yield_ij = Y_i Y_j and photon_ij = Q_i Q_j, and the error cell keeps
-    the per-(n, m) form e_d photon + (yield - photon) / 2. The sums run
-    left to right, not through builtin sum(), which compensates from
-    Python 3.12 on.
+    Every cell is an exact expectation over the photon numbers, with no
+    truncation: a product of per-sender closed forms (see the module
+    docstring), yield_ij = Y_i Y_j and photon_ij = Q_i Q_j, and the error
+    cell keeps the per-(n, m) form e_d photon + (yield - photon) / 2.
+    Y_i is written as Q_i plus its dark-count term, so at p_dc = 0 the
+    yield and photon cells are equal bit for bit. The (1,1) yield y11
+    is the square of the one-photon click eta + p_dc (1 - eta), and its
+    photon part eta^2.
 
     cell_err <= cell_yield is checked here, once per set of cells:
     scaling both sides by the same positive pulse count keeps the order
     under rounding, so no count derived from the cells has more errors
     than events.
     """
-    q = [1.0 - (1.0 - eta) ** n for n in _PHOTON_NUMBERS]  # photon-click prob
-    click = [1.0 - (1.0 - qn) * (1.0 - p_dc) for qn in q]  # threshold detector incl. dark
-    y_sums, q_sums = [], []
-    for mu in intensities:
-        if mu == 0.0:
-            y_i, q_i = click[0], q[0]
-        else:
-            log_mu = math.log(mu)
-            y_i = q_i = 0.0
-            for n, log_fact, c_n, q_n in zip(_PHOTON_NUMBERS, _LOG_FACTORIAL, click, q):
-                pmf = math.exp(-mu + n * log_mu - log_fact)
-                y_i += pmf * c_n
-                q_i += pmf * q_n
-        y_sums.append(y_i)
-        q_sums.append(q_i)
+    # sum_n Pois(n|mu) (1 - eta)^n = e^{-eta mu}: no photon of the pulse arrives
+    q_sums = [-math.expm1(-eta * mu) for mu in intensities]  # photon click
+    y_sums = [q_i + p_dc * math.exp(-eta * mu)  # or, failing that, a dark count
+              for q_i, mu in zip(q_sums, intensities)]
     cell_yield = tuple(a * b for a in y_sums for b in y_sums)
     photon = [a * b for a in q_sums for b in q_sums]
     cell_err = tuple(e_d * ph + 0.5 * (y - ph) for y, ph in zip(cell_yield, photon))
     if any(e > y for e, y in zip(cell_err, cell_yield)):
         raise ValueError("per-pulse error rate exceeds yield in an intensity cell")
-    y11 = click[1] * click[1]
-    photon11 = q[1] * q[1]
+    click1 = eta + p_dc * (1.0 - eta)  # one photon, or a dark count
+    y11 = click1 * click1
+    photon11 = eta * eta
     e11 = (e_d * photon11 + 0.5 * (y11 - photon11)) / y11 if y11 > 0 else 0.0
     p1 = [mu * math.exp(-mu) for mu in intensities]
     pair11 = tuple([a * b for a in p1 for b in p1])

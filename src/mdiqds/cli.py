@@ -253,7 +253,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config {args.config}: JSON nested too deeply") from None
     cfg = RunConfig.from_dict(data)
     for field_ in dataclasses.fields(RunConfig):
         value = getattr(args, field_.name, None)

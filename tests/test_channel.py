@@ -1,5 +1,6 @@
 """Channel-model tests: linearity, limits, Bayes posterior, MC oracle."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from helpers_mc import binomial_sigma, counts_match, sample_cell, sample_pair11
 from mdiqds.channel import (
     MAX_PULSES,
-    PHOTON_CUTOFF,
     IntensityConfig,
     PulseStatistics,
     SystemParams,
@@ -18,6 +18,11 @@ from mdiqds.optimize import config_from_vector, qds_search_space
 from reference_chain import SIGNAL, expected_tables, pulse_counts, tables
 
 CFG = IntensityConfig.symmetric(a_s=0.4, a_d1=0.05, p_as=1 / 3, p_ad1=1 / 3, p_z=0.5)
+
+# Photon numbers 0-60 per sender in the numpy references: at intensity
+# 1.0, the largest in the optimizer's box, the Poisson tail beyond 60 is
+# below 1e-80, so their sums have converged.
+PHOTONS = 61
 
 
 def params_at(distance_km: float, **kw) -> SystemParams:
@@ -134,25 +139,25 @@ class TestSinglePhotonTruth:
 
         |W^{a,b}| = sum_nm P_W(a,b) Pois(n|a) Pois(m|b) Y_nm N, the
         decomposition into photon-number classes that the decoy argument
-        rests on (exact here up to the photon cutoff).
+        rests on, summed to convergence.
         """
         p = params_at(50.0)
         t = expected_tables(p, CFG)
         eta = p.arm_transmittance
-        n = np.arange(PHOTON_CUTOFF + 1)
+        n = np.arange(PHOTONS)
         q = 1.0 - (1.0 - eta) ** n
-        click = 1.0 - (1.0 - q) * (1.0 - p.p_dc)
+        click = q + (1.0 - q) * p.p_dc
         yield_nm = np.outer(click, click)
         rebuilt = np.zeros((3, 3))
         for i, (a, pa) in enumerate(zip(CFG.intensities, CFG.probs)):
             for j, (b, pb) in enumerate(zip(CFG.intensities, CFG.probs)):
-                for nn in range(PHOTON_CUTOFF + 1):
-                    for mm in range(PHOTON_CUTOFF + 1):
+                for nn in range(PHOTONS):
+                    for mm in range(PHOTONS):
                         pois_a = math.exp(-a) * a**nn / math.factorial(nn)
                         pois_b = math.exp(-b) * b**mm / math.factorial(mm)
                         rebuilt[i, j] += (CFG.p_z * CFG.p_z * pa * pb
                                           * pois_a * pois_b * yield_nm[nn, mm] * p.n_pulses)
-        assert np.allclose(rebuilt, t.counts_z, rtol=1e-6)
+        assert np.allclose(rebuilt, t.counts_z, rtol=1e-12, atol=0.0)
 
 
 class TestPulseStatistics:
@@ -209,19 +214,20 @@ def numpy_pair_statistics(eta: float, p_dc: float, e_d: float,
                           intensities: tuple[float, float, float]) -> tuple:
     """_pair_statistics as full numpy tables: pmf @ table @ pmf.T per cell.
 
-    The reference for the plain-float rank-1 sums. It forms the 11x11
-    photon-number tables and sums them by BLAS, and the Poisson weights
-    by numpy's exp, so it agrees with _pair_statistics to rounding, not
-    bit for bit.
+    The reference for the closed forms: the photon-number double sums
+    the decoy argument rests on. It forms the PHOTONS x PHOTONS tables,
+    over which the Poisson sums have converged, and sums them by BLAS,
+    with the Poisson weights from numpy's exp, so it agrees with
+    _pair_statistics to rounding, not bit for bit.
     """
-    n = np.arange(PHOTON_CUTOFF + 1)
+    n = np.arange(PHOTONS)
     q = 1.0 - (1.0 - eta) ** n
-    click = 1.0 - (1.0 - q) * (1.0 - p_dc)
+    click = q + (1.0 - q) * p_dc  # 1 - (1 - q)(1 - p_dc), without its cancellation
     yield_nm = np.outer(click, click)
     photon_pair = np.outer(q, q)
     err_nm = e_d * photon_pair + 0.5 * (yield_nm - photon_pair)
-    pmf = np.empty((len(intensities), PHOTON_CUTOFF + 1))
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, PHOTON_CUTOFF + 1)))))
+    pmf = np.empty((len(intensities), PHOTONS))
+    log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, PHOTONS)))))
     for i, mu in enumerate(intensities):
         if mu == 0.0:
             pmf[i] = 0.0
@@ -241,7 +247,7 @@ def numpy_pair_statistics(eta: float, p_dc: float, e_d: float,
 
 
 def test_pair_statistics_within_rounding_of_numpy_tables():
-    """The rank-1 sums move each cell by at most 1e-12 of its yield.
+    """The closed forms are within 1e-12 of each cell's yield of the double sums.
 
     Error cells are compared to their cell's yield: at e_d = 0 both forms
     take e = (yield - photon) / 2, a difference of nearly equal terms, so
@@ -272,6 +278,84 @@ def test_pair_statistics_within_rounding_of_numpy_tables():
         assert got_pair11 == pytest.approx(want_pair11, rel=1e-15, abs=0.0)
         assert got_one == pytest.approx(want_one, rel=1e-15, abs=0.0)
         zero_cells += want_yield.count(0.0)
+    assert zero_cells > 0  # p_dc = 0 with a vacuum weak decoy
+
+
+def decimal_pair_statistics(eta: float, p_dc: float, e_d: float,
+                            intensities: tuple[float, float, float]) -> tuple:
+    """_pair_statistics at 50 significant digits, from the photon-number sums.
+
+    The exact reference for the closed forms. Each per-sender sum
+    sum_n Pois(n|mu) c_n runs from the floats' exact decimal values over
+    n until its terms vanish at this precision, with c_n the click
+    probability of n photons, 1 - (1 - eta)^n without dark counts and
+    1 - (1 - eta)^n (1 - p_dc) with them. Returns Decimals, in
+    _pair_statistics' order.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        eta, p_dc, e_d = Decimal(eta), Decimal(p_dc), Decimal(e_d)
+        one, half, vanished = Decimal(1), Decimal("0.5"), Decimal("1e-70")
+        mus = [Decimal(mu) for mu in intensities]
+        y_sums, q_sums = [], []
+        for mu in mus:
+            n, pmf, miss = 0, (-mu).exp(), one  # miss = (1 - eta)^n
+            y_i = q_i = Decimal(0)
+            while n <= mu or pmf > vanished:
+                q_i += pmf * (one - miss)
+                y_i += pmf * (one - miss * (one - p_dc))
+                n += 1
+                pmf = pmf * mu / n
+                miss *= one - eta
+            y_sums.append(y_i)
+            q_sums.append(q_i)
+        cell_yield = [a * b for a in y_sums for b in y_sums]
+        photon = [a * b for a in q_sums for b in q_sums]
+        cell_err = [e_d * ph + half * (y - ph) for y, ph in zip(cell_yield, photon)]
+        click1 = one - (one - eta) * (one - p_dc)
+        y11, photon11 = click1 * click1, eta * eta
+        e11 = (e_d * photon11 + half * (y11 - photon11)) / y11 if y11 else Decimal(0)
+        p1 = [mu * (-mu).exp() for mu in mus]
+        pair11 = [a * b for a in p1 for b in p1]
+        one_photon = [(a + b) * (-a - b).exp() for a in mus for b in mus]
+    return cell_yield, cell_err, pair11, y11, e11, one_photon
+
+
+def test_pair_statistics_exact():
+    """Every cell is within 1e-14 relative of the untruncated photon-number sums.
+
+    Error cells are compared to their cell's yield, and e11, an error
+    rate, to 1 (its yield), for the reason the numpy comparison gives.
+    Seeded configurations in the optimizer's box, each p_dc of
+    {0, 1e-8, 1e-7, 1e-3} in turn, a vacuum weak decoy and eta = 1.
+    """
+    rng = np.random.default_rng(37)
+    p_dcs = (0.0, 1e-8, 1e-7, 1e-3)
+    cases = [(1.0, p_dc, 0.03, intensities) for p_dc in p_dcs
+             for intensities in (CFG.intensities, (1.0, 0.3, 0.0))]
+    for k in range(160):
+        a_d2 = float(rng.choice([0.0, 5e-4, rng.uniform(0.0, 0.05)]))
+        space = qds_search_space(a_d2=a_d2)
+        lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)),
+                                 a_d2)
+        params = params_at(float(rng.uniform(0.0, 300.0)), p_dc=p_dcs[k % 4],
+                           e_d=float(rng.choice([0.0, 0.03, rng.uniform(0.0, 0.5)])))
+        cases.append((params.arm_transmittance, params.p_dc, params.e_d, cfg.intensities))
+    tol = Decimal("1e-14")
+    zero_cells = 0
+    for args in cases:
+        got_yield, got_err, got_pair11, got_y11, got_e11, got_one = _pair_statistics(*args)
+        (want_yield, want_err, want_pair11, want_y11, want_e11,
+         want_one) = decimal_pair_statistics(*args)
+        for g_y, g_e, w_y, w_e in zip(got_yield, got_err, want_yield, want_err):
+            assert abs(Decimal(g_y) - w_y) <= tol * w_y, args
+            assert abs(Decimal(g_e) - w_e) <= tol * w_y, args
+        for got, want in zip(got_pair11 + got_one + (got_y11,),
+                             want_pair11 + want_one + [want_y11]):
+            assert abs(Decimal(got) - want) <= tol * want, args
+        assert abs(Decimal(got_e11) - want_e11) <= tol, args
+        zero_cells += want_yield.count(0)
     assert zero_cells > 0  # p_dc = 0 with a vacuum weak decoy
 
 

@@ -121,7 +121,7 @@ class TestRate:
 
 # SHA-256 of the stdout of `mdiqds sweep --optimize --model all --pulses 1e13
 # --start 0 --stop 150 --step 25`, version comment included
-OPTIMIZED_SWEEP_SHA256 = "e46a5328fb9e116cb665124b09622ef00cc1d14fc7626db43e70c673d4c574b6"
+OPTIMIZED_SWEEP_SHA256 = "f3788c4ad35cd9d9de63b4c63771727b08fd95523fa791cdbcd1cfab60042a6a"
 
 
 class TestSweep:
@@ -284,6 +284,15 @@ class TestConfigRoundTrip:
         assert code == EXIT_INVALID
         assert out == ""
         assert err.startswith("error: config ")
+
+    def test_deeply_nested_config_rejected(self, capsys, tmp_path):
+        """Nesting past the JSON parser's recursion limit is a config error."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == EXIT_INVALID
+        assert out == ""
+        assert err == f"error: config {cfg}: JSON nested too deeply\n"
 
 
 class TestOptimize:

@@ -363,7 +363,7 @@ def test_rate_times_pulses_within_two_ulp_of_n_bits():
 # SHA-256 of the rendered records below (comment lines dropped, so that a
 # version bump alone does not move it). A change meant to leave the
 # numbers alone must leave this digest alone.
-ENGINE_OUTPUT_SHA256 = "6b888811ef7384e93d586f21a754aa053b5ad7709fa4d8245a8ae2aa3ae52253"
+ENGINE_OUTPUT_SHA256 = "ba1a3d33d337847746024029064e67feb1fafb677c9adca38bd95763c0d03977"
 
 
 def test_engine_output_pinned():
@@ -398,8 +398,8 @@ def test_engine_output_independent_of_builtin_sum(monkeypatch):
     """The pinned output holds whichever float sum() the interpreter has.
 
     The pair-statistics cache is emptied before and after, so the channel's
-    cells are summed under the patched sum() and no cell summed under it
-    outlives the test.
+    cells, exact closed forms that need no sum, are formed while sum() is
+    patched, and no cell formed then outlives the test.
     """
     for name, module in list(sys.modules.items()):
         if name == "mdiqds" or name.startswith("mdiqds."):
@@ -417,10 +417,11 @@ _SEARCH_FLOATS = ("rate", "n_bits", "block_size")
 
 
 def test_engine_within_rounding_of_numpy_channel_tables(monkeypatch):
-    """The plain-float channel moves no length, feasibility or reason.
+    """The closed-form channel moves no length, feasibility or reason.
 
     Every result of a grid over configurations, distances, pulse counts and
-    models is compared with the one computed from numpy's channel tables:
+    models is compared with the one computed from numpy's channel tables,
+    the photon-number double sums taken to convergence:
     L, feasibility and reason are equal, rate/n_bits/block_size within
     1e-11 and every other float within 1e-9 relative. (P_rep amplifies a
     cell's rounding through an exponential; it moves most.)
@@ -581,12 +582,13 @@ def test_sweep_decides_most_length_probes_without_inverting_h2(sweep_pass):
     landed). The pipeline builds and the optimizer's evaluations are
     those of the unscreened search, so the screen changed no verdict the
     searches acted on. Since the pooling stopped re-running winners whose
-    exact result a descent holds, a pass makes 13,536 builds (13,864
-    before) and 1,917 inversions.
+    exact result a descent holds, a pass made 13,536 builds (13,864
+    before) and 1,917 inversions; on the exact closed-form channel cells
+    it makes 13,546 builds and 1,923 inversions.
     """
     counts, _ = sweep_pass
     assert counts["inverse"] <= 4500, counts
-    assert counts["builds"] == 13536, counts
+    assert counts["builds"] == 13546, counts
     assert counts["evals"] == 2773, counts
 
 
@@ -748,13 +750,13 @@ def test_sob_feasibility_not_monotone_at_integer_scale():
         return models._sob_block(ev, n_s) is not None
 
     result = models.run_sob(params, cfg)
-    assert result.block_size == 61_741_560_275
+    assert result.block_size == 61_741_560_281
     # the bisection's transition: feasible, with an infeasible predecessor
-    assert feasible(61_741_560_275) and not feasible(61_741_560_274)
+    assert feasible(61_741_560_281) and not feasible(61_741_560_280)
     # yet a smaller block is feasible, just below an infeasible one
     assert feasible(61_741_068_698) and not feasible(61_741_068_699)
     # the optimistic relaxed probe admits both, the pessimistic one neither
-    for n_s in (61_741_560_275, 61_741_068_698):
+    for n_s in (61_741_560_281, 61_741_068_698):
         assert models._sob_relaxed(ev, n_s, True)
         assert not models._sob_relaxed(ev, n_s, False)
 
