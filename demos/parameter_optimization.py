@@ -17,7 +17,6 @@ from mdiqds.optimize import (
 
 DISTANCE_KM = 100.0
 N_PULSES = 1e13
-SEED = 7
 NAMES = ("a_s", "a_d1", "p_as", "p_ad1", "p_z")
 
 
@@ -34,13 +33,12 @@ def main():
         objective = rate_objective(params, model)
         reference_rate = run_model(model, params,
                                    config_from_vector(REFERENCE_VECTOR)).rate
-        point = coordinate_descent(objective, qds_search_space(), seed=SEED)
+        point = coordinate_descent(objective, qds_search_space())
         restarted = False
         if point.value == 0.0:
             # stuck on the infeasible plateau around the reference start;
             # restart from the previous model's optimum
-            point = coordinate_descent(objective, qds_search_space(initial=warm),
-                                       seed=SEED)
+            point = coordinate_descent(objective, qds_search_space(initial=warm))
             restarted = True
         print(f"{model}:")
         show("reference", REFERENCE_VECTOR, reference_rate)

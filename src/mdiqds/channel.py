@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 __all__ = [
     "MAX_PULSES",
+    "DEFAULT_A_D2",
     "SystemParams",
     "IntensityConfig",
     "PulseStatistics",
@@ -51,6 +52,35 @@ __all__ = [
 # Largest accepted pulse count N. Beyond it, products of two counts such
 # as sampling_lambda's (x - y + 1) * y overflow float64.
 MAX_PULSES = 1e150
+
+# Default weak-decoy intensity a_d2, which the optimizer holds fixed.
+DEFAULT_A_D2 = 5e-4
+
+
+class _Checked:
+    """Construction hooks of a checked NamedTuple record.
+
+    A record derives from this base and from its fields' NamedTuple, in
+    that order, and defines _check, which raises ValueError on a bad
+    field. Building it by position or keyword, through _make, _replace
+    or copy.replace, by copy.deepcopy or by unpickling runs _check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace and copy.replace check too
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # through __new__ on every pickle protocol and in copy.deepcopy
+        return type(self), tuple(self)
 
 
 class _SystemParamsFields(NamedTuple):
@@ -63,13 +93,13 @@ class _SystemParamsFields(NamedTuple):
     r_test: float = 0.055
 
 
-class SystemParams(_SystemParamsFields):
+class SystemParams(_Checked, _SystemParamsFields):
     """Device constants, link geometry and error-test fraction of a run.
 
     The security level and its failure-probability split are a
     security.SecurityBudget, passed to the runners beside these. An
-    immutable NamedTuple: building it by position or keyword, through
-    _make or _replace, or by unpickling runs the range checks.
+    immutable NamedTuple whose range checks run however it is built
+    (see _Checked).
 
     Attributes
     ----------
@@ -93,10 +123,9 @@ class SystemParams(_SystemParamsFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "SystemParams":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         # NaN passes every chained range comparison below
-        for name, value in zip(cls._fields, self):
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         alpha, eta_d, p_dc, e_d, distance_km, n_pulses, r_test = self
@@ -116,16 +145,6 @@ class SystemParams(_SystemParamsFields):
             raise ValueError(f"r_test must be in (0, 1), got {r_test}")
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "SystemParams":
-        # through __new__, so that _replace and copy.replace check too
-        return cls(*iterable)
-
-    def __reduce__(self):
-        # through __new__ on every pickle protocol and in copy.deepcopy
-        return type(self), tuple(self)
 
     @property
     def arm_transmittance(self) -> float:
@@ -143,7 +162,7 @@ class _IntensityConfigFields(NamedTuple):
     p_z: float
 
 
-class IntensityConfig(_IntensityConfigFields):
+class IntensityConfig(_Checked, _IntensityConfigFields):
     """Decoy intensities and selection probabilities of the symmetric link.
 
     Both senders use the same intensities (a_s, a_d1, a_d2), selected
@@ -155,10 +174,9 @@ class IntensityConfig(_IntensityConfigFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "IntensityConfig":
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         # an infinite intensity passes the ordering check below
-        for name, value in zip(cls._fields, self):
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         a_s, a_d1, a_d2, p_as, p_ad1, p_ad2, p_z = self
@@ -173,20 +191,10 @@ class IntensityConfig(_IntensityConfigFields):
             raise ValueError(f"selection probabilities must sum to 1, got {total}")
         if not 0.0 < p_z < 1.0:
             raise ValueError(f"p_z must be in (0, 1), got {p_z}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "IntensityConfig":
-        # through __new__, so that _replace and copy.replace check too
-        return cls(*iterable)
-
-    def __reduce__(self):
-        # through __new__ on every pickle protocol and in copy.deepcopy
-        return type(self), tuple(self)
 
     @classmethod
     def symmetric(cls, a_s: float, a_d1: float, p_as: float, p_ad1: float,
-                  p_z: float, a_d2: float = 5e-4) -> "IntensityConfig":
+                  p_z: float, a_d2: float = DEFAULT_A_D2) -> "IntensityConfig":
         """Configuration with p_ad2 = 1 - p_as - p_ad1."""
         return cls(a_s=a_s, a_d1=a_d1, a_d2=a_d2, p_as=p_as, p_ad1=p_ad1,
                    p_ad2=1.0 - p_as - p_ad1, p_z=p_z)

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .channel import IntensityConfig, SystemParams
+from .channel import DEFAULT_A_D2, IntensityConfig, SystemParams
 from .models import MODELS, RateResult, run_model
 from .montecarlo import (
     BOUND_IDS,
@@ -67,7 +67,7 @@ class RunConfig:
     pulses: float = 1e12
     a_s: float = 0.4
     a_d1: float = 0.05
-    a_d2: float = 5e-4
+    a_d2: float = DEFAULT_A_D2
     p_as: float = 1.0 / 3.0
     p_ad1: float = 1.0 / 3.0
     p_z: float = 0.5
@@ -284,7 +284,7 @@ def _point_records(cfg: RunConfig, distance_km: float, pulses: float,
                                   initial=warm or _config_vector(cfg))
         for model in cfg.models():
             records.append(record_dict(results[model], fallback))
-        feasible = [r for r in results.values() if r.feasible and r.config is not None]
+        feasible = [r for r in results.values() if r.feasible]
         if feasible:
             best = max(feasible, key=lambda r: r.rate).config
             warm = (best.a_s, best.a_d1, best.p_as, best.p_ad1, best.p_z)

@@ -59,14 +59,15 @@ BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def wilson_upper(successes: int, trials: int, z: float = _Z99) -> float:
-    """Wilson score upper confidence limit for a binomial proportion."""
+def wilson_upper(successes: int, trials: int) -> float:
+    """Wilson score 99% upper confidence limit for a binomial proportion."""
     if trials <= 0:
         return 1.0
     p_hat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = p_hat + z * z / (2.0 * trials)
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials))
+    denom = 1.0 + _Z99 * _Z99 / trials
+    center = p_hat + _Z99 * _Z99 / (2.0 * trials)
+    half = _Z99 * math.sqrt(p_hat * (1.0 - p_hat) / trials
+                            + _Z99 * _Z99 / (4.0 * trials * trials))
     return min((center + half) / denom, 1.0)
 
 

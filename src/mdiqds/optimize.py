@@ -21,7 +21,7 @@ objective can stop its N_s or L search as soon as the candidate provably
 cannot beat it (see models.run_model). The result is the same as with
 exact values everywhere.
 
-Everything is deterministic given (space, seed); multi-start draws its
+A descent is deterministic given its space; multi-start draws its
 extra starting points from per-start seeded generators and evaluates
 them in a fixed order.
 """
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .channel import IntensityConfig, SystemParams
+from .channel import DEFAULT_A_D2, IntensityConfig, SystemParams
 from .models import MODELS, RateResult, run_model, run_smb1, run_smb2
 from .security import SecurityBudget
 
@@ -63,19 +63,20 @@ _A_D1_HI = 0.3  # cap on the strong decoy intensity
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box-constrained coordinate space with an optional projection.
+    """Box-constrained coordinate space with its start, steps and projection.
 
-    project, when given, replaces the box clamp: it must map every
-    vector into the box (the QDS projection clamps each coordinate into
-    a sub-range of it), and must not modify its argument.
+    A descent starts from the projection of initial, with steps as its
+    per-coordinate base steps. project must map every vector into the
+    box (the QDS projection clamps each coordinate into a sub-range of
+    it), and must not modify its argument.
     """
 
     names: tuple[str, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    initial: tuple[float, ...] | None = None
-    steps: tuple[float, ...] | None = None
-    project: Callable[[Sequence[float]], list[float]] | None = None
+    initial: tuple[float, ...]
+    steps: tuple[float, ...]
+    project: Callable[[Sequence[float]], list[float]]
 
     def __post_init__(self) -> None:
         k = len(self.names)
@@ -86,20 +87,16 @@ class SearchSpace:
         # the vectors are zipped against the bounds, which would drop extras
         for name in ("initial", "steps"):
             value = getattr(self, name)
-            if value is not None and len(value) != k:
+            if len(value) != k:
                 raise ValueError(f"{name} must have {k} coordinates, got {len(value)}")
 
     def clip_project(self, x: Sequence[float]) -> list[float]:
         if len(x) != len(self.names):
             raise ValueError(f"vector must have {len(self.names)} coordinates, got {len(x)}")
-        if self.project is not None:
-            return self.project(x)
-        return [min(max(v, lo), hi) for v, lo, hi in zip(x, self.lower, self.upper)]
+        return self.project(x)
 
     def base_steps(self) -> list[float]:
-        if self.steps is not None:
-            return [float(s) for s in self.steps]
-        return [(hi - lo) / 20.0 for lo, hi in zip(self.lower, self.upper)]
+        return [float(s) for s in self.steps]
 
 
 @dataclass(frozen=True)
@@ -128,17 +125,10 @@ def _uniform_draw(space: SearchSpace, seed: int | list[int]) -> list[float]:
     return (lo + rng.uniform(size=len(space.names)) * (hi - lo)).tolist()
 
 
-def _start_vector(space: SearchSpace, seed: int) -> list[float]:
-    if space.initial is not None:
-        return space.clip_project([float(v) for v in space.initial])
-    return space.clip_project(_uniform_draw(space, seed))
-
-
 Objective = Callable[[Sequence[float], float], float]
 
 
-def coordinate_descent(objective: Objective, space: SearchSpace,
-                       seed: int = 0) -> OptimalPoint:
+def coordinate_descent(objective: Objective, space: SearchSpace) -> OptimalPoint:
     """Cyclic coordinate descent with backtracking step halving.
 
     Each coordinate visit starts from (twice) the step that last worked
@@ -165,7 +155,7 @@ def coordinate_descent(objective: Objective, space: SearchSpace,
             scores[key] = float(objective(point, floor))
         return scores[key]
 
-    x = _start_vector(space, seed)
+    x = space.clip_project([float(v) for v in space.initial])
     f = score(x, -math.inf)
     history = [f]
     base = space.base_steps()
@@ -220,7 +210,7 @@ def multi_start(objective: Objective, space: SearchSpace,
     """
     if k < 1:
         raise ValueError(f"start count must be >= 1, got {k}")
-    results = [coordinate_descent(objective, space, seed)]
+    results = [coordinate_descent(objective, space)]
     anchor = results[0].x
     for i in range(1, k):
         x0 = space.clip_project(_uniform_draw(space, [seed, i]))
@@ -230,7 +220,7 @@ def multi_start(objective: Objective, space: SearchSpace,
                     break
                 x0 = space.clip_project([0.5 * (v + a) for v, a in zip(x0, anchor)])
         start_space = replace(space, initial=tuple(float(v) for v in x0))
-        results.append(coordinate_descent(objective, start_space, seed))
+        results.append(coordinate_descent(objective, start_space))
     best = max(results, key=lambda r: r.value)
     return replace(best, start_values=tuple(r.value for r in results))
 
@@ -267,8 +257,8 @@ def _qds_projection(a_d2: float) -> Callable[[Sequence[float]], list[float]]:
     return project
 
 
-def qds_search_space(initial: Sequence[float] | None = REFERENCE_VECTOR,
-                     a_d2: float = 5e-4) -> SearchSpace:
+def qds_search_space(initial: Sequence[float] = REFERENCE_VECTOR,
+                     a_d2: float = DEFAULT_A_D2) -> SearchSpace:
     """Search space over (a_s, a_d1, p_as, p_ad1, p_z).
 
     a_d1 ranges over [a_d2 + 1e-4, 0.3], so a_d2 must lie below
@@ -281,13 +271,13 @@ def qds_search_space(initial: Sequence[float] | None = REFERENCE_VECTOR,
         names=_QDS_NAMES,
         lower=(a_d2 + 1e-4 + 1e-3, a_d2 + 1e-4, _PROB_LO, _PROB_LO, _PROB_LO),
         upper=(1.0, _A_D1_HI, _PROB_HI, _PROB_HI, _PROB_HI),
-        initial=None if initial is None else tuple(initial),
+        initial=tuple(initial),
         steps=(0.05, 0.01, 0.05, 0.05, 0.05),
         project=_qds_projection(a_d2),
     )
 
 
-def config_from_vector(x: Sequence[float], a_d2: float = 5e-4) -> IntensityConfig:
+def config_from_vector(x: Sequence[float], a_d2: float = DEFAULT_A_D2) -> IntensityConfig:
     """The configuration at (a_s, a_d1, p_as, p_ad1, p_z), p_ad2 = 1 - p_as - p_ad1."""
     a_s, a_d1, p_as, p_ad1, p_z = map(float, x)
     return IntensityConfig(a_s, a_d1, a_d2, p_as, p_ad1, 1.0 - p_as - p_ad1, p_z)
@@ -295,7 +285,7 @@ def config_from_vector(x: Sequence[float], a_d2: float = 5e-4) -> IntensityConfi
 
 def rate_objective(params: SystemParams, model: str,
                    budget: SecurityBudget | None = None,
-                   a_d2: float = 5e-4, *,
+                   a_d2: float = DEFAULT_A_D2, *,
                    exact: dict[tuple[float, ...], RateResult] | None = None) -> Objective:
     """Objective (config-vector, floor) -> signature rate; 0 on any infeasibility.
 
@@ -329,7 +319,7 @@ def rate_objective(params: SystemParams, model: str,
 
 def optimize_models(params: SystemParams, models: Sequence[str] = MODELS,
                     budget: SecurityBudget | None = None, seed: int = 0,
-                    starts: int = 1, a_d2: float = 5e-4,
+                    starts: int = 1, a_d2: float = DEFAULT_A_D2,
                     initial: Sequence[float] | None = None) -> dict[str, RateResult]:
     """Optimize each model, then cross-evaluate the pooled optima.
 

@@ -35,6 +35,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .bounds import inverse_binary_entropy
+from .channel import _Checked
 
 __all__ = [
     "SecurityBudget",
@@ -54,7 +55,7 @@ class _SecurityBudgetFields(NamedTuple):
     g_prob: float = 1e-12
 
 
-class SecurityBudget(_SecurityBudgetFields):
+class SecurityBudget(_Checked, _SecurityBudgetFields):
     """Security level and per-component failure probabilities.
 
     epsilon is the overall target; eps_pe covers the error test, eps_sf
@@ -66,21 +67,10 @@ class SecurityBudget(_SecurityBudgetFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "SecurityBudget":
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(cls._fields, self):
+    def _check(self) -> None:
+        for name, value in zip(self._fields, self):
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value}")
-        return self
-
-    @classmethod
-    def _make(cls, iterable) -> "SecurityBudget":
-        # through __new__, so that _replace and copy.replace check too
-        return cls(*iterable)
-
-    def __reduce__(self):
-        # through __new__ on every pickle protocol and in copy.deepcopy
-        return type(self), tuple(self)
 
 
 def min_entropy(n_l1: float, h_l1: float) -> float:
@@ -156,10 +146,11 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
     and a bisection closes it on an infeasible lo (or 0) and a feasible
     hi = lo + 1. A probe is whatever feasible answers: a floored sob
     evaluation answers the sizes its relaxed probes have decided, the
-    cap among them, without building a block (models.run_sob). Under monotone feasibility that is the smallest feasible
-    n; otherwise it is the transition this bisection lands on. It serves
-    sob's block size, whose feasibility is not monotone, and the length
-    solves that have no stop.
+    cap among them, without building a block (models.run_sob). Under
+    monotone feasibility that is the smallest feasible n; otherwise it
+    is the transition this bisection lands on. It serves sob's block
+    size, whose feasibility is not monotone, and the length solves that
+    have no stop.
 
     The answer always lies in the bracket, so a search with a stop gives
     up, returning None, as soon as lo + 1 >= stop: every answer left is

@@ -229,10 +229,10 @@ def test_criterion_7_optimizer_sanity(optimized_grid):
             reference = run_model(model, params_at(distance, n_pulses), REFERENCE_CFG)
             assert result.rate >= reference.rate, (model, n_pulses, distance)
         points += 1
-    # bit-identical trajectories under a fixed seed
+    # bit-identical trajectories from a fixed start
     params = params_at(100.0, 1e12)
-    a = coordinate_descent(rate_objective(params, "smb1"), qds_search_space(), seed=9)
-    b = coordinate_descent(rate_objective(params, "smb1"), qds_search_space(), seed=9)
+    a = coordinate_descent(rate_objective(params, "smb1"), qds_search_space())
+    b = coordinate_descent(rate_objective(params, "smb1"), qds_search_space())
     assert a == b
     again = optimize_models(params, seed=SEED, starts=1)
     for model, result in optimize_models(params, seed=SEED, starts=1).items():

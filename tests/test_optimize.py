@@ -23,9 +23,18 @@ from mdiqds.optimize import (
 )
 
 
+def clamp01(x):
+    return [min(max(v, 0.0), 1.0) for v in x]
+
+
 def box2(initial=(0.9, 0.1)) -> SearchSpace:
     return SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0),
-                       initial=initial)
+                       initial=initial, steps=(0.05, 0.05), project=clamp01)
+
+
+def drawn(space: SearchSpace, seed: int) -> SearchSpace:
+    """space starting from its seeded uniform draw, projected."""
+    return replace(space, initial=tuple(space.clip_project(optimize._uniform_draw(space, seed))))
 
 
 class TestCoordinateDescent:
@@ -52,35 +61,41 @@ class TestCoordinateDescent:
         point = coordinate_descent(f, box2())
         assert all(a < b for a, b in zip(point.history, point.history[1:]))
 
-    def test_deterministic_given_seed(self):
-        space = SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0))
+    def test_deterministic_given_space(self):
         f = lambda v, floor: -(v[0] - 0.5) ** 2 - (v[1] - 0.5) ** 2  # noqa: E731
-        a = coordinate_descent(f, space, seed=17)
-        b = coordinate_descent(f, space, seed=17)
+        a = coordinate_descent(f, drawn(box2(), 17))
+        b = coordinate_descent(f, drawn(box2(), 17))
         assert a == b
-        c = coordinate_descent(f, space, seed=18)
-        assert c.x != a.x  # different random start
+        c = coordinate_descent(f, drawn(box2(), 18))
+        assert c.x != a.x  # different start
 
-    def test_random_start_is_numpys_seeded_draw(self):
-        """Without an initial point the start is numpy's uniform draw, projected."""
-        space = qds_search_space(initial=None)
+    def test_uniform_draw_is_numpys_seeded_draw(self):
+        """The extra starts' draw is numpy's seeded uniform draw over the box."""
+        space = qds_search_space()
         lo, hi = np.asarray(space.lower), np.asarray(space.upper)
         for seed in range(4):
             draw = lo + np.random.default_rng(seed).uniform(size=5) * (hi - lo)
-            start = optimize._start_vector(space, seed)
-            assert start == space.clip_project(draw.tolist())
+            assert optimize._uniform_draw(space, seed) == draw.tolist()
             # an ndarray clips to the same point (bench/run.py passes one)
-            assert space.clip_project(draw) == start
+            assert space.clip_project(draw) == space.clip_project(draw.tolist())
+
+    @pytest.mark.parametrize("field", ["initial", "steps", "project"])
+    def test_start_steps_and_projection_are_required(self, field):
+        fields = dict(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0),
+                      initial=(0.5, 0.5), steps=(0.05, 0.05), project=clamp01)
+        del fields[field]
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            SearchSpace(**fields)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
-            SearchSpace(names=("x",), lower=(1.0,), upper=(0.0,))
+            SearchSpace(names=("x",), lower=(1.0,), upper=(0.0,), initial=(0.5,),
+                        steps=(0.05,), project=clamp01)
 
     @pytest.mark.parametrize("field", ["initial", "steps"])
     def test_vector_length_validation(self, field):
         with pytest.raises(ValueError, match=f"{field} must have 2 coordinates, got 3"):
-            SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0),
-                        **{field: (0.5, 0.5, 0.5)})
+            replace(box2(), **{field: (0.5, 0.5, 0.5)})
         with pytest.raises(ValueError, match=f"{field} must have 5 coordinates, got 4"):
             replace(qds_search_space(), **{field: (0.4, 0.05, 0.3, 0.3)})
         # clip_project would zip a longer vector down, and index past a shorter one
@@ -191,7 +206,7 @@ def test_sweep_reports_probabilities_inside_the_box(sweep_pass):
         assert p_as + p_ad1 <= EDGE + 1e-15, rec
 
 
-def reference_descent(objective, space, seed=0):
+def reference_descent(objective, space):
     """coordinate_descent without the point memo or floors, and its call list.
 
     Every candidate is scored exactly (floor -inf), repeats included.
@@ -202,7 +217,7 @@ def reference_descent(objective, space, seed=0):
         calls.append(tuple(x))
         return float(objective(x, -math.inf))
 
-    x = optimize._start_vector(space, seed)
+    x = space.clip_project([float(v) for v in space.initial])
     f = scored(x)
     history = [f]
     base = space.base_steps()
@@ -275,52 +290,51 @@ def seeded_terraces(seed, dim):
 
 
 def memo_cases():
-    """(name, objective, space, seed): seeded 2-D and qds_search_space() cases."""
+    """(name, objective, space): 2-D and qds_search_space() cases from seeded starts."""
     cases = []
     for seed in range(6):
-        free = SearchSpace(names=("x", "y"), lower=(0.0, 0.0), upper=(1.0, 1.0))
-        cases.append((f"terraces-2d-{seed}", seeded_terraces(seed, 2), free, seed))
-        qds = qds_search_space(initial=None)
-        cases.append((f"quadratic-qds-{seed}", seeded_quadratic(seed, 5), qds, seed))
-        cases.append((f"terraces-qds-{seed}", seeded_terraces(seed, 5), qds, seed))
+        cases.append((f"terraces-2d-{seed}", seeded_terraces(seed, 2), drawn(box2(), seed)))
+        qds = drawn(qds_search_space(), seed)
+        cases.append((f"quadratic-qds-{seed}", seeded_quadratic(seed, 5), qds))
+        cases.append((f"terraces-qds-{seed}", seeded_terraces(seed, 5), qds))
     # start on the upper bound of x with the optimum beyond it: clip_project
     # maps every +step candidate back onto the current point
     cases.append(("upper-bound-start", lambda v, floor: float(v[0] - (v[1] - 0.3) ** 2),
-                  box2(initial=(1.0, 0.7)), 0))
+                  box2(initial=(1.0, 0.7))))
     cases.append(("qds-upper-bound-start", seeded_quadratic(9, 5),
-                  qds_search_space(initial=(1.0, 0.3, 0.5, 0.4, 0.999)), 0))
+                  qds_search_space(initial=(1.0, 0.3, 0.5, 0.4, 0.999))))
     return cases
 
 
 MEMO_CASES = memo_cases()
-memo_case = pytest.mark.parametrize("name,objective,space,seed", MEMO_CASES,
+memo_case = pytest.mark.parametrize("name,objective,space", MEMO_CASES,
                                     ids=[case[0] for case in MEMO_CASES])
 
 
 class TestPointMemo:
     @memo_case
-    def test_same_descent_as_without_memo(self, name, objective, space, seed):
-        reference, calls = reference_descent(objective, space, seed)
-        point = coordinate_descent(objective, space, seed)
+    def test_same_descent_as_without_memo(self, name, objective, space):
+        reference, calls = reference_descent(objective, space)
+        point = coordinate_descent(objective, space)
         # same x, value, cycles, converged and history; one call per point
         assert point == replace(reference, evaluations=len(set(calls)))
 
     def test_revisits_are_common_in_these_cases(self):
         repeats = 0
-        for _, objective, space, seed in MEMO_CASES:
-            _, calls = reference_descent(objective, space, seed)
+        for _, objective, space in MEMO_CASES:
+            _, calls = reference_descent(objective, space)
             repeats += len(calls) - len(set(calls))
         assert repeats > 100
 
     @memo_case
-    def test_each_point_scored_once(self, name, objective, space, seed):
+    def test_each_point_scored_once(self, name, objective, space):
         seen = []
 
         def counting(x, floor):
             seen.append(tuple(x))
             return objective(x, floor)
 
-        point = coordinate_descent(counting, space, seed)
+        point = coordinate_descent(counting, space)
         assert len(seen) == len(set(seen))
         assert point.evaluations == len(seen)
 
@@ -349,7 +363,7 @@ class TestMultiStart:
 
     def test_k1_reduces_to_coordinate_descent(self):
         space = box2(initial=(0.1, 0.1))
-        single = coordinate_descent(self.bumps, space, seed=5)
+        single = coordinate_descent(self.bumps, space)
         multi = multi_start(self.bumps, space, k=1, seed=5)
         assert multi.x == single.x
         assert multi.value == single.value
@@ -457,9 +471,9 @@ class TestFlooredEvaluations:
         objective = rate_objective(self.PARAMS, model)
         # seeded random starts off every model's zero plateau
         for seed in (2, 3):
-            space = qds_search_space(initial=None)
-            reference, calls = reference_descent(objective, space, seed)
-            point = coordinate_descent(objective, space, seed)
+            space = drawn(qds_search_space(), seed)
+            reference, calls = reference_descent(objective, space)
+            point = coordinate_descent(objective, space)
             assert point == replace(reference, evaluations=len(set(calls)))
             assert point.value > 0.0
 

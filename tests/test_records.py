@@ -94,3 +94,11 @@ def test_records_are_immutable_tuples(record):
         assert type(again) is type(record) and again == record
     assert type(record._replace()) is type(record) and record._replace() == record
 
+
+
+
+def test_checked_records_share_their_construction_hooks():
+    """One definition of each hook serves the three checked records."""
+    checked = (SystemParams, IntensityConfig, SecurityBudget)
+    assert len({record._make.__func__ for record in checked}) == 1
+    assert len({record.__reduce__ for record in checked}) == 1

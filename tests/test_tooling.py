@@ -362,14 +362,12 @@ UNREACHED_ALLOWED = {
                                     "before its submodule loads; the CLI imports "
                                     "the submodules directly",
     ("__init__.py", "__dir__"): "PEP 562 hook: dir(mdiqds), which no command calls",
-    ("channel.py", "_make"): "NamedTuple hook: _replace and copy.replace build through "
-                             "it, so that they run SystemParams' and IntensityConfig's "
-                             "range checks; no command replaces a field",
-    ("security.py", "_make"): "NamedTuple hook: the same for SecurityBudget",
-    ("channel.py", "__reduce__"): "pickle hook: unpickling and copy.deepcopy build "
-                                  "through it, so that they run SystemParams' and "
-                                  "IntensityConfig's range checks; no command pickles",
-    ("security.py", "__reduce__"): "pickle hook: the same for SecurityBudget",
+    ("channel.py", "_make"): "NamedTuple hook of the checked records' base: _replace "
+                             "and copy.replace build through it, so that they run "
+                             "the records' range checks; no command replaces a field",
+    ("channel.py", "__reduce__"): "pickle hook of the checked records' base: unpickling "
+                                  "and copy.deepcopy build through it, so that they run "
+                                  "the records' range checks; no command pickles",
 }
 
 
