@@ -354,12 +354,6 @@ def cmd_points(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_trials(trials: int) -> None:
-    # zero trials divides by zero in the frequency, negative ones fail in numpy
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-
 def _check_seed(seed: int) -> None:
     # numpy's generators reject a negative seed with a bare message
     if seed < 0:
@@ -367,7 +361,6 @@ def _check_seed(seed: int) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
     _check_seed(args.seed)
     if args.bounds == "all":
         bound_ids = list(BOUND_IDS)
@@ -405,7 +398,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_protocol(args: argparse.Namespace) -> int:
-    _check_trials(args.trials)
     _check_seed(args.seed)
     honest = simulate_honest(args.length, args.error_rate, args.s_a,
                              args.trials, args.seed)

@@ -19,9 +19,12 @@ Two families of experiments:
   failure probability; these runs use inflated eps values (1e-2 to 1e-3)
   because violations at 1e-12 are unobservable at desk scale.
 
-All trial batches derive per-purpose generators from a spawned seed
-sequence, so identical seeds give identical statistics regardless of
-batch composition.
+Each check draws from ``default_rng(seed)``; the repudiation simulator
+gives each mismatch count it tries one spawned child of ``seed``. Draws
+are made and counted in chunks of a fixed size whose concatenation is
+the one-shot draw of all trials, so a seed gives the same statistics,
+and a check's memory does not grow with the number of trials beyond the
+repudiation simulator's stored half-draw of 2 bytes per trial.
 """
 from __future__ import annotations
 
@@ -38,6 +41,8 @@ from .bounds import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 __all__ = [
@@ -57,6 +62,7 @@ BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
              "sampling_lambda", "eq3_penalty")
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_CHUNK = 65_536  # trials drawn and counted at a time
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -83,6 +89,28 @@ class TrialStats:
     bound: float
     seed: int
     detail: dict = field(default_factory=dict)
+
+
+def _check_trials(trials: int) -> None:
+    # a frequency needs at least one trial
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
+def _chunks(trials: int) -> list[slice]:
+    """Consecutive slices of at most _CHUNK trials that cover range(trials)."""
+    return [slice(start, min(start + _CHUNK, trials))
+            for start in range(0, trials, _CHUNK)]
+
+
+def _count(trials: int, draw: Callable[[int], np.ndarray],
+           hit: Callable[[np.ndarray], np.ndarray]) -> int:
+    """How many of ``trials`` draws ``hit`` marks, drawn _CHUNK at a time.
+
+    A generator's draws of n values and then m values are its one draw
+    of n + m values, so the count is that of one draw of all trials.
+    """
+    return sum(int(hit(draw(part.stop - part.start)).sum()) for part in _chunks(trials))
 
 
 def _stats(label: str, trials: int, successes: int, bound: float, seed: int,
@@ -182,13 +210,14 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
     bound is the Hoeffding tail exp(-2 L (s_a - rate)^2) when the rate
     sits below the threshold.
     """
+    _check_trials(trials)
     _check_length(length)
     _check_rate("error_rate", error_rate)
     _check_rate("s_a", s_a)
     import numpy as np
     rng = np.random.default_rng(seed)
-    counts = rng.binomial(length, error_rate, size=trials)
-    aborts = int((counts / length >= s_a).sum())
+    aborts = _count(trials, lambda n: rng.binomial(length, error_rate, size=n),
+                    lambda counts: counts / length >= s_a)
     bound = math.exp(-2.0 * length * (s_a - error_rate) ** 2) if error_rate < s_a else 1.0
     return _stats("honest-abort", trials, aborts, bound, seed,
                   {"length": length, "error_rate": error_rate, "s_a": s_a})
@@ -201,15 +230,28 @@ def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
     The mismatches each recipient keeps are a hypergeometric draw of its
     half, the two strings' halves drawn independently: the counts
     recipient_mismatches takes from the bits of make_key_material.
+    All of h_bb is drawn before any of h_cc, as in one draw of each.
     """
+    import numpy as np
     half = length // 2
-    h_bb = rng.hypergeometric(mismatches, length - mismatches, half, trials)
-    h_cc = rng.hypergeometric(mismatches, length - mismatches, half, trials)
-    bob = h_bb + (mismatches - h_cc)
-    charlie = h_cc + (mismatches - h_bb)
-    accept = bob / length < s_a
-    reject = charlie / length >= s_v
-    return int((accept & reject).sum()), int(accept.sum()), int(reject.sum())
+    parts = _chunks(trials)
+    h_bb = np.empty(trials, dtype=np.min_scalar_type(mismatches))
+    for part in parts:
+        h_bb[part] = rng.hypergeometric(mismatches, length - mismatches, half,
+                                        part.stop - part.start)
+    successes = accepts = rejects = 0
+    for part in parts:
+        h_cc = rng.hypergeometric(mismatches, length - mismatches, half,
+                                  part.stop - part.start)
+        h_b = h_bb[part].astype(np.int64)  # back to the draw's type: one-shot arithmetic
+        bob = h_b + (mismatches - h_cc)
+        charlie = h_cc + (mismatches - h_b)
+        accept = bob / length < s_a
+        reject = charlie / length >= s_v
+        successes += int((accept & reject).sum())
+        accepts += int(accept.sum())
+        rejects += int(reject.sum())
+    return successes, accepts, rejects
 
 
 def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
@@ -223,6 +265,7 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     success frequency is reported. The attached bound is
     2*exp(-(1/4)(s_v-s_a)^2 L).
     """
+    _check_trials(trials)
     _check_length(length)
     if not 0.0 <= s_a < s_v <= 1.0:
         raise ValueError(f"need 0 <= s_a < s_v <= 1, got s_a={s_a}, s_v={s_v}")
@@ -255,14 +298,15 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     attached bound is the Hoeffding tail exp(-2 (L/2) (p_e - s_v)^2)
     when p_e exceeds s_v (vacuous bound 1 otherwise).
     """
+    _check_trials(trials)
     _check_length(length)
     _check_rate("p_e", p_e)
     _check_rate("s_v", s_v)
     import numpy as np
     rng = np.random.default_rng(seed)
     half = length // 2
-    errors = rng.binomial(half, p_e, size=trials)
-    successes = int((errors / half < s_v).sum())
+    successes = _count(trials, lambda n: rng.binomial(half, p_e, size=n),
+                       lambda errors: errors / half < s_v)
     gap = p_e - s_v
     bound = math.exp(-2.0 * half * gap * gap) if gap > 0 else 1.0
     return _stats("forging", trials, successes, bound, seed,
@@ -296,7 +340,13 @@ def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
       error rate exceeds the test rate plus the penalty.
 
     The violation frequency is expected at or below eps in every case.
+    ``serfling_fraction``, ``serfling_count`` and ``sampling_lambda``
+    draw the same hypergeometric counts for one seed (``sample`` items
+    from ``population`` with half marked: 1,000 from 100,000 at the
+    defaults), so their checks count violations on one experiment and
+    are not independent.
     """
+    _check_trials(trials)
     if eps < 1e-3:
         raise ValueError("coverage runs need eps >= 1e-3 to be measurable")
     import numpy as np
@@ -304,38 +354,42 @@ def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
     detail = {"population": population, "sample": sample, "eps": eps}
     if bound == "hoeffding":
         mean = float(population)
-        draws = rng.poisson(mean, size=trials)
-        violations = int((draws < mean - hoeffding_delta(mean, eps)).sum())
+        lim = mean - hoeffding_delta(mean, eps)
+        violations = _count(trials, lambda n: rng.poisson(mean, size=n),
+                            lambda draws: draws < lim)
     elif bound in ("serfling_fraction", "serfling_count"):
         total = population
         y = sample
         x = total - y
         marked = total // 2
-        k = rng.hypergeometric(marked, total - marked, y, size=trials)
+
+        def draw(n):
+            return rng.hypergeometric(marked, total - marked, y, size=n)
+
         if bound == "serfling_fraction":
             lim = marked / total + serfling_fraction_gamma(x, y, eps)
-            violations = int((k / y > lim).sum())
+            violations = _count(trials, draw, lambda k: k / y > lim)
         else:
-            rest = marked - k
-            lim = x * k / y - serfling_count_gamma(x, y, eps)
-            violations = int((rest < lim).sum())
+            gamma = serfling_count_gamma(x, y, eps)
+            violations = _count(trials, draw, lambda k: marked - k < x * k / y - gamma)
     elif bound == "sampling_lambda":
         x = population
         y = sample
         marked = x // 2
-        k = rng.hypergeometric(marked, x - marked, y, size=trials)
         lim = y * marked / x - sampling_lambda(x, y, eps)
-        violations = int((k < lim).sum())
+        violations = _count(trials,
+                            lambda n: rng.hypergeometric(marked, x - marked, y, size=n),
+                            lambda k: k < lim)
     elif bound == "eq3_penalty":
         length = population
         n_test = sample
         half = length // 2
         total = half + n_test
         marked = total // 2
-        k = rng.hypergeometric(marked, total - marked, n_test, size=trials)
-        rest = marked - k
-        lim = k / n_test + test_sample_penalty(length, n_test, eps)
-        violations = int((rest / half > lim).sum())
+        pen = test_sample_penalty(length, n_test, eps)
+        violations = _count(
+            trials, lambda n: rng.hypergeometric(marked, total - marked, n_test, size=n),
+            lambda k: (marked - k) / half > k / n_test + pen)
     else:
         raise ValueError(f"unknown bound id {bound!r}; expected one of {BOUND_IDS}")
     return _stats(bound, trials, violations, eps, seed, detail)

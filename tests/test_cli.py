@@ -122,6 +122,9 @@ class TestRate:
 # SHA-256 of the stdout of `mdiqds sweep --optimize --model all --pulses 1e13
 # --start 0 --stop 150 --step 25`, version comment included
 OPTIMIZED_SWEEP_SHA256 = "f3788c4ad35cd9d9de63b4c63771727b08fd95523fa791cdbcd1cfab60042a6a"
+# SHA-256 of the stdout of `mdiqds verify --eps 0.01 --trials 1000000 --seed 0
+# --bounds hoeffding,serfling_fraction,serfling_count,sampling_lambda,eq3_penalty`
+MC_VERIFY_SHA256 = "5a316b4e0dd355be068df27a609641fbb854c68fef808febe69fca4e933dc48f"
 
 
 class TestSweep:
@@ -340,6 +343,16 @@ class TestVerify:
         for line in out.splitlines():
             if line.startswith(("PASS", "FAIL")):
                 assert line.startswith("PASS")
+
+    def test_verify_output_pinned(self, capsys):
+        """The benchmark's seed-0 verify report, byte for byte: its counts
+        cross fifteen chunk edges of every check."""
+        code, out, _ = run_cli(capsys, "verify", "--eps", "0.01", "--trials", "1000000",
+                               "--seed", "0", "--bounds",
+                               "hoeffding,serfling_fraction,serfling_count,"
+                               "sampling_lambda,eq3_penalty")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MC_VERIFY_SHA256
 
     def test_inverted_bounds_fail(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "5000",

@@ -1,9 +1,11 @@
 """Messaging-stage simulators and tail-bound coverage tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mdiqds import bounds
 from mdiqds import montecarlo as mc
 
 TRIALS = 100_000
@@ -188,3 +190,145 @@ def test_wilson_upper_behaviour():
     assert mc.wilson_upper(0, 1000) < 0.01
     assert mc.wilson_upper(1000, 1000) == pytest.approx(1.0, abs=1e-12)
     assert 0.001 < mc.wilson_upper(120, 100_000) < 0.0016
+
+
+@pytest.mark.parametrize("call", [
+    lambda trials: mc.simulate_honest(2000, 0.02, 0.05, trials),
+    lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials),
+    lambda trials: mc.simulate_forging(2000, 0.3, 0.25, trials),
+    *(lambda trials, bound=bound: mc.validate_bound(bound, 0.01, trials)
+      for bound in mc.BOUND_IDS),
+], ids=["honest", "repudiation", "forging", *mc.BOUND_IDS])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_checks_reject_non_positive_trials(call, trials):
+    """A frequency needs at least one trial."""
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        call(trials)
+
+
+# ---------------------------------------------------------------------------
+# chunked counting against one draw of all trials
+
+
+def one_shot_bound_violations(bound, eps, trials, seed):
+    """validate_bound's count over one draw, at the default sizes."""
+    population, sample = 100_000, 1_000
+    rng = np.random.default_rng(seed)
+    if bound == "hoeffding":
+        mean = float(population)
+        draws = rng.poisson(mean, size=trials)
+        return int((draws < mean - bounds.hoeffding_delta(mean, eps)).sum())
+    if bound in ("serfling_fraction", "serfling_count"):
+        total = population
+        y = sample
+        x = total - y
+        marked = total // 2
+        k = rng.hypergeometric(marked, total - marked, y, size=trials)
+        if bound == "serfling_fraction":
+            lim = marked / total + bounds.serfling_fraction_gamma(x, y, eps)
+            return int((k / y > lim).sum())
+        rest = marked - k
+        lim = x * k / y - bounds.serfling_count_gamma(x, y, eps)
+        return int((rest < lim).sum())
+    if bound == "sampling_lambda":
+        x = population
+        y = sample
+        marked = x // 2
+        k = rng.hypergeometric(marked, x - marked, y, size=trials)
+        lim = y * marked / x - bounds.sampling_lambda(x, y, eps)
+        return int((k < lim).sum())
+    length = population
+    n_test = sample
+    half = length // 2
+    total = half + n_test
+    marked = total // 2
+    k = rng.hypergeometric(marked, total - marked, n_test, size=trials)
+    rest = marked - k
+    lim = k / n_test + bounds.test_sample_penalty(length, n_test, eps)
+    return int((rest / half > lim).sum())
+
+
+def one_shot_honest_aborts(length, error_rate, s_a, trials, seed):
+    counts = np.random.default_rng(seed).binomial(length, error_rate, size=trials)
+    return int((counts / length >= s_a).sum())
+
+
+def one_shot_forging_successes(length, p_e, s_v, trials, seed):
+    half = length // 2
+    errors = np.random.default_rng(seed).binomial(half, p_e, size=trials)
+    return int((errors / half < s_v).sum())
+
+
+def one_shot_repudiation_batch(rng, length, mismatches, s_a, s_v, trials):
+    half = length // 2
+    h_bb = rng.hypergeometric(mismatches, length - mismatches, half, trials)
+    h_cc = rng.hypergeometric(mismatches, length - mismatches, half, trials)
+    bob = h_bb + (mismatches - h_cc)
+    charlie = h_cc + (mismatches - h_bb)
+    accept = bob / length < s_a
+    reject = charlie / length >= s_v
+    return int((accept & reject).sum()), int(accept.sum()), int(reject.sum())
+
+
+def counted(stats, successes):
+    """stats with its count replaced by ``successes``."""
+    return mc._stats(stats.label, stats.trials, successes, stats.bound, stats.seed,
+                     stats.detail)
+
+
+CHUNK_EDGES = [1, mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 3]
+
+
+class TestChunkedCounts:
+    """Counting _CHUNK draws at a time gives the one-shot statistics."""
+
+    @pytest.mark.parametrize("trials", CHUNK_EDGES)
+    @pytest.mark.parametrize("bound_id", mc.BOUND_IDS)
+    def test_validate_bound(self, bound_id, trials):
+        stats = mc.validate_bound(bound_id, eps=0.2, trials=trials, seed=21)
+        assert stats == counted(stats, one_shot_bound_violations(bound_id, 0.2, trials, 21))
+
+    @pytest.mark.parametrize("trials", CHUNK_EDGES)
+    def test_simulate_honest(self, trials):
+        stats = mc.simulate_honest(1000, 0.04, 0.05, trials, seed=22)
+        assert stats == counted(stats, one_shot_honest_aborts(1000, 0.04, 0.05, trials, 22))
+
+    @pytest.mark.parametrize("trials", CHUNK_EDGES)
+    def test_simulate_forging(self, trials):
+        stats = mc.simulate_forging(200, 0.3, 0.25, trials, seed=23)
+        assert stats == counted(stats, one_shot_forging_successes(200, 0.3, 0.25, trials, 23))
+
+    # the grid stores h_bb as uint16 (mismatches up to 280), the fixed count as uint8
+    @pytest.mark.parametrize("kw", [
+        dict(length=2000, s_a=0.05, s_v=0.15),
+        dict(length=200, s_a=0.2, s_v=0.3, mismatches=50),
+    ], ids=["grid", "fixed"])
+    @pytest.mark.parametrize("trials", CHUNK_EDGES)
+    def test_simulate_repudiation(self, monkeypatch, kw, trials):
+        stats = mc.simulate_repudiation(trials=trials, seed=24, **kw)
+        monkeypatch.setattr(mc, "_repudiation_batch", one_shot_repudiation_batch)
+        assert stats == mc.simulate_repudiation(trials=trials, seed=24, **kw)
+
+
+# the traced peak of one check at 600,000 trials: at most eight chunk-sized
+# int64 arrays, plus the repudiation batch's stored half-draw
+MEMORY_TRIALS = 600_000
+MEMORY_LIMIT = 8 * 8 * mc._CHUNK
+
+
+@pytest.mark.parametrize("call,stored", [
+    (lambda trials: mc.simulate_honest(2000, 0.04, 0.05, trials), 0),
+    (lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials), 2 * MEMORY_TRIALS),
+    (lambda trials: mc.simulate_forging(200, 0.3, 0.25, trials), 0),
+    *((lambda trials, bound=bound: mc.validate_bound(bound, 0.01, trials), 0)
+      for bound in mc.BOUND_IDS),
+], ids=["honest", "repudiation", "forging", *mc.BOUND_IDS])
+def test_memory_does_not_grow_with_trials(call, stored):
+    call(1_000)  # numpy's lazy imports and first-use allocations
+    tracemalloc.start()
+    try:
+        call(MEMORY_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_LIMIT + stored
