@@ -20,15 +20,19 @@ Two families of experiments:
   because violations at 1e-12 are unobservable at desk scale.
 
 Each check draws from ``default_rng(seed)``; the repudiation simulator
-gives each mismatch count it tries one spawned child of ``seed``. Draws
-are made and counted in chunks of a fixed size whose concatenation is
-the one-shot draw of all trials, so a seed gives the same statistics,
-and a check's memory does not grow with the number of trials beyond the
-repudiation simulator's stored half-draw of 2 bytes per trial.
+gives each mismatch count it tries one spawned child of ``seed`` and
+runs those batches at once, one per available CPU. Draws are made and
+counted in chunks of a fixed size whose concatenation is the one-shot
+draw of all trials, so a seed gives the same statistics whatever the
+CPU count, and a check's memory does not grow with the number of trials
+beyond the repudiation simulator's stored half-draw of 2 bytes per
+trial for each batch in flight, at most one per CPU.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -62,7 +66,7 @@ BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
              "sampling_lambda", "eq3_penalty")
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-_CHUNK = 65_536  # trials drawn and counted at a time
+_CHUNK = 8_192  # trials drawn and counted at a time
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -223,6 +227,15 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
                   {"length": length, "error_rate": error_rate, "s_a": s_a})
 
 
+def _threshold(length: int, share: float, top: int) -> int:
+    """Least k in [0, top] with ``k / length >= share``, or top + 1.
+
+    A correctly rounded k / length never decreases as k grows, so a count
+    k passes that float test exactly when it is at least the threshold.
+    """
+    return bisect.bisect_left(range(top + 1), True, key=lambda k: k / length >= share)
+
+
 def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
                        s_a: float, s_v: float, trials: int) -> tuple[int, int, int]:
     """(successes, bob_accepts, charlie_rejects) for one mismatch count.
@@ -231,27 +244,38 @@ def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
     half, the two strings' halves drawn independently: the counts
     recipient_mismatches takes from the bits of make_key_material.
     All of h_bb is drawn before any of h_cc, as in one draw of each.
+    With d = h_bb - h_cc, bob sees mismatches + d and charlie
+    mismatches - d, so each outcome is one comparison of d with an
+    integer threshold.
     """
     import numpy as np
     half = length // 2
-    parts = _chunks(trials)
-    h_bb = np.empty(trials, dtype=np.min_scalar_type(mismatches))
-    for part in parts:
-        h_bb[part] = rng.hypergeometric(mismatches, length - mismatches, half,
-                                        part.stop - part.start)
+    # one small array per chunk, in the smallest type that holds mismatches:
+    # a single array of all trials, freed on a worker thread, left the
+    # process's peak resident memory higher and varying from run to run
+    store = np.min_scalar_type(mismatches)
+    h_bb = [rng.hypergeometric(mismatches, length - mismatches, half,
+                               part.stop - part.start).astype(store)
+            for part in _chunks(trials)]
+    # bob / length < s_a  <=>  d < accept;  charlie / length >= s_v  <=>  d < reject
+    accept = _threshold(length, s_a, 2 * mismatches) - mismatches
+    reject = mismatches + 1 - _threshold(length, s_v, 2 * mismatches)
+    both = min(accept, reject)
     successes = accepts = rejects = 0
-    for part in parts:
-        h_cc = rng.hypergeometric(mismatches, length - mismatches, half,
-                                  part.stop - part.start)
-        h_b = h_bb[part].astype(np.int64)  # back to the draw's type: one-shot arithmetic
-        bob = h_b + (mismatches - h_cc)
-        charlie = h_cc + (mismatches - h_b)
-        accept = bob / length < s_a
-        reject = charlie / length >= s_v
-        successes += int((accept & reject).sum())
-        accepts += int(accept.sum())
-        rejects += int(reject.sum())
+    for h_b in h_bb:
+        d = rng.hypergeometric(mismatches, length - mismatches, half, h_b.size)
+        np.subtract(h_b, d, out=d)
+        successes += int(np.count_nonzero(d < both))
+        accepts += int(np.count_nonzero(d < accept))
+        rejects += int(np.count_nonzero(d < reject))
     return successes, accepts, rejects
+
+
+def _workers(jobs: int) -> int:
+    """Threads for ``jobs`` independent batches: one per CPU this process may use."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(jobs, len(os.sched_getaffinity(0)))
+    return min(jobs, os.cpu_count() or 1)
 
 
 def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
@@ -263,7 +287,10 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     ``mismatches`` omitted, the per-string mismatch count is swept over
     a grid around L*(s_a+s_v)/2 and the worst (largest) empirical
     success frequency is reported. The attached bound is
-    2*exp(-(1/4)(s_v-s_a)^2 L).
+    2*exp(-(1/4)(s_v-s_a)^2 L). Each mismatch count draws from its own
+    spawned child of ``seed``, and the batches run on a pool of one
+    thread per available CPU (numpy's samplers release the GIL), so the
+    result does not depend on the CPU count.
     """
     _check_trials(trials)
     _check_length(length)
@@ -276,11 +303,17 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     else:
         grid = [mismatches]
     bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
-    seq = np.random.SeedSequence(seed)
-    runs = [(*_repudiation_batch(np.random.default_rng(child), length, m,
-                                 s_a, s_v, trials), m)
-            for child, m in zip(seq.spawn(len(grid)), grid)]
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+
+    def batch(child, m):
+        return (*_repudiation_batch(np.random.default_rng(child), length, m,
+                                    s_a, s_v, trials), m)
+
+    with ThreadPoolExecutor(_workers(len(grid))) as pool:
+        runs = list(pool.map(batch, children, grid))  # in grid order
     # max keeps the first of equal success counts, so ties go to the lower m
     successes, accepts, rejects, m_best = max(runs, key=lambda run: run[0])
     return _stats("repudiation", trials, successes, bound, seed,

@@ -1,6 +1,7 @@
 """Command-line interface tests (invoked in-process through main)."""
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -346,13 +347,19 @@ class TestVerify:
 
     def test_verify_output_pinned(self, capsys):
         """The benchmark's seed-0 verify report, byte for byte: its counts
-        cross fifteen chunk edges of every check."""
+        cross 122 chunk edges of every check."""
         code, out, _ = run_cli(capsys, "verify", "--eps", "0.01", "--trials", "1000000",
                                "--seed", "0", "--bounds",
                                "hoeffding,serfling_fraction,serfling_count,"
                                "sampling_lambda,eq3_penalty")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == MC_VERIFY_SHA256
+
+    def test_no_thread_outlives_the_run(self, capsys):
+        """The repudiation check's worker threads end with the call."""
+        before = threading.active_count()
+        code, _, _ = run_cli(capsys, "verify", "--trials", "2000")
+        assert code == 0 and threading.active_count() == before
 
     def test_inverted_bounds_fail(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "5000",

@@ -1,5 +1,6 @@
 """Messaging-stage simulators and tail-bound coverage tests."""
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from mdiqds import bounds
 from mdiqds import montecarlo as mc
+from mdiqds.cli import build_parser
 
 TRIALS = 100_000
 
@@ -276,7 +278,9 @@ def counted(stats, successes):
                      stats.detail)
 
 
-CHUNK_EDGES = [1, mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 3]
+# one trial, a multiple of _CHUNK and its neighbours, and three past a multiple
+CHUNK_EDGES = [1, 65_535, 65_536, 65_537, 131_075]
+assert 65_536 % mc._CHUNK == 0
 
 
 class TestChunkedCounts:
@@ -298,7 +302,9 @@ class TestChunkedCounts:
         stats = mc.simulate_forging(200, 0.3, 0.25, trials, seed=23)
         assert stats == counted(stats, one_shot_forging_successes(200, 0.3, 0.25, trials, 23))
 
-    # the grid stores h_bb as uint16 (mismatches up to 280), the fixed count as uint8
+    # the grid stores h_bb as uint16 (mismatches up to 280), the fixed count as
+    # uint8; its batches run on every available CPU, or on one worker when the
+    # process may use one CPU only
     @pytest.mark.parametrize("kw", [
         dict(length=2000, s_a=0.05, s_v=0.15),
         dict(length=200, s_a=0.2, s_v=0.3, mismatches=50),
@@ -306,19 +312,48 @@ class TestChunkedCounts:
     @pytest.mark.parametrize("trials", CHUNK_EDGES)
     def test_simulate_repudiation(self, monkeypatch, kw, trials):
         stats = mc.simulate_repudiation(trials=trials, seed=24, **kw)
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert mc._workers(7) == 1
+            one_worker = mc.simulate_repudiation(trials=trials, seed=24, **kw)
         monkeypatch.setattr(mc, "_repudiation_batch", one_shot_repudiation_batch)
-        assert stats == mc.simulate_repudiation(trials=trials, seed=24, **kw)
+        assert stats == one_worker == mc.simulate_repudiation(trials=trials, seed=24, **kw)
+
+
+SIMULATE_PROTOCOL = build_parser().parse_args(["simulate-protocol"])
+
+
+# (length, s_a, s_v, mismatches); 0.07 * 100 rounds up past 7, and 7 / 100,
+# 40 / 200 and 60 / 200 land exactly on a threshold
+@pytest.mark.parametrize("length,s_a,s_v,mismatches", [
+    (2000, 0.05, 0.15, 280),
+    (SIMULATE_PROTOCOL.length, SIMULATE_PROTOCOL.s_a, SIMULATE_PROTOCOL.s_v,
+     SIMULATE_PROTOCOL.length // 2),
+    (200, 0.2, 0.3, 50),
+    (100, 0.07, 0.2, 50),
+    (30, 0.1, 1.0, 10),
+], ids=["verify", "simulate-protocol", "exact", "rounded-up", "unreachable"])
+def test_thresholds_match_float_tests(length, s_a, s_v, mismatches):
+    """A count passes a threshold exactly when it passes the float test."""
+    top = 2 * mismatches
+    t_a = mc._threshold(length, s_a, top)
+    t_v = mc._threshold(length, s_v, top)
+    for k in range(top + 1):
+        assert (k < t_a) == (k / length < s_a)
+        assert (k >= t_v) == (k / length >= s_v)
 
 
 # the traced peak of one check at 600,000 trials: at most eight chunk-sized
-# int64 arrays, plus the repudiation batch's stored half-draw
+# int64 arrays, plus the stored half-draws of the repudiation batches in
+# flight, 2 bytes per trial each and one per CPU of its 7 mismatch counts
 MEMORY_TRIALS = 600_000
 MEMORY_LIMIT = 8 * 8 * mc._CHUNK
 
 
 @pytest.mark.parametrize("call,stored", [
     (lambda trials: mc.simulate_honest(2000, 0.04, 0.05, trials), 0),
-    (lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials), 2 * MEMORY_TRIALS),
+    (lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials),
+     2 * MEMORY_TRIALS * mc._workers(7)),
     (lambda trials: mc.simulate_forging(200, 0.3, 0.25, trials), 0),
     *((lambda trials, bound=bound: mc.validate_bound(bound, 0.01, trials), 0)
       for bound in mc.BOUND_IDS),

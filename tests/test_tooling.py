@@ -8,6 +8,7 @@ import pkgutil
 import runpy
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -133,7 +134,8 @@ bench_names = [callable(getattr(mdiqds.cli, name, None)) for name in
                 "simulate_forging")]
 bench_names.append(callable(getattr(mdiqds.montecarlo, "_repudiation_batch", None)))
 print(json.dumps({"numpy": "numpy" in sys.modules, "code": code, "rates": rates,
-                  "engine": engine, "modules": loaded(), "bench_names": bench_names}))
+                  "engine": engine, "modules": loaded(), "bench_names": bench_names,
+                  "futures": "concurrent.futures" in set(sys.modules) - before}))
 """
 
 ENGINE_MODULES = ["mdiqds", "mdiqds.bounds", "mdiqds.channel", "mdiqds.models",
@@ -156,6 +158,8 @@ def test_engine_path_loads_no_numpy(tmp_path):
     assert probe["code"] == 0 and min(probe["rates"][:2]) > 0.0
     assert probe["engine"] == {"modules": ENGINE_MODULES, "numpy": False, "records": []}
     assert probe["numpy"] is False
+    # the repudiation check's thread pool loads with it, not with the CLI
+    assert probe["futures"] is False
     assert {"mdiqds.cli", "mdiqds.optimize", "mdiqds.montecarlo"} <= set(probe["modules"])
     # the names bench/run.py patches still resolve, numpy or not
     assert probe["bench_names"] == [True] * 5
@@ -413,8 +417,11 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch, capsys):
         if event == "call":
             entered.add(frame.f_code)
 
-    previous = sys.getprofile()
+    # the repudiation check's batches run on worker threads, which
+    # threading.setprofile reaches and sys.setprofile does not
+    previous, previous_threads = sys.getprofile(), threading.getprofile()
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         codes = [(argv, cli.main(argv)) for argv, _ in commands]
         with pytest.raises(SystemExit) as console_exit:
@@ -423,6 +430,7 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch, capsys):
             runpy.run_path(str(demo), run_name="__main__")
     finally:
         sys.setprofile(previous)
+        threading.setprofile(previous_threads)
     capsys.readouterr()
     assert codes == commands and console_exit.value.code == 0
     package = Path(mdiqds.__file__).resolve().parent
