@@ -372,8 +372,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if b not in BOUND_IDS:
                 raise ValueError(f"unknown bound id {b!r}")
     checks = []
+    drawn: dict = {}  # each experiment is drawn once per run, by its first id
     for bound in bound_ids:
-        stats = validate_bound(bound, eps=args.eps, trials=args.trials, seed=args.seed)
+        stats = validate_bound(bound, eps=args.eps, trials=args.trials, seed=args.seed,
+                               drawn=drawn)
         checks.append((f"bound:{bound}", stats.frequency, stats.bound))
     rep = simulate_repudiation(2000, s_a=0.05, s_v=0.15, trials=args.trials,
                                seed=args.seed)
@@ -428,6 +430,14 @@ def main(argv: list[str] | None = None) -> int:
         return handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except ModuleNotFoundError as exc:
+        # the Monte Carlo commands and multi-start's extra starts import numpy
+        # when they run; the rate engine does without it
+        if exc.name != "numpy":
+            raise
+        print(f"error: {args.command} needs numpy, which is not installed",
+              file=sys.stderr)
         return EXIT_INVALID
 
 

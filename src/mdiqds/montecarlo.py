@@ -17,7 +17,10 @@ Two families of experiments:
   without-replacement bounds) and counts how often the one-sided bound
   is violated. The violation frequency must stay at or below the bound's
   failure probability; these runs use inflated eps values (1e-2 to 1e-3)
-  because violations at 1e-12 are unobservable at desk scale.
+  because violations at 1e-12 are unobservable at desk scale. A
+  hypergeometric experiment is drawn once into a histogram of its
+  outcomes, which the ids that share it (``serfling_fraction``,
+  ``serfling_count`` and ``sampling_lambda``) count their violations on.
 
 Each check draws from ``default_rng(seed)``; the repudiation simulator
 gives each mismatch count it tries one spawned child of ``seed`` and
@@ -26,7 +29,8 @@ counted in chunks of a fixed size whose concatenation is the one-shot
 draw of all trials, so a seed gives the same statistics whatever the
 CPU count, and a check's memory does not grow with the number of trials
 beyond the repudiation simulator's stored half-draw of 2 bytes per
-trial for each batch in flight, at most one per CPU.
+trial for each batch in flight, at most one per CPU. Every check
+rejects more than 1e8 trials before it draws.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ from .bounds import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     import numpy as np
 
@@ -67,6 +71,7 @@ BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 8_192  # trials drawn and counted at a time
+_MAX_TRIALS = 10**8  # 200 MB of stored half-draws per repudiation batch
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -99,12 +104,17 @@ def _check_trials(trials: int) -> None:
     # a frequency needs at least one trial
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    # checked before any draw: a repudiation batch stores its first half-draw
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}: each "
+                         f"repudiation batch in flight would store 2 bytes per "
+                         f"trial ({2 * trials / 1e9:.3g} GB)")
 
 
-def _chunks(trials: int) -> list[slice]:
+def _chunks(trials: int) -> Iterator[slice]:
     """Consecutive slices of at most _CHUNK trials that cover range(trials)."""
-    return [slice(start, min(start + _CHUNK, trials))
-            for start in range(0, trials, _CHUNK)]
+    for start in range(0, trials, _CHUNK):
+        yield slice(start, min(start + _CHUNK, trials))
 
 
 def _count(trials: int, draw: Callable[[int], np.ndarray],
@@ -351,8 +361,24 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
 # coverage of the deviation functions
 
 
+def _draw_outcomes(experiment: tuple[int, int, int], trials: int,
+                   seed: int) -> np.ndarray:
+    """How often each count 0..sample comes up in ``trials`` hypergeometric
+    draws of ``experiment`` = (marked, unmarked, sample) from
+    ``default_rng(seed)``, drawn _CHUNK at a time."""
+    import numpy as np
+    marked, unmarked, sample = experiment
+    rng = np.random.default_rng(seed)
+    outcomes = np.zeros(sample + 1, dtype=np.int64)
+    for part in _chunks(trials):
+        draw = rng.hypergeometric(marked, unmarked, sample, part.stop - part.start)
+        outcomes += np.bincount(draw, minlength=sample + 1)
+    return outcomes
+
+
 def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
-                   population: int = 100_000, sample: int = 1_000) -> TrialStats:
+                   population: int = 100_000, sample: int = 1_000,
+                   drawn: dict | None = None) -> TrialStats:
     """Empirical violation frequency of one deviation bound.
 
     Each bound id maps to the experiment its inequality describes, with
@@ -366,63 +392,61 @@ def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
     - ``serfling_count``: same draw; violation when the unobserved
       part's count falls below its proportional estimate minus the
       count-form deviation.
-    - ``sampling_lambda``: violation when the sampled count falls below
-      the proportional share minus the sample deviation.
+    - ``sampling_lambda``: same draw; violation when the sampled count
+      falls below the proportional share minus the sample deviation.
     - ``eq3_penalty``: error test with ``sample`` test bits against a
       kept half of ``population``/2 bits; violation when the kept-half
       error rate exceeds the test rate plus the penalty.
 
     The violation frequency is expected at or below eps in every case.
-    ``serfling_fraction``, ``serfling_count`` and ``sampling_lambda``
-    draw the same hypergeometric counts for one seed (``sample`` items
-    from ``population`` with half marked: 1,000 from 100,000 at the
-    defaults), so their checks count violations on one experiment and
-    are not independent.
+    A hypergeometric id counts the outcomes 0..``sample`` its inequality
+    marks on a histogram of one chunked draw. ``drawn`` holds those
+    histograms, keyed by (experiment, trials, seed), for the calls that
+    pass the same dict: ``serfling_fraction``, ``serfling_count`` and
+    ``sampling_lambda`` share one experiment (``sample`` items from
+    ``population`` with half marked: 1,000 from 100,000 at the
+    defaults), so one ``verify`` run draws it once, and their checks are
+    not independent. With ``drawn`` omitted the call draws afresh.
     """
     _check_trials(trials)
     if eps < 1e-3:
         raise ValueError("coverage runs need eps >= 1e-3 to be measurable")
     import numpy as np
-    rng = np.random.default_rng(seed)
     detail = {"population": population, "sample": sample, "eps": eps}
     if bound == "hoeffding":
+        rng = np.random.default_rng(seed)
         mean = float(population)
         lim = mean - hoeffding_delta(mean, eps)
         violations = _count(trials, lambda n: rng.poisson(mean, size=n),
                             lambda draws: draws < lim)
-    elif bound in ("serfling_fraction", "serfling_count"):
-        total = population
+        return _stats(bound, trials, violations, eps, seed, detail)
+    # each outcome k, as the int64 a draw holds, through the same comparison
+    k = np.arange(sample + 1, dtype=np.int64)
+    if bound in ("serfling_fraction", "serfling_count", "sampling_lambda"):
         y = sample
-        x = total - y
-        marked = total // 2
-
-        def draw(n):
-            return rng.hypergeometric(marked, total - marked, y, size=n)
-
+        x = population - y
+        marked = population // 2
+        experiment = (marked, population - marked, y)
         if bound == "serfling_fraction":
-            lim = marked / total + serfling_fraction_gamma(x, y, eps)
-            violations = _count(trials, draw, lambda k: k / y > lim)
+            violated = k / y > marked / population + serfling_fraction_gamma(x, y, eps)
+        elif bound == "serfling_count":
+            violated = marked - k < x * k / y - serfling_count_gamma(x, y, eps)
         else:
-            gamma = serfling_count_gamma(x, y, eps)
-            violations = _count(trials, draw, lambda k: marked - k < x * k / y - gamma)
-    elif bound == "sampling_lambda":
-        x = population
-        y = sample
-        marked = x // 2
-        lim = y * marked / x - sampling_lambda(x, y, eps)
-        violations = _count(trials,
-                            lambda n: rng.hypergeometric(marked, x - marked, y, size=n),
-                            lambda k: k < lim)
+            violated = k < y * marked / population - sampling_lambda(population, y, eps)
     elif bound == "eq3_penalty":
         length = population
         n_test = sample
         half = length // 2
         total = half + n_test
         marked = total // 2
+        experiment = (marked, total - marked, n_test)
         pen = test_sample_penalty(length, n_test, eps)
-        violations = _count(
-            trials, lambda n: rng.hypergeometric(marked, total - marked, n_test, size=n),
-            lambda k: (marked - k) / half > k / n_test + pen)
+        violated = (marked - k) / half > k / n_test + pen
     else:
         raise ValueError(f"unknown bound id {bound!r}; expected one of {BOUND_IDS}")
+    drawn = {} if drawn is None else drawn
+    key = (experiment, trials, seed)
+    if key not in drawn:
+        drawn[key] = _draw_outcomes(experiment, trials, seed)
+    violations = int(drawn[key][violated].sum())
     return _stats(bound, trials, violations, eps, seed, detail)

@@ -1,11 +1,17 @@
 """Command-line interface tests (invoked in-process through main)."""
+import collections
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from mdiqds import cli
+from mdiqds import montecarlo as mc
 from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, MAX_SWEEP_SPAN, _fmt, main
 
 
@@ -13,6 +19,18 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_fresh(*argv, hide_numpy=False) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter on this package; with hide_numpy,
+    as if numpy were not installed."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    hide = "sys.modules['numpy'] = None; " if hide_numpy else ""
+    probe = f"import sys; {hide}from mdiqds.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def parse_csv(text: str) -> tuple[list[str], list[dict], list[str]]:
@@ -400,6 +418,32 @@ class TestVerify:
         assert out == ""
         assert err == f"error: trials must be >= 1, got {trials}\n"
 
+    def test_shared_experiments_drawn_once(self, capsys, monkeypatch):
+        """The three ids on one hypergeometric experiment share its draw."""
+        draws = collections.Counter()
+        draw_outcomes = mc._draw_outcomes
+
+        def counting(experiment, trials, seed):
+            draws[experiment, trials, seed] += 1
+            return draw_outcomes(experiment, trials, seed)
+
+        monkeypatch.setattr(mc, "_draw_outcomes", counting)
+        code, _, _ = run_cli(capsys, "verify", "--trials", "2000", "--seed", "3",
+                             "--bounds", ",".join(mc.BOUND_IDS))
+        assert code == 0
+        assert draws == {((50_000, 50_000, 1_000), 2000, 3): 1,
+                         ((25_500, 25_500, 1_000), 2000, 3): 1}
+
+    def test_no_draw_outlives_the_run(self, capsys):
+        """Runs in one process print what fresh processes print."""
+        runs = [run_cli(capsys, "verify", "--trials", "20000", "--seed", seed)
+                for seed in ("1", "2")]
+        fresh = [run_fresh("verify", "--trials", "20000", "--seed", seed)
+                 for seed in ("1", "2")]
+        assert [(code, out) for code, out, _ in runs] == [
+            (proc.returncode, proc.stdout) for proc in fresh]
+        assert runs[0][1] != runs[1][1]
+
 
 class TestSimulateProtocol:
     def test_report_lines(self, capsys):
@@ -468,3 +512,31 @@ def test_negative_seed_rejected(capsys, tmp_path, argv, seed):
     assert code == EXIT_INVALID
     assert out == ""
     assert err == f"error: seed must be >= 0, got {seed}\n"
+
+
+# one more trial than the cap: rejected before any draw is made
+@pytest.mark.parametrize("command", ["verify", "simulate-protocol"])
+def test_trials_above_the_cap_rejected_before_drawing(capsys, monkeypatch, command):
+    def no_draw(trials):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(mc, "_chunks", no_draw)
+    trials = mc._MAX_TRIALS + 1
+    code, out, err = run_cli(capsys, command, "--trials", str(trials))
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err == (f"error: trials must be <= {mc._MAX_TRIALS}, got {trials}: each "
+                   "repudiation batch in flight would store 2 bytes per trial (0.2 GB)\n")
+
+
+# Without numpy the rate engine runs, and a command that draws exits 1
+# with one line, not a traceback.
+@pytest.mark.parametrize("argv", [
+    ("verify", "--trials", "10"),
+    ("simulate-protocol", "--trials", "10"),
+    ("optimize", "--starts", "2"),
+], ids=["verify", "simulate-protocol", "optimize"])
+def test_numpy_commands_without_numpy_exit_1(argv):
+    proc = run_fresh(*argv, hide_numpy=True)
+    assert (proc.returncode, proc.stdout) == (EXIT_INVALID, "")
+    assert proc.stderr == f"error: {argv[0]} needs numpy, which is not installed\n"

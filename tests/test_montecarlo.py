@@ -292,6 +292,21 @@ class TestChunkedCounts:
         stats = mc.validate_bound(bound_id, eps=0.2, trials=trials, seed=21)
         assert stats == counted(stats, one_shot_bound_violations(bound_id, 0.2, trials, 21))
 
+    # verify's order and its reverse: whichever id comes first draws the
+    # experiment, and the others count on its histogram
+    @pytest.mark.parametrize("trials", CHUNK_EDGES)
+    @pytest.mark.parametrize("order", [mc.BOUND_IDS, mc.BOUND_IDS[::-1]],
+                             ids=["verify", "reversed"])
+    def test_validate_bound_shared_draws(self, order, trials):
+        drawn = {}
+        for bound_id in order:
+            stats = mc.validate_bound(bound_id, eps=0.2, trials=trials, seed=21,
+                                      drawn=drawn)
+            assert stats == mc.validate_bound(bound_id, eps=0.2, trials=trials, seed=21)
+            assert stats == counted(stats, one_shot_bound_violations(bound_id, 0.2,
+                                                                     trials, 21))
+        assert len(drawn) == 2
+
     @pytest.mark.parametrize("trials", CHUNK_EDGES)
     def test_simulate_honest(self, trials):
         stats = mc.simulate_honest(1000, 0.04, 0.05, trials, seed=22)
