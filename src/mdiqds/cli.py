@@ -233,8 +233,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--bounds", default="all",
                           help=f"comma list from {', '.join(BOUND_IDS)} or 'all'")
     p_verify.add_argument("--out", help="output path (default stdout)")
-    p_verify.add_argument("--self-test-invert", action="store_true",
-                          help="invert every comparison; the report must then fail")
 
     p_sim = sub.add_parser("simulate-protocol",
                            help="messaging-stage Monte Carlo at explicit thresholds")
@@ -266,7 +264,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _config_vector(cfg: RunConfig) -> tuple[float, ...]:
+def _config_vector(cfg: IntensityConfig) -> tuple[float, ...]:
+    """The optimizer's search vector (a_s, a_d1, p_as, p_ad1, p_z) of cfg."""
     return (cfg.a_s, cfg.a_d1, cfg.p_as, cfg.p_ad1, cfg.p_z)
 
 
@@ -281,13 +280,12 @@ def _point_records(cfg: RunConfig, distance_km: float, pulses: float,
         results = optimize_models(params, cfg.models(), budget=budget,
                                   seed=cfg.seed, starts=cfg.starts,
                                   a_d2=cfg.a_d2,
-                                  initial=warm or _config_vector(cfg))
+                                  initial=warm or _config_vector(fallback))
         for model in cfg.models():
             records.append(record_dict(results[model], fallback))
         feasible = [r for r in results.values() if r.feasible]
         if feasible:
-            best = max(feasible, key=lambda r: r.rate).config
-            warm = (best.a_s, best.a_d1, best.p_as, best.p_ad1, best.p_z)
+            warm = _config_vector(max(feasible, key=lambda r: r.rate).config)
     else:
         for model in cfg.models():
             records.append(record_dict(run_model(model, params, fallback, budget),
@@ -389,8 +387,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     for name, freq, target in checks:
         ok = freq <= target
-        if args.self_test_invert:
-            ok = not ok
         failures += 0 if ok else 1
         lines.append(f"{'PASS' if ok else 'FAIL'} {name} empirical={_fmt(freq)} "
                      f"target={_fmt(target)}")

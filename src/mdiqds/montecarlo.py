@@ -28,9 +28,10 @@ runs those batches at once, one per available CPU. Draws are made and
 counted in chunks of a fixed size whose concatenation is the one-shot
 draw of all trials, so a seed gives the same statistics whatever the
 CPU count, and a check's memory does not grow with the number of trials
-beyond the repudiation simulator's stored half-draw of 2 bytes per
-trial for each batch in flight, at most one per CPU. Every check
-rejects more than 1e8 trials before it draws.
+beyond the repudiation simulator's stored half-draw of up to 4 bytes per
+trial (the smallest unsigned type that holds its mismatch count) for
+each batch in flight, at most one per CPU. Every check rejects more than
+1e8 trials before it draws.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 8_192  # trials drawn and counted at a time
-_MAX_TRIALS = 10**8  # 200 MB of stored half-draws per repudiation batch
+_MAX_TRIALS = 10**8  # up to 400 MB of stored half-draws per repudiation batch
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -104,17 +105,18 @@ def _check_trials(trials: int) -> None:
     # a frequency needs at least one trial
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # checked before any draw: a repudiation batch stores its first half-draw
+    # checked before any draw: a repudiation batch stores its first half-draw,
+    # in at most uint32, since numpy takes no population of 1e9 or more
     if trials > _MAX_TRIALS:
         raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}: each "
-                         f"repudiation batch in flight would store 2 bytes per "
-                         f"trial ({2 * trials / 1e9:.3g} GB)")
+                         f"repudiation batch in flight would store up to 4 bytes "
+                         f"per trial ({4 * trials / 1e9:.3g} GB)")
 
 
-def _chunks(trials: int) -> Iterator[slice]:
-    """Consecutive slices of at most _CHUNK trials that cover range(trials)."""
+def _chunks(trials: int) -> Iterator[int]:
+    """Sizes of consecutive chunks of at most _CHUNK trials that sum to trials."""
     for start in range(0, trials, _CHUNK):
-        yield slice(start, min(start + _CHUNK, trials))
+        yield min(_CHUNK, trials - start)
 
 
 def _count(trials: int, draw: Callable[[int], np.ndarray],
@@ -124,15 +126,15 @@ def _count(trials: int, draw: Callable[[int], np.ndarray],
     A generator's draws of n values and then m values are its one draw
     of n + m values, so the count is that of one draw of all trials.
     """
-    return sum(int(hit(draw(part.stop - part.start)).sum()) for part in _chunks(trials))
+    return sum(int(hit(draw(size)).sum()) for size in _chunks(trials))
 
 
 def _stats(label: str, trials: int, successes: int, bound: float, seed: int,
-           detail: dict | None = None) -> TrialStats:
+           detail: dict) -> TrialStats:
     return TrialStats(label=label, trials=trials, successes=int(successes),
                       frequency=successes / trials,
                       wilson99_upper=wilson_upper(int(successes), trials),
-                      bound=bound, seed=seed, detail=detail or {})
+                      bound=bound, seed=seed, detail=detail)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +266,8 @@ def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
     # a single array of all trials, freed on a worker thread, left the
     # process's peak resident memory higher and varying from run to run
     store = np.min_scalar_type(mismatches)
-    h_bb = [rng.hypergeometric(mismatches, length - mismatches, half,
-                               part.stop - part.start).astype(store)
-            for part in _chunks(trials)]
+    h_bb = [rng.hypergeometric(mismatches, length - mismatches, half, size).astype(store)
+            for size in _chunks(trials)]
     # bob / length < s_a  <=>  d < accept;  charlie / length >= s_v  <=>  d < reject
     accept = _threshold(length, s_a, 2 * mismatches) - mismatches
     reject = mismatches + 1 - _threshold(length, s_v, 2 * mismatches)
@@ -289,29 +290,25 @@ def _workers(jobs: int) -> int:
 
 
 def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
-                         seed: int = 0, mismatches: int | None = None) -> TrialStats:
+                         seed: int = 0) -> TrialStats:
     """Repudiation success frequency of a mismatch-planting signer.
 
     Success means the first recipient accepts (fraction < s_a) while the
-    second rejects the forwarded message (fraction >= s_v). With
-    ``mismatches`` omitted, the per-string mismatch count is swept over
-    a grid around L*(s_a+s_v)/2 and the worst (largest) empirical
-    success frequency is reported. The attached bound is
-    2*exp(-(1/4)(s_v-s_a)^2 L). Each mismatch count draws from its own
-    spawned child of ``seed``, and the batches run on a pool of one
-    thread per available CPU (numpy's samplers release the GIL), so the
-    result does not depend on the CPU count.
+    second rejects the forwarded message (fraction >= s_v). The
+    per-string mismatch count is swept over a grid around L*(s_a+s_v)/2
+    and the worst (largest) empirical success frequency is reported.
+    The attached bound is 2*exp(-(1/4)(s_v-s_a)^2 L). Each mismatch
+    count draws from its own spawned child of ``seed``, and the batches
+    run on a pool of one thread per available CPU (numpy's samplers
+    release the GIL), so the result does not depend on the CPU count.
     """
     _check_trials(trials)
     _check_length(length)
     if not 0.0 <= s_a < s_v <= 1.0:
         raise ValueError(f"need 0 <= s_a < s_v <= 1, got s_a={s_a}, s_v={s_v}")
     center = length * (s_a + s_v) / 2.0
-    if mismatches is None:
-        grid = sorted({min(max(int(round(center * u)), 0), length)
-                       for u in (0.6, 0.75, 0.9, 1.0, 1.1, 1.25, 1.4)})
-    else:
-        grid = [mismatches]
+    grid = sorted({min(max(int(round(center * u)), 0), length)
+                   for u in (0.6, 0.75, 0.9, 1.0, 1.1, 1.25, 1.4)})
     bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
     from concurrent.futures import ThreadPoolExecutor
 
@@ -370,8 +367,8 @@ def _draw_outcomes(experiment: tuple[int, int, int], trials: int,
     marked, unmarked, sample = experiment
     rng = np.random.default_rng(seed)
     outcomes = np.zeros(sample + 1, dtype=np.int64)
-    for part in _chunks(trials):
-        draw = rng.hypergeometric(marked, unmarked, sample, part.stop - part.start)
+    for size in _chunks(trials):
+        draw = rng.hypergeometric(marked, unmarked, sample, size)
         outcomes += np.bincount(draw, minlength=sample + 1)
     return outcomes
 

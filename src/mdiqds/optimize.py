@@ -289,6 +289,9 @@ def rate_objective(params: SystemParams, model: str,
                    exact: dict[tuple[float, ...], RateResult] | None = None) -> Objective:
     """Objective (config-vector, floor) -> signature rate; 0 on any infeasibility.
 
+    A vector that is no valid configuration (one qds_search_space's
+    projection never yields) raises config_from_vector's ValueError.
+
     floor goes to the model's runner, which returns the exact rate when
     it exceeds floor and may otherwise stop early with rate 0 <= floor,
     as the module's objective contract allows. The objective's values
@@ -301,10 +304,7 @@ def rate_objective(params: SystemParams, model: str,
     """
 
     def objective(x: Sequence[float], floor: float) -> float:
-        try:
-            cfg = config_from_vector(x, a_d2)
-        except ValueError:
-            return 0.0
+        cfg = config_from_vector(x, a_d2)
         if model in ("smb1", "smb2"):
             runner = run_smb1 if model == "smb1" else run_smb2
             result = runner(params, cfg, budget, floor=floor)

@@ -135,6 +135,10 @@ class TestSerflingFractionGamma:
         with pytest.raises(ValueError):
             bounds.serfling_fraction_gamma(1000, 0, EPS12)
 
+    def test_negative_rest_rejected(self):
+        with pytest.raises(ValueError, match="^x must be non-negative, got -1$"):
+            bounds.serfling_fraction_gamma(-1, 1000, EPS12)
+
 
 class TestSerflingCountGamma:
     def test_known_value(self):
@@ -158,6 +162,10 @@ class TestSerflingCountGamma:
     def test_zero_sample_rejected(self):
         with pytest.raises(ValueError):
             bounds.serfling_count_gamma(1e6, 0, EPS12)
+
+    def test_negative_rest_rejected(self):
+        with pytest.raises(ValueError, match="^x must be non-negative, got -1.0$"):
+            bounds.serfling_count_gamma(-1.0, 1e6, EPS12)
 
 
 class TestSamplingLambda:
@@ -196,6 +204,10 @@ class TestTestSamplePenalty:
     def test_zero_test_rejected(self):
         with pytest.raises(ValueError):
             bounds.test_sample_penalty(1e4, 0, EPS12)
+
+    def test_short_block_rejected(self):
+        with pytest.raises(ValueError, match="^block length must be >= 2, got 1$"):
+            bounds.test_sample_penalty(1, 1, EPS12)
 
 
 def test_every_deviation_nonnegative_and_monotone_in_confidence():

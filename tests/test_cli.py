@@ -10,9 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from mdiqds import cli
+from mdiqds import SecurityBudget, SystemParams, cli
 from mdiqds import montecarlo as mc
-from mdiqds.cli import CSV_COLUMNS, EXIT_INVALID, MAX_SWEEP_SPAN, _fmt, main
+from mdiqds.channel import DEFAULT_A_D2
+from mdiqds.cli import (
+    CSV_COLUMNS,
+    EXIT_INVALID,
+    EXIT_VERIFY_FAILED,
+    MAX_SWEEP_SPAN,
+    _fmt,
+    main,
+)
+from mdiqds.optimize import REFERENCE_VECTOR
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -205,6 +214,14 @@ class TestSweep:
         assert out == ""
         assert err.startswith("error: ") and "no finite point count" in err
 
+    @pytest.mark.parametrize("axis,message", [
+        (("--start", "0", "--stop", "10", "--step", "0"), "step must be positive, got 0.0"),
+        (("--values", "2,1"), "axis values must be ascending"),
+    ], ids=["zero-step", "descending-values"])
+    def test_bad_axis_rejected(self, capsys, axis, message):
+        code, out, err = run_cli(capsys, "sweep", *axis)
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
     def test_oversized_point_count_rejected_before_any_point(self, capsys, monkeypatch):
         """1e18 points: rejected from the step count, before the list is built."""
         evaluated = []
@@ -307,6 +324,18 @@ class TestConfigRoundTrip:
         assert out == ""
         assert err.startswith("error: config ")
 
+    @pytest.mark.parametrize("document,message", [
+        ('{"model": "nope"}', "model must be one of ('sob', 'smb1', 'smb2', 'all'), "
+                              "got 'nope'"),
+        ('{"format": "xml"}', "format must be 'csv' or 'json', got 'xml'"),
+        ('{"starts": 0}', "starts must be >= 1, got 0"),
+    ], ids=["model", "format", "starts"])
+    def test_out_of_range_values_rejected(self, capsys, tmp_path, document, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(document)
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_INVALID, "", f"error: {message}\n")
+
     def test_deeply_nested_config_rejected(self, capsys, tmp_path):
         """Nesting past the JSON parser's recursion limit is a config error."""
         cfg = tmp_path / "cfg.json"
@@ -379,11 +408,17 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--trials", "2000")
         assert code == 0 and threading.active_count() == before
 
-    def test_inverted_bounds_fail(self, capsys):
+    def test_broken_bound_fails_the_report(self, capsys, monkeypatch):
+        """A deviation half as wide as Hoeffding's is violated too often."""
+        hoeffding_delta = mc.hoeffding_delta
+        monkeypatch.setattr(mc, "hoeffding_delta",
+                            lambda mean, eps: 0.5 * hoeffding_delta(mean, eps))
         code, out, _ = run_cli(capsys, "verify", "--trials", "5000",
-                               "--self-test-invert")
-        assert code == 3
-        assert "FAIL" in out
+                               "--bounds", "hoeffding")
+        assert code == EXIT_VERIFY_FAILED
+        lines = out.splitlines()
+        assert lines[1].startswith("FAIL bound:hoeffding ")
+        assert lines[-1] == "FAIL overall failures=1"
 
     def test_report_bytes_reproducible(self, tmp_path):
         out_a = tmp_path / "a.txt"
@@ -498,6 +533,15 @@ def test_fmt_shortest_text(value, text):
     assert _fmt(value) == text
 
 
+def test_run_config_defaults_are_the_engines():
+    """The CLI's default flags build the engine's default records."""
+    defaults = cli.RunConfig()
+    assert defaults.system_params() == SystemParams()
+    assert defaults.budget() == SecurityBudget()
+    assert cli._config_vector(defaults.intensity_config()) == REFERENCE_VECTOR
+    assert defaults.a_d2 == DEFAULT_A_D2
+
+
 @pytest.mark.parametrize("argv,seed", [
     (("rate", "--seed", "-1"), -1),
     (("sweep", "--optimize", "--starts", "2", "--seed", "-2", "--values", "50"), -2),
@@ -526,7 +570,8 @@ def test_trials_above_the_cap_rejected_before_drawing(capsys, monkeypatch, comma
     assert code == EXIT_INVALID
     assert out == ""
     assert err == (f"error: trials must be <= {mc._MAX_TRIALS}, got {trials}: each "
-                   "repudiation batch in flight would store 2 bytes per trial (0.2 GB)\n")
+                   "repudiation batch in flight would store up to 4 bytes per trial "
+                   "(0.4 GB)\n")
 
 
 # Without numpy the rate engine runs, and a command that draws exits 1

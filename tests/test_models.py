@@ -777,6 +777,31 @@ def test_x_sample_below_one_is_an_infeasible_block():
     assert not block(n_s) and not relaxed(n_s) and not relaxed(n_s, optimistic=False)
 
 
+@pytest.mark.parametrize("r_test,short_pools", [(0.99, 2), (0.999, 4)])
+def test_relaxed_probe_of_a_short_pool_is_infeasible(r_test, short_pools):
+    """Gates passed but a relaxed length below 2: False, not an error.
+
+    A test fraction near 1 leaves the pool of a small block too short to
+    probe (n_pool / 2, less 2 for the pessimistic probe, below 2): at the
+    block sizes 1.5^38 and 1.5^39 the pessimistic probe meets it at
+    r_test 0.99, and both probes do at 0.999.
+    """
+    ev = models._evaluation("sob", SystemParams(distance_km=50.0, r_test=r_test),
+                            config_from_vector(REFERENCE_VECTOR), None)
+    eta = models._SOB_RELAX_ETA
+    short = 0
+    for n in (int(1.5 ** k) for k in range(6, 40)):
+        # the size each relaxed probe builds, and what it takes off n_pool / 2
+        for optimistic, size, shrink in ((True, math.ceil(n * (1.0 + eta)), 0.0),
+                                         (False, math.floor(n * (1.0 - eta)), 2.0)):
+            pipe = models._build_pipeline(ev, float(size))
+            relaxed = models._sob_relaxed(ev, n, optimistic)
+            if not isinstance(pipe, str) and pipe.n_pool / 2.0 - shrink < 2.0:
+                short += 1
+                assert relaxed is False
+    assert short == short_pools
+
+
 def sob_predicates(params, cfg):
     """The block probe P and the relaxed probes Q and R of one sob evaluation.
 

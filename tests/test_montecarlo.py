@@ -60,17 +60,21 @@ class TestSimulateHonest:
         assert stats.frequency <= 2.0 * eps
 
 
+def first_batch_rng(seed):
+    """The generator simulate_repudiation(seed=seed) gives its first mismatch count."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+
+
 class TestSimulateRepudiation:
     def test_no_mismatches_never_succeeds(self):
-        stats = mc.simulate_repudiation(2000, 0.05, 0.15, 10_000, seed=6, mismatches=0)
-        assert stats.frequency == 0.0
-        assert stats.detail["charlie_rejects"] == 0
+        successes, _, rejects = mc._repudiation_batch(first_batch_rng(6), 2000, 0,
+                                                      0.05, 0.15, 10_000)
+        assert successes == rejects == 0
 
     def test_full_mismatch_never_succeeds(self):
-        stats = mc.simulate_repudiation(2000, 0.05, 0.15, 10_000, seed=6,
-                                        mismatches=2000)
-        assert stats.frequency == 0.0
-        assert stats.detail["bob_accepts"] == 0
+        successes, accepts, _ = mc._repudiation_batch(first_batch_rng(6), 2000, 2000,
+                                                      0.05, 0.15, 10_000)
+        assert successes == accepts == 0
 
     def test_swept_optimum_below_bound(self):
         stats = mc.simulate_repudiation(2000, 0.05, 0.15, TRIALS, seed=6)
@@ -81,18 +85,16 @@ class TestSimulateRepudiation:
         # at a small length the success probability is measurable; the
         # hypergeometric batches must agree, within Monte Carlo
         # resolution, with bit strings played out one trial at a time
-        kw = dict(length=200, s_a=0.2, s_v=0.3, mismatches=50)
-        fast = mc.simulate_repudiation(trials=40_000, seed=7, **kw)
-        # the generator simulate_repudiation(seed=8) gives its one batch
-        rng = np.random.default_rng(np.random.SeedSequence(8).spawn(1)[0])
+        fast = mc._repudiation_batch(first_batch_rng(7), 200, 50, 0.2, 0.3, 40_000)[0] / 40_000
+        rng = first_batch_rng(8)
         successes = 0
         for _ in range(8_000):
             km = mc.make_key_material(rng, 200, 50, 50)
             bob, charlie = mc.recipient_mismatches(km)
             successes += bob / 200 < 0.2 and charlie / 200 >= 0.3
-        assert fast.frequency > 0.005
-        sigma = math.sqrt(fast.frequency * (1 - fast.frequency) / 8_000)
-        assert abs(successes / 8_000 - fast.frequency) <= 4 * sigma
+        assert fast > 0.005
+        sigma = math.sqrt(fast * (1 - fast) / 8_000)
+        assert abs(successes / 8_000 - fast) <= 4 * sigma
 
     def test_threshold_ordering_required(self):
         with pytest.raises(ValueError):
@@ -317,22 +319,22 @@ class TestChunkedCounts:
         stats = mc.simulate_forging(200, 0.3, 0.25, trials, seed=23)
         assert stats == counted(stats, one_shot_forging_successes(200, 0.3, 0.25, trials, 23))
 
-    # the grid stores h_bb as uint16 (mismatches up to 280), the fixed count as
-    # uint8; its batches run on every available CPU, or on one worker when the
-    # process may use one CPU only
-    @pytest.mark.parametrize("kw", [
-        dict(length=2000, s_a=0.05, s_v=0.15),
-        dict(length=200, s_a=0.2, s_v=0.3, mismatches=50),
+    # "grid" stores h_bb as uint16 (mismatches up to 280), and its batches run
+    # on every available CPU, or on one worker when the process may use one
+    # CPU only; "fixed" is one batch of 50 mismatches, stored as uint8
+    @pytest.mark.parametrize("run", [
+        lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials, seed=24),
+        lambda trials: mc._repudiation_batch(first_batch_rng(24), 200, 50, 0.2, 0.3, trials),
     ], ids=["grid", "fixed"])
     @pytest.mark.parametrize("trials", CHUNK_EDGES)
-    def test_simulate_repudiation(self, monkeypatch, kw, trials):
-        stats = mc.simulate_repudiation(trials=trials, seed=24, **kw)
+    def test_simulate_repudiation(self, monkeypatch, run, trials):
+        stats = run(trials)
         with monkeypatch.context() as one_cpu:
             one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
             assert mc._workers(7) == 1
-            one_worker = mc.simulate_repudiation(trials=trials, seed=24, **kw)
+            one_worker = run(trials)
         monkeypatch.setattr(mc, "_repudiation_batch", one_shot_repudiation_batch)
-        assert stats == one_worker == mc.simulate_repudiation(trials=trials, seed=24, **kw)
+        assert stats == one_worker == run(trials)
 
 
 SIMULATE_PROTOCOL = build_parser().parse_args(["simulate-protocol"])
@@ -360,7 +362,8 @@ def test_thresholds_match_float_tests(length, s_a, s_v, mismatches):
 
 # the traced peak of one check at 600,000 trials: at most eight chunk-sized
 # int64 arrays, plus the stored half-draws of the repudiation batches in
-# flight, 2 bytes per trial each and one per CPU of its 7 mismatch counts
+# flight, one per CPU of its 7 mismatch counts: up to 4 bytes per trial each
+# in general, and 2 here, where the top mismatch count, 280, fits a uint16
 MEMORY_TRIALS = 600_000
 MEMORY_LIMIT = 8 * 8 * mc._CHUNK
 

@@ -91,6 +91,8 @@ class TestCoordinateDescent:
         with pytest.raises(ValueError):
             SearchSpace(names=("x",), lower=(1.0,), upper=(0.0,), initial=(0.5,),
                         steps=(0.05,), project=clamp01)
+        with pytest.raises(ValueError, match="^bounds must match the number of coordinates$"):
+            replace(box2(), lower=(0.0,))
 
     @pytest.mark.parametrize("field", ["initial", "steps"])
     def test_vector_length_validation(self, field):
@@ -403,6 +405,12 @@ class TestRateOptimization:
 
         coordinate_descent(checked, qds_search_space())
         assert len(seen) > 10
+
+    def test_invalid_configuration_raises_at_first_evaluation(self):
+        """A vector that no projection yields raises; it is not scored 0."""
+        objective = rate_objective(self.PARAMS, "smb1", a_d2=-0.01)
+        with pytest.raises(ValueError, match="^intensities must satisfy a_s > a_d1 > a_d2"):
+            objective(REFERENCE_VECTOR, -math.inf)
 
     def test_optimize_models_orders_and_pools(self):
         results = optimize_models(self.PARAMS, seed=1, starts=1)

@@ -13,12 +13,27 @@ BAD_FIELDS = [
     (SystemParams(), "e_d", 0.7, "e_d must be in [0, 0.5], got 0.7"),
     (SystemParams(), "n_pulses", float("nan"), "n_pulses must be finite, got nan"),
     (SystemParams(), "r_test", 1.0, "r_test must be in (0, 1), got 1.0"),
+    (SystemParams(), "eta_d", 1.5, "eta_d must be in [0, 1], got 1.5"),
+    (SystemParams(), "p_dc", 1.0, "p_dc must be in [0, 1), got 1.0"),
+    (SystemParams(), "distance_km", -1.0, "distance_km must be >= 0, got -1.0"),
+    (SystemParams(), "n_pulses", 0.5, "n_pulses must be >= 1, got 0.5"),
+    (SystemParams(), "alpha", -0.1, "alpha must be >= 0, got -0.1"),
     (IntensityConfig.symmetric(0.4, 0.05, 1 / 3, 1 / 3, 0.5), "p_z", 1.0,
      "p_z must be in (0, 1), got 1.0"),
     (IntensityConfig.symmetric(0.4, 0.05, 1 / 3, 1 / 3, 0.5), "a_d1", 0.5,
      "intensities must satisfy a_s > a_d1 > a_d2 >= 0, got (0.4, 0.5, 0.0005)"),
+    (IntensityConfig.symmetric(0.4, 0.05, 0.25, 0.25, 0.5), "p_ad2", 0.25,
+     "selection probabilities must sum to 1, got 0.75"),
     (SecurityBudget(), "eps_sf", 0.0, "eps_sf must be in (0, 1), got 0.0"),
 ]
+
+
+def case_id(index) -> str:
+    """type.field, and the bad value too for a field that an earlier case covers."""
+    record, field, value, _ = BAD_FIELDS[index]
+    name = f"{type(record).__name__}.{field}"
+    earlier = {f"{type(r).__name__}.{f}" for r, f, *_ in BAD_FIELDS[:index]}
+    return f"{name}={value}" if name in earlier else name
 
 
 def with_field(record, field, value) -> list:
@@ -70,7 +85,7 @@ PICKLES = [
 @pytest.mark.parametrize("build", [positional, keyword, make, replace, copy_replace,
                                    deep_copy, *PICKLES])
 @pytest.mark.parametrize("record,field,value,message", BAD_FIELDS,
-                         ids=[f"{type(r).__name__}.{f}" for r, f, *_ in BAD_FIELDS])
+                         ids=[case_id(i) for i in range(len(BAD_FIELDS))])
 def test_every_construction_path_checks(build, record, field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build(record, field, value)
