@@ -23,22 +23,20 @@ Two families of experiments:
   ``serfling_count`` and ``sampling_lambda``) count their violations on.
 
 Each check draws from ``default_rng(seed)``; the repudiation simulator
-gives each mismatch count it tries one spawned child of ``seed`` and
-runs those batches at once, one per available CPU. Draws are made and
-counted in chunks of a fixed size whose concatenation is the one-shot
-draw of all trials, so a seed gives the same statistics whatever the
-CPU count, and a check's memory does not grow with the number of trials
-beyond the repudiation simulator's stored half-draw of up to 4 bytes per
-trial (the smallest unsigned type that holds its mismatch count) for
-each batch in flight, at most one per CPU. Every check rejects more than
-1e8 trials before it draws.
+gives each mismatch count it tries two spawned children of ``seed``, one
+per recipient's half, and runs those batches at once, one per available
+CPU. Draws are made and counted in chunks of a fixed size, and each
+generator's chunks join up to its own one-shot draw of all trials, so a
+seed gives the same statistics whatever the CPU count, and a check's
+memory does not grow with the number of trials. Every check rejects more
+than 1e8 trials before it draws.
 """
 from __future__ import annotations
 
 import bisect
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import (
@@ -72,7 +70,7 @@ BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 8_192  # trials drawn and counted at a time
-_MAX_TRIALS = 10**8  # up to 400 MB of stored half-draws per repudiation batch
+_MAX_TRIALS = 10**8  # --trials comes from outside: bound the time one check may take
 
 
 def wilson_upper(successes: int, trials: int) -> float:
@@ -98,19 +96,16 @@ class TrialStats:
     wilson99_upper: float
     bound: float
     seed: int
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
 
 def _check_trials(trials: int) -> None:
     # a frequency needs at least one trial
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    # checked before any draw: a repudiation batch stores its first half-draw,
-    # in at most uint32, since numpy takes no population of 1e9 or more
+    # checked before any draw
     if trials > _MAX_TRIALS:
-        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}: each "
-                         f"repudiation batch in flight would store up to 4 bytes "
-                         f"per trial ({4 * trials / 1e9:.3g} GB)")
+        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {trials}")
 
 
 def _chunks(trials: int) -> Iterator[int]:
@@ -124,7 +119,8 @@ def _count(trials: int, draw: Callable[[int], np.ndarray],
     """How many of ``trials`` draws ``hit`` marks, drawn _CHUNK at a time.
 
     A generator's draws of n values and then m values are its one draw
-    of n + m values, so the count is that of one draw of all trials.
+    of n + m values, so the count is that of one draw of all trials from
+    each generator ``draw`` uses.
     """
     return sum(int(hit(draw(size)).sum()) for size in _chunks(trials))
 
@@ -248,38 +244,28 @@ def _threshold(length: int, share: float, top: int) -> int:
     return bisect.bisect_left(range(top + 1), True, key=lambda k: k / length >= share)
 
 
-def _repudiation_batch(rng: np.random.Generator, length: int, mismatches: int,
-                       s_a: float, s_v: float, trials: int) -> tuple[int, int, int]:
-    """(successes, bob_accepts, charlie_rejects) for one mismatch count.
+def _repudiation_batch(rng_b: np.random.Generator, rng_c: np.random.Generator,
+                       length: int, mismatches: int, s_a: float, s_v: float,
+                       trials: int) -> int:
+    """Repudiation successes at one mismatch count.
 
     The mismatches each recipient keeps are a hypergeometric draw of its
     half, the two strings' halves drawn independently: the counts
     recipient_mismatches takes from the bits of make_key_material.
-    All of h_bb is drawn before any of h_cc, as in one draw of each.
-    With d = h_bb - h_cc, bob sees mismatches + d and charlie
-    mismatches - d, so each outcome is one comparison of d with an
-    integer threshold.
+    h_bb comes from rng_b and h_cc from rng_c, so each generator's
+    chunks join up to its own one-shot draw. With d = h_bb - h_cc, bob
+    sees mismatches + d and charlie mismatches - d, so success is one
+    comparison of d with an integer threshold.
     """
-    import numpy as np
     half = length // 2
-    # one small array per chunk, in the smallest type that holds mismatches:
-    # a single array of all trials, freed on a worker thread, left the
-    # process's peak resident memory higher and varying from run to run
-    store = np.min_scalar_type(mismatches)
-    h_bb = [rng.hypergeometric(mismatches, length - mismatches, half, size).astype(store)
-            for size in _chunks(trials)]
+    rest = length - mismatches
     # bob / length < s_a  <=>  d < accept;  charlie / length >= s_v  <=>  d < reject
     accept = _threshold(length, s_a, 2 * mismatches) - mismatches
     reject = mismatches + 1 - _threshold(length, s_v, 2 * mismatches)
     both = min(accept, reject)
-    successes = accepts = rejects = 0
-    for h_b in h_bb:
-        d = rng.hypergeometric(mismatches, length - mismatches, half, h_b.size)
-        np.subtract(h_b, d, out=d)
-        successes += int(np.count_nonzero(d < both))
-        accepts += int(np.count_nonzero(d < accept))
-        rejects += int(np.count_nonzero(d < reject))
-    return successes, accepts, rejects
+    return _count(trials, lambda n: (rng_b.hypergeometric(mismatches, rest, half, n)
+                                     - rng_c.hypergeometric(mismatches, rest, half, n)),
+                  lambda d: d < both)
 
 
 def _workers(jobs: int) -> int:
@@ -297,10 +283,11 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     second rejects the forwarded message (fraction >= s_v). The
     per-string mismatch count is swept over a grid around L*(s_a+s_v)/2
     and the worst (largest) empirical success frequency is reported.
-    The attached bound is 2*exp(-(1/4)(s_v-s_a)^2 L). Each mismatch
-    count draws from its own spawned child of ``seed``, and the batches
-    run on a pool of one thread per available CPU (numpy's samplers
-    release the GIL), so the result does not depend on the CPU count.
+    The attached bound is 2*exp(-(1/4)(s_v-s_a)^2 L). Mismatch count i
+    draws the two recipients' halves from spawned children 2i and 2i + 1
+    of ``seed``, and the batches run on a pool of one thread per
+    available CPU (numpy's samplers release the GIL), so the result does
+    not depend on the CPU count.
     """
     _check_trials(trials)
     _check_length(length)
@@ -313,20 +300,20 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     from concurrent.futures import ThreadPoolExecutor
 
     import numpy as np
-    children = np.random.SeedSequence(seed).spawn(len(grid))
+    # batches take generators, not a SeedSequence to spawn from: spawn advances
+    # the sequence it is called on, so a second call would draw other counts
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(2 * len(grid))]
 
-    def batch(child, m):
-        return (*_repudiation_batch(np.random.default_rng(child), length, m,
-                                    s_a, s_v, trials), m)
+    def batch(rng_b, rng_c, m):
+        return _repudiation_batch(rng_b, rng_c, length, m, s_a, s_v, trials), m
 
     with ThreadPoolExecutor(_workers(len(grid))) as pool:
-        runs = list(pool.map(batch, children, grid))  # in grid order
+        runs = list(pool.map(batch, rngs[0::2], rngs[1::2], grid))  # in grid order
     # max keeps the first of equal success counts, so ties go to the lower m
-    successes, accepts, rejects, m_best = max(runs, key=lambda run: run[0])
+    successes, m_best = max(runs, key=lambda run: run[0])
     return _stats("repudiation", trials, successes, bound, seed,
-                  {"mismatches": m_best, "bob_accepts": accepts,
-                   "charlie_rejects": rejects, "length": length,
-                   "s_a": s_a, "s_v": s_v})
+                  {"mismatches": m_best, "length": length, "s_a": s_a, "s_v": s_v})
 
 
 def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
@@ -350,8 +337,7 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     gap = p_e - s_v
     bound = math.exp(-2.0 * half * gap * gap) if gap > 0 else 1.0
     return _stats("forging", trials, successes, bound, seed,
-                  {"length": length, "p_e": p_e, "s_v": s_v,
-                   "bob_accepts": successes})
+                  {"length": length, "p_e": p_e, "s_v": s_v})
 
 
 # ---------------------------------------------------------------------------

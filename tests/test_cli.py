@@ -153,6 +153,9 @@ OPTIMIZED_SWEEP_SHA256 = "f3788c4ad35cd9d9de63b4c63771727b08fd95523fa791cdbcd1cf
 # SHA-256 of the stdout of `mdiqds verify --eps 0.01 --trials 1000000 --seed 0
 # --bounds hoeffding,serfling_fraction,serfling_count,sampling_lambda,eq3_penalty`
 MC_VERIFY_SHA256 = "5a316b4e0dd355be068df27a609641fbb854c68fef808febe69fca4e933dc48f"
+# SHA-256 of the stdout of `mdiqds simulate-protocol`, all options at their
+# defaults
+SIMULATE_PROTOCOL_SHA256 = "afe8066352ea5587b84c3414a791f540cb66b05b401eddc369c67206ef341b7e"
 
 
 class TestSweep:
@@ -488,6 +491,13 @@ class TestSimulateProtocol:
         for label in ("honest-abort", "repudiation", "forging"):
             assert label in out
 
+    def test_default_report_pinned(self, capsys):
+        """The default report, byte for byte: its repudiation batches run on
+        the same thread pool as verify's."""
+        code, out, _ = run_cli(capsys, "simulate-protocol")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_PROTOCOL_SHA256
+
     @pytest.mark.parametrize("trials", ["0", "-5"])
     def test_non_positive_trials_rejected(self, capsys, trials):
         code, out, err = run_cli(capsys, "simulate-protocol", "--trials", trials)
@@ -569,9 +579,7 @@ def test_trials_above_the_cap_rejected_before_drawing(capsys, monkeypatch, comma
     code, out, err = run_cli(capsys, command, "--trials", str(trials))
     assert code == EXIT_INVALID
     assert out == ""
-    assert err == (f"error: trials must be <= {mc._MAX_TRIALS}, got {trials}: each "
-                   "repudiation batch in flight would store up to 4 bytes per trial "
-                   "(0.4 GB)\n")
+    assert err == f"error: trials must be <= {mc._MAX_TRIALS}, got {trials}\n"
 
 
 # Without numpy the rate engine runs, and a command that draws exits 1

@@ -37,6 +37,18 @@ class TestKeyMaterial:
         with pytest.raises(ValueError):
             mc.make_key_material(np.random.default_rng(0), 1001)
 
+    def test_strings_of_unequal_length_rejected(self):
+        km = mc.make_key_material(np.random.default_rng(0), 100)
+        with pytest.raises(ValueError, match="all strings must share one length"):
+            mc.KeyMaterial(km.sig_b, km.sig_c, km.key_b, km.key_c[:-2],
+                           km.keep_b, km.keep_c)
+
+    def test_keep_mask_of_wrong_size_rejected(self):
+        km = mc.make_key_material(np.random.default_rng(0), 100)
+        with pytest.raises(ValueError, match="each recipient must keep exactly half"):
+            mc.KeyMaterial(km.sig_b, km.sig_c, km.key_b, km.key_c,
+                           np.append(km.keep_b, True), km.keep_c)
+
 
 class TestSimulateHonest:
     def test_error_free_never_aborts(self):
@@ -60,21 +72,23 @@ class TestSimulateHonest:
         assert stats.frequency <= 2.0 * eps
 
 
-def first_batch_rng(seed):
-    """The generator simulate_repudiation(seed=seed) gives its first mismatch count."""
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+def first_batch_rngs(seed):
+    """The two generators simulate_repudiation(seed=seed) gives its first
+    mismatch count: its recipients' halves."""
+    return [np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(2)]
 
 
 class TestSimulateRepudiation:
     def test_no_mismatches_never_succeeds(self):
-        successes, _, rejects = mc._repudiation_batch(first_batch_rng(6), 2000, 0,
-                                                      0.05, 0.15, 10_000)
-        assert successes == rejects == 0
+        successes = mc._repudiation_batch(*first_batch_rngs(6), 2000, 0,
+                                          0.05, 0.15, 10_000)
+        assert successes == 0
 
     def test_full_mismatch_never_succeeds(self):
-        successes, accepts, _ = mc._repudiation_batch(first_batch_rng(6), 2000, 2000,
-                                                      0.05, 0.15, 10_000)
-        assert successes == accepts == 0
+        successes = mc._repudiation_batch(*first_batch_rngs(6), 2000, 2000,
+                                          0.05, 0.15, 10_000)
+        assert successes == 0
 
     def test_swept_optimum_below_bound(self):
         stats = mc.simulate_repudiation(2000, 0.05, 0.15, TRIALS, seed=6)
@@ -85,8 +99,8 @@ class TestSimulateRepudiation:
         # at a small length the success probability is measurable; the
         # hypergeometric batches must agree, within Monte Carlo
         # resolution, with bit strings played out one trial at a time
-        fast = mc._repudiation_batch(first_batch_rng(7), 200, 50, 0.2, 0.3, 40_000)[0] / 40_000
-        rng = first_batch_rng(8)
+        fast = mc._repudiation_batch(*first_batch_rngs(7), 200, 50, 0.2, 0.3, 40_000) / 40_000
+        rng = first_batch_rngs(8)[0]
         successes = 0
         for _ in range(8_000):
             km = mc.make_key_material(rng, 200, 50, 50)
@@ -263,15 +277,13 @@ def one_shot_forging_successes(length, p_e, s_v, trials, seed):
     return int((errors / half < s_v).sum())
 
 
-def one_shot_repudiation_batch(rng, length, mismatches, s_a, s_v, trials):
+def one_shot_repudiation_batch(rng_b, rng_c, length, mismatches, s_a, s_v, trials):
     half = length // 2
-    h_bb = rng.hypergeometric(mismatches, length - mismatches, half, trials)
-    h_cc = rng.hypergeometric(mismatches, length - mismatches, half, trials)
+    h_bb = rng_b.hypergeometric(mismatches, length - mismatches, half, trials)
+    h_cc = rng_c.hypergeometric(mismatches, length - mismatches, half, trials)
     bob = h_bb + (mismatches - h_cc)
     charlie = h_cc + (mismatches - h_bb)
-    accept = bob / length < s_a
-    reject = charlie / length >= s_v
-    return int((accept & reject).sum()), int(accept.sum()), int(reject.sum())
+    return int(((bob / length < s_a) & (charlie / length >= s_v)).sum())
 
 
 def counted(stats, successes):
@@ -319,12 +331,13 @@ class TestChunkedCounts:
         stats = mc.simulate_forging(200, 0.3, 0.25, trials, seed=23)
         assert stats == counted(stats, one_shot_forging_successes(200, 0.3, 0.25, trials, 23))
 
-    # "grid" stores h_bb as uint16 (mismatches up to 280), and its batches run
-    # on every available CPU, or on one worker when the process may use one
-    # CPU only; "fixed" is one batch of 50 mismatches, stored as uint8
+    # "grid" runs its 7 batches on every available CPU, or on one worker when
+    # the process may use one CPU only; "fixed" is one batch of 50 mismatches,
+    # whose successes are measurable at length 200
     @pytest.mark.parametrize("run", [
         lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials, seed=24),
-        lambda trials: mc._repudiation_batch(first_batch_rng(24), 200, 50, 0.2, 0.3, trials),
+        lambda trials: mc._repudiation_batch(*first_batch_rngs(24), 200, 50, 0.2, 0.3,
+                                             trials),
     ], ids=["grid", "fixed"])
     @pytest.mark.parametrize("trials", CHUNK_EDGES)
     def test_simulate_repudiation(self, monkeypatch, run, trials):
@@ -335,6 +348,14 @@ class TestChunkedCounts:
             one_worker = run(trials)
         monkeypatch.setattr(mc, "_repudiation_batch", one_shot_repudiation_batch)
         assert stats == one_worker == run(trials)
+
+
+@pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
+def test_workers_without_affinity_follow_cpu_count(monkeypatch, cpus, workers):
+    """Where os.sched_getaffinity is missing, one thread per CPU, at least one."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert mc._workers(7) == workers
 
 
 SIMULATE_PROTOCOL = build_parser().parse_args(["simulate-protocol"])
@@ -361,22 +382,21 @@ def test_thresholds_match_float_tests(length, s_a, s_v, mismatches):
 
 
 # the traced peak of one check at 600,000 trials: at most eight chunk-sized
-# int64 arrays, plus the stored half-draws of the repudiation batches in
-# flight, one per CPU of its 7 mismatch counts: up to 4 bytes per trial each
-# in general, and 2 here, where the top mismatch count, 280, fits a uint16
+# int64 arrays per draw in flight; the repudiation check has one per CPU of
+# its 7 mismatch counts
 MEMORY_TRIALS = 600_000
 MEMORY_LIMIT = 8 * 8 * mc._CHUNK
 
 
-@pytest.mark.parametrize("call,stored", [
-    (lambda trials: mc.simulate_honest(2000, 0.04, 0.05, trials), 0),
+@pytest.mark.parametrize("call,limit", [
+    (lambda trials: mc.simulate_honest(2000, 0.04, 0.05, trials), MEMORY_LIMIT),
     (lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials),
-     2 * MEMORY_TRIALS * mc._workers(7)),
-    (lambda trials: mc.simulate_forging(200, 0.3, 0.25, trials), 0),
-    *((lambda trials, bound=bound: mc.validate_bound(bound, 0.01, trials), 0)
+     MEMORY_LIMIT * mc._workers(7)),
+    (lambda trials: mc.simulate_forging(200, 0.3, 0.25, trials), MEMORY_LIMIT),
+    *((lambda trials, bound=bound: mc.validate_bound(bound, 0.01, trials), MEMORY_LIMIT)
       for bound in mc.BOUND_IDS),
 ], ids=["honest", "repudiation", "forging", *mc.BOUND_IDS])
-def test_memory_does_not_grow_with_trials(call, stored):
+def test_memory_does_not_grow_with_trials(call, limit):
     call(1_000)  # numpy's lazy imports and first-use allocations
     tracemalloc.start()
     try:
@@ -384,4 +404,4 @@ def test_memory_does_not_grow_with_trials(call, stored):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= MEMORY_LIMIT + stored
+    assert peak <= limit
