@@ -22,20 +22,33 @@ Two families of experiments:
   outcomes, which the ids that share it (``serfling_fraction``,
   ``serfling_count`` and ``sampling_lambda``) count their violations on.
 
-Each check draws from ``default_rng(seed)``; the repudiation simulator
-gives each mismatch count it tries two spawned children of ``seed``, one
-per recipient's half, and runs those batches at once, one per available
-CPU. Draws are made and counted in chunks of a fixed size, and each
+The repudiation simulator runs one batch, at the mismatch count m whose
+exact success probability is largest. The signer succeeds when the
+difference d = h_bb - h_cc of the two recipients' kept counts is below
+both(m) = min(t_a - m, m + 1 - t_v), where t_a and t_v are the least
+counts whose fractions of L reach s_a and s_v. Going from m to m + 1
+planted mismatches can be coupled so that each kept count gains 0 or 1,
+so d moves by at most one. both(m) rises by one per step up to the
+crossing c = (t_a + t_v - 1) // 2 and falls by one per step from c + 1
+on, so the success probability cannot fall before c nor rise after
+c + 1: the largest is at c or c + 1, near L(s_a + s_v)/2. Exact tail
+sums over the hypergeometric pmf compare the two, with no loop over all
+L + 1 counts, and a tie goes to c. The sums are plain floats: below
+about 1e-300 they read 0.
+
+Each check draws from ``default_rng(seed)``, except that the repudiation
+batch draws each recipient's half from its own spawned child of
+``seed``. Draws are made and counted in chunks of a fixed size, and each
 generator's chunks join up to its own one-shot draw of all trials, so a
-seed gives the same statistics whatever the CPU count, and a check's
-memory does not grow with the number of trials. Every check rejects more
-than 1e8 trials before it draws.
+check's memory does not grow with the number of trials. Every check
+rejects more than 1e8 trials before it draws.
 """
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-import os
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -158,7 +171,8 @@ class KeyMaterial:
         length = self.sig_b.size
         if not (self.sig_c.size == self.key_b.size == self.key_c.size == length):
             raise ValueError("all strings must share one length")
-        if self.keep_b.sum() != length // 2 or self.keep_c.sum() != length // 2:
+        if not (self.keep_b.size == self.keep_c.size == length
+                and self.keep_b.sum() == self.keep_c.sum() == length // 2):
             raise ValueError("each recipient must keep exactly half of its string")
 
 
@@ -178,13 +192,10 @@ def make_key_material(rng: np.random.Generator, length: int,
     sig_c = rng.integers(0, 2, length, dtype=np.int8)
     key_b, key_c = sig_b.copy(), sig_c.copy()
     for key, count in ((key_b, mismatches_b), (key_c, mismatches_c)):
-        if count:
-            pos = rng.choice(length, size=count, replace=False)
-            key[pos] ^= 1
-    keep_b = np.zeros(length, dtype=bool)
-    keep_b[rng.choice(length, size=length // 2, replace=False)] = True
-    keep_c = np.zeros(length, dtype=bool)
-    keep_c[rng.choice(length, size=length // 2, replace=False)] = True
+        key[rng.choice(length, size=count, replace=False)] ^= 1
+    keep_b, keep_c = np.zeros((2, length), dtype=bool)
+    for keep in (keep_b, keep_c):
+        keep[rng.choice(length, size=length // 2, replace=False)] = True
     return KeyMaterial(sig_b, sig_c, key_b, key_c, keep_b, keep_c)
 
 
@@ -228,8 +239,8 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
     _check_rate("s_a", s_a)
     import numpy as np
     rng = np.random.default_rng(seed)
-    aborts = _count(trials, lambda n: rng.binomial(length, error_rate, size=n),
-                    lambda counts: counts / length >= s_a)
+    abort = _threshold(length, s_a, length)  # k / length >= s_a  <=>  k >= abort
+    aborts = _count(trials, lambda n: rng.binomial(length, error_rate, n), lambda k: k >= abort)
     bound = math.exp(-2.0 * length * (s_a - error_rate) ** 2) if error_rate < s_a else 1.0
     return _stats("honest-abort", trials, aborts, bound, seed,
                   {"length": length, "error_rate": error_rate, "s_a": s_a})
@@ -244,6 +255,17 @@ def _threshold(length: int, share: float, top: int) -> int:
     return bisect.bisect_left(range(top + 1), True, key=lambda k: k / length >= share)
 
 
+def _success_limit(length: int, mismatches: int, s_a: float, s_v: float) -> int:
+    """The d = h_bb - h_cc below which a signer who plants ``mismatches``
+    in each string repudiates: bob sees mismatches + d and accepts,
+    charlie sees mismatches - d and rejects. As a function of the count
+    it is the tent min(t_a - m, m + 1 - t_v) of the module docstring."""
+    # bob / length < s_a  <=>  d < accept;  charlie / length >= s_v  <=>  d < reject
+    accept = _threshold(length, s_a, length) - mismatches
+    reject = mismatches + 1 - _threshold(length, s_v, length)
+    return min(accept, reject)
+
+
 def _repudiation_batch(rng_b: np.random.Generator, rng_c: np.random.Generator,
                        length: int, mismatches: int, s_a: float, s_v: float,
                        trials: int) -> int:
@@ -253,26 +275,39 @@ def _repudiation_batch(rng_b: np.random.Generator, rng_c: np.random.Generator,
     half, the two strings' halves drawn independently: the counts
     recipient_mismatches takes from the bits of make_key_material.
     h_bb comes from rng_b and h_cc from rng_c, so each generator's
-    chunks join up to its own one-shot draw. With d = h_bb - h_cc, bob
-    sees mismatches + d and charlie mismatches - d, so success is one
-    comparison of d with an integer threshold.
+    chunks join up to its own one-shot draw. Success is one comparison
+    of d = h_bb - h_cc with an integer threshold.
     """
-    half = length // 2
-    rest = length - mismatches
-    # bob / length < s_a  <=>  d < accept;  charlie / length >= s_v  <=>  d < reject
-    accept = _threshold(length, s_a, 2 * mismatches) - mismatches
-    reject = mismatches + 1 - _threshold(length, s_v, 2 * mismatches)
-    both = min(accept, reject)
-    return _count(trials, lambda n: (rng_b.hypergeometric(mismatches, rest, half, n)
-                                     - rng_c.hypergeometric(mismatches, rest, half, n)),
+    both = _success_limit(length, mismatches, s_a, s_v)
+    draw = (mismatches, length - mismatches, length // 2)
+    return _count(trials, lambda n: rng_b.hypergeometric(*draw, n) - rng_c.hypergeometric(*draw, n),
                   lambda d: d < both)
 
 
-def _workers(jobs: int) -> int:
-    """Threads for ``jobs`` independent batches: one per CPU this process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(jobs, len(os.sched_getaffinity(0)))
-    return min(jobs, os.cpu_count() or 1)
+def _repudiation_probability(length: int, mismatches: int, s_a: float, s_v: float) -> float:
+    """Exact success probability of _repudiation_batch, in plain floats.
+
+    Each kept count has the hypergeometric pmf p of ``mismatches``
+    marked bits among length // 2 drawn from length; with F its cdf,
+    P(d < both) is the sum over j of p(j) F(j + both - 1), and both <= 0
+    as s_a < s_v. p is built outward from its mode by the ratio
+    recurrence, stops below 1e-300 of the mode, so it holds O(sqrt(L))
+    terms, and is normalised by their sum.
+    """
+    draws, rest = length // 2, length - mismatches
+
+    def ratio(k: int) -> float:  # p(k + 1) / p(k)
+        return (mismatches - k) * (draws - k) / ((k + 1) * (rest - draws + k + 1))
+
+    mode = (draws + 1) * (mismatches + 1) // (length + 2)
+    up, down = [1.0], [1.0]
+    while mode + len(up) - 1 < min(mismatches, draws) and up[-1] >= 1e-300:
+        up.append(up[-1] * ratio(mode + len(up) - 1))
+    while mode - len(down) + 1 > max(0, draws - rest) and down[-1] >= 1e-300:
+        down.append(down[-1] / ratio(mode - len(down)))
+    pmf = down[:0:-1] + up  # lowest count first, 1 at the mode
+    both = _success_limit(length, mismatches, s_a, s_v)
+    return sum(map(operator.mul, pmf[1 - both:], itertools.accumulate(pmf))) / sum(pmf) ** 2
 
 
 def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
@@ -280,40 +315,30 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
     """Repudiation success frequency of a mismatch-planting signer.
 
     Success means the first recipient accepts (fraction < s_a) while the
-    second rejects the forwarded message (fraction >= s_v). The
-    per-string mismatch count is swept over a grid around L*(s_a+s_v)/2
-    and the worst (largest) empirical success frequency is reported.
-    The attached bound is 2*exp(-(1/4)(s_v-s_a)^2 L). Mismatch count i
-    draws the two recipients' halves from spawned children 2i and 2i + 1
-    of ``seed``, and the batches run on a pool of one thread per
-    available CPU (numpy's samplers release the GIL), so the result does
-    not depend on the CPU count.
+    second rejects the forwarded message (fraction >= s_v). One batch
+    runs, at the per-string mismatch count whose exact success
+    probability is largest: one of the two counts at the top of the
+    threshold's tent (see the module docstring), the lower one on a
+    tie. No loop runs over every count. The recipients' halves are
+    drawn from spawned children 0 and 1 of ``seed``. The attached bound
+    is 2*exp(-(1/4)(s_v-s_a)^2 L); ``detail`` holds the count and its
+    exact probability.
     """
     _check_trials(trials)
     _check_length(length)
     if not 0.0 <= s_a < s_v <= 1.0:
         raise ValueError(f"need 0 <= s_a < s_v <= 1, got s_a={s_a}, s_v={s_v}")
-    center = length * (s_a + s_v) / 2.0
-    grid = sorted({min(max(int(round(center * u)), 0), length)
-                   for u in (0.6, 0.75, 0.9, 1.0, 1.1, 1.25, 1.4)})
     bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
-    from concurrent.futures import ThreadPoolExecutor
-
+    # where _success_limit's tent min(t_a - m, m + 1 - t_v) peaks
+    cross = (_threshold(length, s_a, length) + _threshold(length, s_v, length) - 1) // 2
+    # max keeps the first of equal probabilities, so ties go to the lower m
+    m, exact = max(((m, _repudiation_probability(length, m, s_a, s_v))
+                    for m in (cross, cross + 1)), key=lambda run: run[1])
     import numpy as np
-    # batches take generators, not a SeedSequence to spawn from: spawn advances
-    # the sequence it is called on, so a second call would draw other counts
-    rngs = [np.random.default_rng(child)
-            for child in np.random.SeedSequence(seed).spawn(2 * len(grid))]
-
-    def batch(rng_b, rng_c, m):
-        return _repudiation_batch(rng_b, rng_c, length, m, s_a, s_v, trials), m
-
-    with ThreadPoolExecutor(_workers(len(grid))) as pool:
-        runs = list(pool.map(batch, rngs[0::2], rngs[1::2], grid))  # in grid order
-    # max keeps the first of equal success counts, so ties go to the lower m
-    successes, m_best = max(runs, key=lambda run: run[0])
+    rngs = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    successes = _repudiation_batch(*rngs, length, m, s_a, s_v, trials)
     return _stats("repudiation", trials, successes, bound, seed,
-                  {"mismatches": m_best, "length": length, "s_a": s_a, "s_v": s_v})
+                  {"mismatches": m, "exact": exact, "length": length, "s_a": s_a, "s_v": s_v})
 
 
 def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
@@ -332,8 +357,8 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     import numpy as np
     rng = np.random.default_rng(seed)
     half = length // 2
-    successes = _count(trials, lambda n: rng.binomial(half, p_e, size=n),
-                       lambda errors: errors / half < s_v)
+    caught = _threshold(half, s_v, half)  # k / half < s_v  <=>  k < caught
+    successes = _count(trials, lambda n: rng.binomial(half, p_e, size=n), lambda k: k < caught)
     gap = p_e - s_v
     bound = math.exp(-2.0 * half * gap * gap) if gap > 0 else 1.0
     return _stats("forging", trials, successes, bound, seed,
@@ -417,14 +442,12 @@ def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
         else:
             violated = k < y * marked / population - sampling_lambda(population, y, eps)
     elif bound == "eq3_penalty":
-        length = population
-        n_test = sample
-        half = length // 2
-        total = half + n_test
+        # a kept half of population / 2 bits and a test of sample bits
+        half = population // 2
+        total = half + sample
         marked = total // 2
-        experiment = (marked, total - marked, n_test)
-        pen = test_sample_penalty(length, n_test, eps)
-        violated = (marked - k) / half > k / n_test + pen
+        experiment = (marked, total - marked, sample)
+        violated = (marked - k) / half > k / sample + test_sample_penalty(population, sample, eps)
     else:
         raise ValueError(f"unknown bound id {bound!r}; expected one of {BOUND_IDS}")
     drawn = {} if drawn is None else drawn

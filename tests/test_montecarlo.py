@@ -1,7 +1,7 @@
 """Messaging-stage simulators and tail-bound coverage tests."""
 import math
-import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +49,16 @@ class TestKeyMaterial:
             mc.KeyMaterial(km.sig_b, km.sig_c, km.key_b, km.key_c,
                            np.append(km.keep_b, True), km.keep_c)
 
+    @pytest.mark.parametrize("short", ["keep_b", "keep_c"])
+    def test_keep_mask_two_entries_short_rejected(self, short):
+        """A mask two entries short still keeps half when both were False."""
+        km = mc.make_key_material(np.random.default_rng(0), 100)
+        masks = {"keep_b": km.keep_b, "keep_c": km.keep_c}
+        masks[short] = np.delete(masks[short], np.flatnonzero(~masks[short])[:2])
+        assert masks[short].size == 98 and masks[short].sum() == 50
+        with pytest.raises(ValueError, match="each recipient must keep exactly half"):
+            mc.KeyMaterial(km.sig_b, km.sig_c, km.key_b, km.key_c, **masks)
+
 
 class TestSimulateHonest:
     def test_error_free_never_aborts(self):
@@ -73,8 +83,8 @@ class TestSimulateHonest:
 
 
 def first_batch_rngs(seed):
-    """The two generators simulate_repudiation(seed=seed) gives its first
-    mismatch count: its recipients' halves."""
+    """The two generators simulate_repudiation(seed=seed) gives its one
+    batch: its recipients' halves."""
     return [np.random.default_rng(child)
             for child in np.random.SeedSequence(seed).spawn(2)]
 
@@ -118,6 +128,41 @@ class TestSimulateRepudiation:
         a = mc.simulate_repudiation(2000, 0.05, 0.15, 5_000, seed=11)
         b = mc.simulate_repudiation(2000, 0.05, 0.15, 5_000, seed=11)
         assert a == b
+
+    def test_one_batch_at_the_worst_count(self, monkeypatch):
+        calls = []
+
+        def batch(*args):
+            calls.append(args[2:])
+            return 0
+
+        monkeypatch.setattr(mc, "_repudiation_batch", batch)
+        stats = mc.simulate_repudiation(2000, 0.05, 0.15, 1_000, seed=0)
+        assert calls == [(2000, 200, 0.05, 0.15, 1_000)]
+        assert stats.detail["mismatches"] == 200
+        assert stats.detail["exact"] == pytest.approx(1.5022208573110246e-27, rel=1e-9)
+
+    def test_long_strings_sample_the_top_of_the_tent(self):
+        """At length 1e8 both candidates' exact probabilities underflow to
+        0, and the tie goes to the lower one, the crossing
+        (t_a + t_v - 1) // 2 = (5e6 + 1.5e7 - 1) // 2. The sums keep
+        O(sqrt(L)) pmf terms, so the pick takes a fraction of a second."""
+        stats = mc.simulate_repudiation(10**8, 0.05, 0.15, 10, seed=0)
+        assert stats.detail["mismatches"] == 9_999_999 and stats.detail["exact"] == 0.0
+        assert stats.successes == 0
+
+    def test_frequency_within_wilson_interval_of_exact(self):
+        """At length 200 the worst count succeeds often enough to measure:
+        the exact probability lies in the Wilson 99% interval of the
+        sampled frequency, that is, the frequency lies within the score
+        test's 99% band around the exact probability."""
+        trials = 200_000
+        stats = mc.simulate_repudiation(200, 0.2, 0.3, trials, seed=0)
+        exact = stats.detail["exact"]
+        assert stats.detail["mismatches"] == 50
+        assert exact == pytest.approx(0.0075991, rel=1e-5)
+        band = mc._Z99 * math.sqrt(exact * (1.0 - exact) / trials)
+        assert abs(stats.frequency - exact) <= band
 
 
 class TestSimulateForging:
@@ -331,9 +376,8 @@ class TestChunkedCounts:
         stats = mc.simulate_forging(200, 0.3, 0.25, trials, seed=23)
         assert stats == counted(stats, one_shot_forging_successes(200, 0.3, 0.25, trials, 23))
 
-    # "grid" runs its 7 batches on every available CPU, or on one worker when
-    # the process may use one CPU only; "fixed" is one batch of 50 mismatches,
-    # whose successes are measurable at length 200
+    # "grid" is the check, one batch at its worst mismatch count; "fixed" is
+    # one batch of 50 mismatches, whose successes are measurable at length 200
     @pytest.mark.parametrize("run", [
         lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials, seed=24),
         lambda trials: mc._repudiation_batch(*first_batch_rngs(24), 200, 50, 0.2, 0.3,
@@ -342,20 +386,8 @@ class TestChunkedCounts:
     @pytest.mark.parametrize("trials", CHUNK_EDGES)
     def test_simulate_repudiation(self, monkeypatch, run, trials):
         stats = run(trials)
-        with monkeypatch.context() as one_cpu:
-            one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            assert mc._workers(7) == 1
-            one_worker = run(trials)
         monkeypatch.setattr(mc, "_repudiation_batch", one_shot_repudiation_batch)
-        assert stats == one_worker == run(trials)
-
-
-@pytest.mark.parametrize("cpus,workers", [(3, 3), (None, 1)])
-def test_workers_without_affinity_follow_cpu_count(monkeypatch, cpus, workers):
-    """Where os.sched_getaffinity is missing, one thread per CPU, at least one."""
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert mc._workers(7) == workers
+        assert stats == run(trials)
 
 
 SIMULATE_PROTOCOL = build_parser().parse_args(["simulate-protocol"])
@@ -381,17 +413,72 @@ def test_thresholds_match_float_tests(length, s_a, s_v, mismatches):
         assert (k >= t_v) == (k / length >= s_v)
 
 
+# ---------------------------------------------------------------------------
+# the exact repudiation probability against integer arithmetic
+
+
+def integer_repudiation_probability(length, mismatches, s_a, s_v):
+    """P(bob accepts and charlie rejects) at ``mismatches`` per string, as
+    a Fraction: every pair of kept counts, weighted by math.comb, through
+    the float tests on the two views."""
+    half = length // 2
+    weights = {j: math.comb(mismatches, j) * math.comb(length - mismatches, half - j)
+               for j in range(min(mismatches, half) + 1)}
+    weights = {j: w for j, w in weights.items() if w}
+    hits = sum(w_b * w_c for h_bb, w_b in weights.items() for h_cc, w_c in weights.items()
+               if (mismatches + h_bb - h_cc) / length < s_a
+               and (mismatches - h_bb + h_cc) / length >= s_v)
+    return Fraction(hits, math.comb(length, half) ** 2)
+
+
+# test_thresholds_match_float_tests' (s_a, s_v), at lengths of at most 200
+SMALL_CHECKS = [(200, 0.05, 0.15), (200, 0.2, 0.3), (100, 0.07, 0.2), (30, 0.1, 1.0)]
+
+
+@pytest.fixture(scope="module", params=SMALL_CHECKS, ids=["verify", "exact", "rounded-up",
+                                                          "unreachable"])
+def every_count(request):
+    """(length, s_a, s_v) and the integer probability at every mismatch count."""
+    length, s_a, s_v = request.param
+    return request.param, [integer_repudiation_probability(length, m, s_a, s_v)
+                           for m in range(length + 1)]
+
+
+def test_worst_count_is_the_brute_force_argmax(every_count):
+    (length, s_a, s_v), exact = every_count
+    # max keeps the first of equal values: ties go to the lower count
+    worst = max(range(length + 1), key=exact.__getitem__)
+    assert exact[worst] > 0
+    stats = mc.simulate_repudiation(length, s_a, s_v, 1, seed=0)
+    assert stats.detail["mismatches"] == worst
+    assert stats.detail["exact"] == pytest.approx(float(exact[worst]), rel=1e-9)
+
+
+def test_float_tail_matches_integers_at_every_count(every_count):
+    (length, s_a, s_v), exact = every_count
+    for m, probability in enumerate(exact):
+        tail = mc._repudiation_probability(length, m, s_a, s_v)
+        assert tail == pytest.approx(float(probability), rel=1e-9, abs=0.0), m
+
+
+def test_float_tail_at_verify_worst_count():
+    """verify's check at its worst count, 200 mismatches of 2,000 bits."""
+    exact = integer_repudiation_probability(2000, 200, 0.05, 0.15)
+    assert float(exact) == 1.5022208573110246e-27
+    assert mc._repudiation_probability(2000, 200, 0.05, 0.15) == pytest.approx(
+        1.5022208573110246e-27, rel=1e-9)
+    assert mc._repudiation_probability(2000, 199, 0.05, 0.15) < 1.5022208573110246e-27
+
+
 # the traced peak of one check at 600,000 trials: at most eight chunk-sized
-# int64 arrays per draw in flight; the repudiation check has one per CPU of
-# its 7 mismatch counts
+# int64 arrays per draw in flight
 MEMORY_TRIALS = 600_000
 MEMORY_LIMIT = 8 * 8 * mc._CHUNK
 
 
 @pytest.mark.parametrize("call,limit", [
     (lambda trials: mc.simulate_honest(2000, 0.04, 0.05, trials), MEMORY_LIMIT),
-    (lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials),
-     MEMORY_LIMIT * mc._workers(7)),
+    (lambda trials: mc.simulate_repudiation(2000, 0.05, 0.15, trials), MEMORY_LIMIT),
     (lambda trials: mc.simulate_forging(200, 0.3, 0.25, trials), MEMORY_LIMIT),
     *((lambda trials, bound=bound: mc.validate_bound(bound, 0.01, trials), MEMORY_LIMIT)
       for bound in mc.BOUND_IDS),

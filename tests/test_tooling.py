@@ -158,7 +158,7 @@ def test_engine_path_loads_no_numpy(tmp_path):
     assert probe["code"] == 0 and min(probe["rates"][:2]) > 0.0
     assert probe["engine"] == {"modules": ENGINE_MODULES, "numpy": False, "records": []}
     assert probe["numpy"] is False
-    # the repudiation check's thread pool loads with it, not with the CLI
+    # the CLI's import path starts no thread pool
     assert probe["futures"] is False
     assert {"mdiqds.cli", "mdiqds.optimize", "mdiqds.montecarlo"} <= set(probe["modules"])
     # the names bench/run.py patches still resolve, numpy or not
@@ -417,8 +417,8 @@ def test_every_package_function_is_reached(tmp_path, monkeypatch, capsys):
         if event == "call":
             entered.add(frame.f_code)
 
-    # the repudiation check's batches run on worker threads, which
-    # threading.setprofile reaches and sys.setprofile does not
+    # code on worker threads, should a command start any, is reached by
+    # threading.setprofile and not by sys.setprofile
     previous, previous_threads = sys.getprofile(), threading.getprofile()
     sys.setprofile(profile)
     threading.setprofile(profile)
