@@ -114,6 +114,9 @@ _SOB_SUFFIX_DELTA = 1e-4
 # A length probe is decided in entropy space only when its margin there
 # exceeds this; closer probes run the full chain (_Pipeline.feasible_at).
 _SCREEN_TAU = 1e-9
+# The margin that carries the full chain's verdict where the screen's does
+# not (_Pipeline.margin_at): nonzero, and far inside the tau band.
+_VERDICT_MARGIN = 1e-300
 
 EpsTerms = tuple[tuple[str, float], ...]
 
@@ -327,45 +330,57 @@ class _Pipeline(NamedTuple):
         secure = ordered and max(p_rob, p_rep, p_forge) <= ev.budget.epsilon
         return p_e, s_a, s_v, p_rob, p_rep, p_forge, secure
 
-    def feasible_at(self, length: float) -> bool:
-        """Whether signature length L meets the security level.
+    def margin_at(self, length: float) -> float:
+        """A signed margin of signature length L, > 0 exactly where L is feasible.
 
-        The length searches probe this; it builds no result, and
-        a failed keep-block projection answers False at once. Otherwise
-        the probe is decided in entropy space, without inverting H2:
-        where the projection passes, write d = p_E - E_keep. Then
-        P_rep <= epsilon iff d >= d_req(L) = sqrt(36 ln(2/epsilon) / L),
-        and d >= d_req orders the thresholds (security's module
+        The length searches probe this (or feasible_at, its sign); it
+        builds no result, and a failed keep-block projection answers -inf
+        at once. Otherwise the margin is taken in entropy space, without
+        inverting H2: where the projection passes, write d = p_E - E_keep.
+        Then P_rep <= epsilon iff d >= d_req(L) = sqrt(36 ln(2/epsilon) /
+        L), and d >= d_req orders the thresholds (security's module
         docstring). Where c = g_prob + eps_pe + eps_n + eps_e <= epsilon
         / 2, which also gives P_robust = 2 eps_pe <= epsilon, such a d
         leaves P_forge <= c + (epsilon/2)^4 < epsilon, so it never binds.
         So L is feasible iff p_req = E_keep + d_req(L) <= 1/2 and p_E >=
         p_req, and since H2 rises on [0, 1/2] and H2(p_E) is the clamped
-        rhs = 2 n_L1 / L (1 - H2(e_L1)), iff rhs >= H2(p_req).
+        rhs = 2 n_L1 / L (1 - H2(e_L1)), iff rhs >= H2(p_req). The
+        margin is rhs - H2(p_req), continued past p_req = 1/2 as rhs - 1
+        - (p_req - 1/2), which is negative.
 
-        The screen answers only with margin: False where p_req > 1/2 +
-        tau (p_E may be exactly 1/2), and rhs - H2(p_req) compared with
-        +-tau, tau = 1e-9, far above the 1e-13 error of the inverse and
-        the float error of the full chain. A probe inside the band, or a
-        budget with c > epsilon / 2 (ev.rep_log None), runs the full chain,
-        so every verdict is the one it gives.
+        The screen decides only with room: where p_req > 1/2 + tau (p_E
+        may be exactly 1/2), or where |rhs - H2(p_req)| > tau, tau =
+        1e-9, far above the 1e-13 error of the inverse and the float
+        error of the full chain. A probe inside the band, or any probe of
+        a budget with c > epsilon / 2 (ev.rep_log None, no screen), runs
+        the full chain, and the margin's sign is that chain's verdict: the
+        screen's value where it has that sign, else +-_VERDICT_MARGIN.
         """
         n_l1, e_l1, keep_ok, e_keep = self._keep(length)
         if not keep_ok:
-            return False
+            return -math.inf
         h_l1 = binary_entropy(e_l1)
         rep_log = self.ev.rep_log
+        margin = 0.0
         if rep_log is not None:
+            # eve_error_rate's right-hand side, clamped alike
+            rhs = min(max(2.0 * n_l1 / length * (1.0 - h_l1), 0.0), 1.0)
             p_req = e_keep + math.sqrt(rep_log / length)
-            if p_req > 0.5 + _SCREEN_TAU:
-                return False
-            if p_req <= 0.5:
-                # eve_error_rate's right-hand side, clamped alike
-                rhs = min(max(2.0 * n_l1 / length * (1.0 - h_l1), 0.0), 1.0)
+            if p_req > 0.5:
+                margin = rhs - 1.0 - (p_req - 0.5)
+                if p_req > 0.5 + _SCREEN_TAU:
+                    return margin
+            else:
                 margin = rhs - binary_entropy(p_req)
                 if abs(margin) > _SCREEN_TAU:
-                    return margin > 0.0
-        return self._at(length, n_l1, h_l1, e_keep)[-1]
+                    return margin
+        if self._at(length, n_l1, h_l1, e_keep)[-1]:
+            return margin if margin > 0.0 else _VERDICT_MARGIN
+        return margin if margin < 0.0 else -_VERDICT_MARGIN
+
+    def feasible_at(self, length: float) -> bool:
+        """Whether signature length L meets the security level: margin_at(L) > 0."""
+        return self.margin_at(length) > 0.0
 
     def outcome_at(self, length: int, rate: float, n_bits: float,
                    block_size: int | None = None) -> RateResult:
@@ -519,10 +534,12 @@ def _infeasible(ev: _Evaluation, reason: str) -> RateResult:
 def _run_smb(ev: _Evaluation, floor: float) -> RateResult:
     """smb1 (direct) or smb2 (x-derived) rate: the smallest feasible even L.
 
-    A positive floor turns into a half-length stop: only L below 2 * stop
-    gives a rate above the floor, so the solve starts at the largest such
-    L and searches down from it, and returns None at once when that L is
-    infeasible. Every length probe goes through solve_signature_length.
+    Without a floor the solve reads the pipeline's margin_at (regula
+    falsi on it). A positive floor turns into a half-length stop: only L
+    below 2 * stop gives a rate above the floor, so the solve starts at
+    the largest such L and searches down from it, and returns None at
+    once when that L is infeasible. Every length probe goes through
+    solve_signature_length.
     """
     n_pulses = ev.params.n_pulses
     pipe = _build_pipeline(ev, n_pulses)
@@ -531,7 +548,7 @@ def _run_smb(ev: _Evaluation, floor: float) -> RateResult:
     n_pool = pipe.n_pool
     l_max = _even_floor(n_pool / 2.0)
     stop = _rate_stop(lambda k: signed_bits(n_pool, 2 * k) / n_pulses, floor, l_max // 2)
-    length = solve_signature_length(pipe.feasible_at, l_max, stop=stop)
+    length = solve_signature_length(pipe.margin_at, l_max, stop=stop)
     if length is None:
         reason = "no feasible signature length" if stop is None else FLOOR_REASON
         return _infeasible(ev, reason)
@@ -627,10 +644,10 @@ def run_sob(params: SystemParams, cfg: IntensityConfig,
     """Sign-one-bit rate: a self-sufficient block of N_s pulse pairs.
 
     Within one block the whole key pool backs the single bit (L =
-    n_pool/2 per message value). The block size comes from the same
-    bisection as the signature length (smallest_feasible), started at a
-    fixed size, so the result does not depend on the total pulse count N
-    once N reaches the top of the geometric bracket around the found
+    n_pool/2 per message value). The block size comes from a bracketing
+    bisection (smallest_feasible), started at a fixed size, so the result
+    does not depend on the total pulse count N once N reaches the top of
+    the geometric bracket around the found
     block. Below that top the cap N cuts the bracket short, and the
     bisection can land on another transition: at the optimizer's
     REFERENCE_VECTOR, 25 km, N = 1e10 gives N_s = 4,817,187,104, while

@@ -239,20 +239,20 @@ def simulate_honest(length: int, error_rate: float, s_a: float,
     _check_rate("s_a", s_a)
     import numpy as np
     rng = np.random.default_rng(seed)
-    abort = _threshold(length, s_a, length)  # k / length >= s_a  <=>  k >= abort
+    abort = _threshold(length, s_a)  # k / length >= s_a  <=>  k >= abort
     aborts = _count(trials, lambda n: rng.binomial(length, error_rate, n), lambda k: k >= abort)
     bound = math.exp(-2.0 * length * (s_a - error_rate) ** 2) if error_rate < s_a else 1.0
     return _stats("honest-abort", trials, aborts, bound, seed,
                   {"length": length, "error_rate": error_rate, "s_a": s_a})
 
 
-def _threshold(length: int, share: float, top: int) -> int:
-    """Least k in [0, top] with ``k / length >= share``, or top + 1.
+def _threshold(length: int, share: float) -> int:
+    """Least k in [0, length] with ``k / length >= share``, or length + 1.
 
     A correctly rounded k / length never decreases as k grows, so a count
     k passes that float test exactly when it is at least the threshold.
     """
-    return bisect.bisect_left(range(top + 1), True, key=lambda k: k / length >= share)
+    return bisect.bisect_left(range(length + 1), True, key=lambda k: k / length >= share)
 
 
 def _success_limit(length: int, mismatches: int, s_a: float, s_v: float) -> int:
@@ -261,8 +261,8 @@ def _success_limit(length: int, mismatches: int, s_a: float, s_v: float) -> int:
     charlie sees mismatches - d and rejects. As a function of the count
     it is the tent min(t_a - m, m + 1 - t_v) of the module docstring."""
     # bob / length < s_a  <=>  d < accept;  charlie / length >= s_v  <=>  d < reject
-    accept = _threshold(length, s_a, length) - mismatches
-    reject = mismatches + 1 - _threshold(length, s_v, length)
+    accept = _threshold(length, s_a) - mismatches
+    reject = mismatches + 1 - _threshold(length, s_v)
     return min(accept, reject)
 
 
@@ -330,7 +330,7 @@ def simulate_repudiation(length: int, s_a: float, s_v: float, trials: int,
         raise ValueError(f"need 0 <= s_a < s_v <= 1, got s_a={s_a}, s_v={s_v}")
     bound = 2.0 * math.exp(-0.25 * (s_v - s_a) ** 2 * length)
     # where _success_limit's tent min(t_a - m, m + 1 - t_v) peaks
-    cross = (_threshold(length, s_a, length) + _threshold(length, s_v, length) - 1) // 2
+    cross = (_threshold(length, s_a) + _threshold(length, s_v) - 1) // 2
     # max keeps the first of equal probabilities, so ties go to the lower m
     m, exact = max(((m, _repudiation_probability(length, m, s_a, s_v))
                     for m in (cross, cross + 1)), key=lambda run: run[1])
@@ -357,7 +357,7 @@ def simulate_forging(length: int, p_e: float, s_v: float, trials: int,
     import numpy as np
     rng = np.random.default_rng(seed)
     half = length // 2
-    caught = _threshold(half, s_v, half)  # k / half < s_v  <=>  k < caught
+    caught = _threshold(half, s_v)  # k / half < s_v  <=>  k < caught
     successes = _count(trials, lambda n: rng.binomial(half, p_e, size=n), lambda k: k < caught)
     gap = p_e - s_v
     bound = math.exp(-2.0 * half * gap * gap) if gap > 0 else 1.0

@@ -5,14 +5,15 @@ this module evaluates the three protocol failure probabilities
 (robustness, repudiation, forging), derives the acceptance/verification
 thresholds from the forger's minimum error rate, and holds the searches
 for the even block length meeting the target security level and for the
-sign-one-bit model's self-sufficient block size. One bracketing
-bisection (smallest_feasible) serves the block size and every length
-solve without a stop. Where feasibility is monotone it returns the
-smallest feasible size; where it is not (sob's block size, at the scale
-of single pulses), it returns the bisection's transition: a feasible
-size whose predecessor is infeasible. A length solve with a stop
-searches down from the stop instead, which relies on feasibility being
-monotone in L.
+sign-one-bit model's self-sufficient block size. A bracketing
+bisection (smallest_feasible) serves the block size: its feasibility is
+not monotone at the scale of single pulses, and the bisection returns
+the transition it lands on, a feasible size whose predecessor is
+infeasible. The length solves rely on feasibility being monotone in L
+and read a signed margin, positive exactly where L is feasible. Without
+a stop, regula falsi on that margin (the Illinois variant) closes on
+the smallest feasible L; with a stop, the solve searches down from the
+stop.
 
 The forging bound's tail term p_F (the probability that a forger forced
 to error rate at least p_E on the L/2 unknown bits still lands below the
@@ -46,6 +47,10 @@ __all__ = [
     "smallest_feasible",
     "solve_signature_length",
 ]
+
+# A cold length solve bisects once its last this many steps together have
+# not halved its bracket (_regula_falsi).
+_CHORD_WINDOW = 4
 
 
 class _SecurityBudgetFields(NamedTuple):
@@ -149,8 +154,7 @@ def smallest_feasible(feasible: Callable[[int], bool], start: int, cap: int,
     cap among them, without building a block (models.run_sob). Under
     monotone feasibility that is the smallest feasible n; otherwise it
     is the transition this bisection lands on. It serves sob's block
-    size, whose feasibility is not monotone, and the length solves that
-    have no stop.
+    size, whose feasibility is not monotone.
 
     The answer always lies in the bracket, so a search with a stop gives
     up, returning None, as soon as lo + 1 >= stop: every answer left is
@@ -201,35 +205,84 @@ def _gallop_down(feasible: Callable[[int], bool], lo: int, hi: int) -> int:
     return _bisect(feasible, max(lo, hi - step), hi, hi + 1)
 
 
-def solve_signature_length(feasible_at: Callable[[int], bool], l_max: int, *,
-                           stop: int | None = None) -> int | None:
-    """Smallest even L in [2, l_max] accepted by feasible_at, or None.
+def _regula_falsi(margin: Callable[[int], float], hi: int, f_hi: float) -> int:
+    """The k in [1, hi] that Illinois regula falsi on margin ends on.
 
-    The search runs over the half-length k = L/2 and assumes feasibility
-    monotone in L. The sign-multiple-bits pipelines have that property:
-    their pool-level e_Z1 is fixed, so no ceil enters the L chain, and
+    margin(k) > 0 marks k feasible, and f_hi = margin(hi) > 0. The
+    bracket (lo, hi] starts from the edge lo = 0, read as -inf. Each step
+    probes the zero of the chord through (ln lo, f_lo) and (ln hi, f_hi),
+    rounded up, inside the open bracket. When two steps in a row move the
+    same end, the margin of the end kept both times is halved (the
+    Illinois variant, Dowell and Jarratt 1971), so neither end stalls.
+    It probes the geometric midpoint instead while the lower end reads
+    -inf (a failed keep projection, or the edge), or when the last
+    _CHORD_WINDOW steps together did not halve the bracket in ln k, so
+    a margin that is a step (a bool) costs O(log hi) probes too. It
+    ends on hi = lo + 1, with hi probed feasible and lo probed
+    infeasible (or 0): under monotone feasibility, the smallest
+    feasible k.
+    """
+    lo, x_lo, f_lo = 0, -math.inf, -math.inf  # x: ln k
+    x_hi = math.log(hi)
+    kept = 0  # +1 when the last step moved hi, -1 when it moved lo
+    widths = [math.inf] * _CHORD_WINDOW  # x_hi - x_lo before each step
+    while hi - lo > 1:
+        width = x_hi - x_lo
+        if f_lo == -math.inf or width > widths[-_CHORD_WINDOW] / 2.0:
+            k = math.isqrt(max(lo, 1) * hi)
+        else:
+            k = math.ceil(math.exp(x_hi - f_hi * width / (f_hi - f_lo)))
+        widths.append(width)
+        k = min(max(k, lo + 1), hi - 1)
+        f = margin(k)
+        if f > 0.0:
+            hi, x_hi, f_hi = k, math.log(k), f
+            if kept == 1:
+                f_lo /= 2.0
+            kept = 1
+        else:
+            lo, x_lo, f_lo = k, math.log(k), f
+            if kept == -1:
+                f_hi /= 2.0
+            kept = -1
+    return hi
+
+
+def solve_signature_length(margin_at: Callable[[int], float], l_max: int, *,
+                           stop: int | None = None) -> int | None:
+    """Smallest even L in [2, l_max] with margin_at(L) > 0, or None.
+
+    margin_at(L) is a signed margin of L's security, positive exactly
+    where L is feasible (models._Pipeline.margin_at). The search runs
+    over the half-length k = L/2 and assumes feasibility monotone in L.
+    The sign-multiple-bits pipelines have that property: their
+    pool-level e_Z1 is fixed, so no ceil enters the L chain, and
     2 n_L1 / L = n_Z1/|Z| - 2 Lambda(|Z|, L/2) / L rises with L. Then
     e_L1 falls and p_E rises, E_keep falls and L (p_E - E_keep)^2
     rises, and P_rep and P_forge fall (tests/test_models.py checks this
     over seeded pipelines).
 
-    Without a stop, smallest_feasible brackets upward from k = 1. A stop
-    is a half-length: only k < stop is wanted, so the search probes
-    h = min(l_max // 2, stop - 1) once and returns None when h is
-    infeasible (or below 1): no length left can beat the floor behind
-    the stop. Otherwise it gallops down from h in steps of 1, 2, 4, ...
-    to the first infeasible probe (or 0) and bisects that short bracket.
-    Under monotone feasibility both paths return the same L whenever
-    k < stop, and the stopped one makes no probe at or above the stop.
+    Without a stop, the search probes the cap k = l_max // 2 first, so
+    an infeasible solve costs one probe, and then runs _regula_falsi on
+    the margin below it, which ends on a probed pair (k - 1 infeasible,
+    k feasible). A stop is a half-length: only k < stop is wanted, so
+    the search probes h = min(l_max // 2, stop - 1) once and returns None
+    when h is infeasible (or below 1): no length left can beat the floor
+    behind the stop. Otherwise it gallops down from h in steps of 1, 2,
+    4, ... to the first infeasible probe (or 0) and bisects that short
+    bracket, reading only the margin's sign. Under monotone feasibility
+    both paths return the same L whenever k < stop, and the stopped one
+    makes no probe at or above the stop.
     """
-    def feasible(k: int) -> bool:
-        return feasible_at(2 * k)
+    def margin(k: int) -> float:
+        return margin_at(2 * k)
 
+    k = l_max // 2 if stop is None else min(l_max // 2, stop - 1)
+    if k < 1:
+        return None
+    f = margin(k)
+    if not f > 0.0:
+        return None
     if stop is None:
-        k = smallest_feasible(feasible, 1, l_max // 2)
-    else:
-        k = min(l_max // 2, stop - 1)
-        if k < 1 or not feasible(k):
-            return None
-        k = _gallop_down(feasible, 0, k)
-    return None if k is None else 2 * k
+        return 2 * _regula_falsi(margin, k, f)
+    return 2 * _gallop_down(lambda n: margin(n) > 0.0, 0, k)

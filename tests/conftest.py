@@ -17,12 +17,13 @@ def sweep_pass():
     Counts the forger-rate inversions (models.eve_error_rate, one inverse
     H2 each), the pipeline builds and the optimizer's evaluations, in all
     and per descent ("descents", in call order), keeps the CSV it prints
-    ("stdout") and every (pipeline, L) the length searches probed.
+    ("stdout") and every (pipeline, L) the length searches probed (each
+    probe reads _Pipeline.margin_at, feasible_at through it).
     """
     counts = {"inverse": 0, "builds": 0, "evals": 0, "descents": []}
     probes = []
     eve, build = models.eve_error_rate, models._build_pipeline
-    descent, feasible_at = optimize.coordinate_descent, models._Pipeline.feasible_at
+    descent, margin_at = optimize.coordinate_descent, models._Pipeline.margin_at
 
     def counting_eve(*args):
         counts["inverse"] += 1
@@ -38,14 +39,14 @@ def sweep_pass():
         counts["descents"].append(point.evaluations)
         return point
 
-    def recording_feasible_at(self, length):
+    def recording_margin_at(self, length):
         probes.append((self, length))
-        return feasible_at(self, length)
+        return margin_at(self, length)
 
     patches = [(models, "eve_error_rate", counting_eve),
                (models, "_build_pipeline", counting_build),
                (optimize, "coordinate_descent", counting_descent),
-               (models._Pipeline, "feasible_at", recording_feasible_at)]
+               (models._Pipeline, "margin_at", recording_margin_at)]
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
     try:
         for owner, name, value in patches:

@@ -492,8 +492,10 @@ class TestSimulateProtocol:
             assert label in out
 
     def test_default_report_pinned(self, capsys):
-        """The default report, byte for byte: its repudiation batches run on
-        the same thread pool as verify's."""
+        """The default report, byte for byte: its repudiation check is
+        simulate_repudiation, as verify's is: one batch, at the mismatch
+        count of largest exact success probability, with each recipient's
+        half drawn from its own generator."""
         code, out, _ = run_cli(capsys, "simulate-protocol")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_PROTOCOL_SHA256

@@ -316,7 +316,7 @@ class TestRunners:
             l_max = models._even_floor(pipe.n_pool / 2.0)
             if l_max < 2:
                 continue
-            answer = security.solve_signature_length(pipe.feasible_at, l_max)
+            answer = security.solve_signature_length(pipe.margin_at, l_max)
             k_max = l_max // 2
             halves = {int(k) for k in np.geomspace(1, k_max, 400)}
             if answer is not None:
@@ -553,7 +553,8 @@ def test_sob_builds_one_pipeline_per_block_probe(monkeypatch):
 
 
 def test_failed_projection_skips_security_chain(monkeypatch):
-    """feasible_at answers False on a failed keep-block projection at once."""
+    """margin_at answers -inf, and feasible_at False, on a failed keep-block
+    projection at once."""
     params = SystemParams(distance_km=50.0, n_pulses=1e12)
     pipe = models._build_pipeline(evaluation(params, CFG), params.n_pulses)
     assert not reference_chain.project_to_keep(pipe.n_z1, pipe.e_z1, pipe.z_signal, 2,
@@ -566,6 +567,7 @@ def test_failed_projection_skips_security_chain(monkeypatch):
         return eve(*args)
 
     monkeypatch.setattr(models, "eve_error_rate", counting_eve)
+    assert pipe.margin_at(2) == -math.inf
     assert pipe.feasible_at(2) is False
     assert calls == []
     # the full chain, which outcome_at still runs, agrees
@@ -595,8 +597,9 @@ def test_sweep_decides_most_length_probes_without_inverting_h2(sweep_pass):
 def screened_verdicts(probes, monkeypatch):
     """(screened, exact, fell_back) for every (pipeline, L) probe.
 
-    screened is feasible_at's answer, exact the full chain's (outcome_at,
-    which keeps the inverse), and fell_back whether feasible_at ran the
+    screened is the sign of margin_at (feasible_at's answer, which the
+    length searches act on), exact the full chain's verdict (outcome_at,
+    which keeps the inverse), and fell_back whether margin_at ran the
     full chain (_Pipeline._at) itself.
     """
     calls = []
@@ -610,7 +613,8 @@ def screened_verdicts(probes, monkeypatch):
     verdicts = []
     for pipe, length in probes:
         before = len(calls)
-        screened = pipe.feasible_at(length)
+        screened = pipe.margin_at(length) > 0.0
+        assert pipe.feasible_at(length) is screened
         fell_back = len(calls) > before
         verdicts.append((screened, full_chain(pipe, length), fell_back))
     return verdicts
@@ -653,14 +657,14 @@ def solve_probes(pipe):
     """L probes around the pipeline's solved length, and log-spaced over [2, l_max]."""
     l_max = models._even_floor(pipe.n_pool / 2.0)
     lengths = {models._even_floor(v) for v in np.geomspace(2, l_max, 12)}
-    answer = security.solve_signature_length(pipe.feasible_at, l_max)
+    answer = security.solve_signature_length(pipe.margin_at, l_max)
     if answer is not None:
         lengths.update(answer + step for step in (-4, -2, -1, 0, 1, 2, 4))
     return [(pipe, length) for length in sorted(lengths) if 2 <= length <= l_max]
 
 
 def test_screen_agrees_with_the_full_chain(sweep_pass, monkeypatch):
-    """feasible_at's screened verdict is the full chain's on every probe.
+    """The sign of margin_at is the full chain's verdict on every probe.
 
     The probes: every length probe of a seed-0 optimized sweep pass,
     every probe of a rate-grid slice (cold solves, many infeasible
@@ -675,14 +679,14 @@ def test_screen_agrees_with_the_full_chain(sweep_pass, monkeypatch):
     assert 0 < decided < total
 
     grid_probes = []
-    feasible_at = models._Pipeline.feasible_at
+    margin_at = models._Pipeline.margin_at
 
-    def recording_feasible_at(self, length):
+    def recording_margin_at(self, length):
         grid_probes.append((self, length))
-        return feasible_at(self, length)
+        return margin_at(self, length)
 
     with monkeypatch.context() as patch:
-        patch.setattr(models._Pipeline, "feasible_at", recording_feasible_at)
+        patch.setattr(models._Pipeline, "margin_at", recording_margin_at)
         cfg = config_from_vector(REFERENCE_VECTOR)
         for distance in range(0, 301, 20):
             for n_pulses in (1e11, 1e12, 1e13, 1e14, 1e15, 1e16):
@@ -717,6 +721,80 @@ def test_screen_off_where_the_forging_ledger_may_bind(budget, monkeypatch):
     verdicts = screened_verdicts(probes, monkeypatch)
     assert len(verdicts) >= 10
     assert all(s == e and fell_back for s, e, fell_back in verdicts)
+
+
+def bisected_length(margin_at, l_max):
+    """The cold L of security.smallest_feasible's bracketing bisection."""
+    k = security.smallest_feasible(lambda k: margin_at(2 * k) > 0.0, 1, l_max // 2)
+    return None if k is None else 2 * k
+
+
+def test_cold_length_solves_of_the_rate_grid(monkeypatch):
+    """Over the rate grid's smb evaluations (run_model at 61 distances,
+    0-300 km, by 6 pulse counts, 1e11-1e16, at REFERENCE_VECTOR), every
+    cold L solve returns smallest_feasible's length, and the solves make
+    at most 6 L probes each on average: 2,940 over 561 solves, where the
+    bracketing bisection made 7,880 (14.05 per solve)."""
+    solve = models.solve_signature_length
+    seen = {"solves": 0, "probes": 0, "solved": 0}
+
+    def checked_solve(margin_at, l_max, *, stop=None):
+        def probe(length):
+            seen["probes"] += 1
+            return margin_at(length)
+
+        assert stop is None
+        got = solve(probe, l_max, stop=stop)
+        assert got == bisected_length(margin_at, l_max)
+        seen["solves"] += 1
+        seen["solved"] += got is not None
+        return got
+
+    monkeypatch.setattr(models, "solve_signature_length", checked_solve)
+    cfg = config_from_vector(REFERENCE_VECTOR)
+    for distance in range(0, 301, 5):
+        for n_pulses in (1e11, 1e12, 1e13, 1e14, 1e15, 1e16):
+            params = SystemParams(distance_km=float(distance), n_pulses=n_pulses)
+            for model in ("smb1", "smb2"):
+                models.run_model(model, params, cfg)
+    assert seen["solves"] == 561 and seen["solved"] >= 200, seen
+    assert seen["probes"] <= 6 * seen["solves"], seen
+
+
+def test_cold_length_solve_is_the_bisections_on_seeded_pipelines():
+    """The cold L equals smallest_feasible's on seeded smb pipelines.
+
+    Varied links, pulse counts and budgets, both routes; among them
+    budgets with no entropy-space screen (ev.rep_log None), whose margin
+    carries the full chain's verdict alone, and pipelines whose small
+    lengths fail the keep projection (margin -inf).
+    """
+    rng = np.random.default_rng(1971)
+    space = qds_search_space()
+    lo, hi = np.asarray(space.lower), np.asarray(space.upper)
+    seen = {"solved": 0, "no length": 0, "no screen": 0, "keep fails at 2": 0}
+    for _ in range(300):
+        cfg = config_from_vector(space.clip_project(lo + rng.uniform(size=5) * (hi - lo)))
+        params = SystemParams(distance_km=float(rng.uniform(0.0, 200.0)),
+                              n_pulses=float(10 ** rng.uniform(9.0, 17.0)))
+        epsilon = float(10 ** rng.uniform(-10.0, -2.0))
+        # a third of the budgets spend over half of epsilon on g_prob: no screen
+        g_prob = (epsilon * float(rng.uniform(0.55, 0.95)) if rng.uniform() < 1 / 3
+                  else float(10 ** rng.uniform(-15.0, -6.0)))
+        budget = SecurityBudget(epsilon=epsilon, eps_pe=float(10 ** rng.uniform(-15.0, -6.0)),
+                                eps_sf=float(10 ** rng.uniform(-15.0, -6.0)), g_prob=g_prob)
+        pipe = models._build_pipeline(evaluation(params, cfg, budget, rng.uniform() < 0.5),
+                                      params.n_pulses)
+        if isinstance(pipe, str) or pipe.n_pool < 4.0:
+            continue
+        l_max = models._even_floor(pipe.n_pool / 2.0)
+        got = security.solve_signature_length(pipe.margin_at, l_max)
+        assert got == bisected_length(pipe.margin_at, l_max)
+        seen["solved" if got is not None else "no length"] += 1
+        if got is not None:
+            seen["no screen"] += pipe.ev.rep_log is None
+            seen["keep fails at 2"] += pipe.margin_at(2) == -math.inf
+    assert min(seen.values()) >= 5, seen
 
 
 def test_keep_block_is_bit_identical_to_the_reference():

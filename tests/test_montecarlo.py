@@ -393,22 +393,21 @@ class TestChunkedCounts:
 SIMULATE_PROTOCOL = build_parser().parse_args(["simulate-protocol"])
 
 
-# (length, s_a, s_v, mismatches); 0.07 * 100 rounds up past 7, and 7 / 100,
-# 40 / 200 and 60 / 200 land exactly on a threshold
-@pytest.mark.parametrize("length,s_a,s_v,mismatches", [
-    (2000, 0.05, 0.15, 280),
-    (SIMULATE_PROTOCOL.length, SIMULATE_PROTOCOL.s_a, SIMULATE_PROTOCOL.s_v,
-     SIMULATE_PROTOCOL.length // 2),
-    (200, 0.2, 0.3, 50),
-    (100, 0.07, 0.2, 50),
-    (30, 0.1, 1.0, 10),
+# (length, s_a, s_v); 0.07 * 100 rounds up past 7, 7 / 100, 40 / 200 and
+# 60 / 200 land exactly on a threshold, and s_v = 1 sets it at the top count
+@pytest.mark.parametrize("length,s_a,s_v", [
+    (2000, 0.05, 0.15),
+    (SIMULATE_PROTOCOL.length, SIMULATE_PROTOCOL.s_a, SIMULATE_PROTOCOL.s_v),
+    (200, 0.2, 0.3),
+    (100, 0.07, 0.2),
+    (30, 0.1, 1.0),
 ], ids=["verify", "simulate-protocol", "exact", "rounded-up", "unreachable"])
-def test_thresholds_match_float_tests(length, s_a, s_v, mismatches):
-    """A count passes a threshold exactly when it passes the float test."""
-    top = 2 * mismatches
-    t_a = mc._threshold(length, s_a, top)
-    t_v = mc._threshold(length, s_v, top)
-    for k in range(top + 1):
+def test_thresholds_match_float_tests(length, s_a, s_v):
+    """A count passes a threshold exactly when it passes the float test,
+    for every count k up to the length."""
+    t_a = mc._threshold(length, s_a)
+    t_v = mc._threshold(length, s_v)
+    for k in range(length + 1):
         assert (k < t_a) == (k / length < s_a)
         assert (k >= t_v) == (k / length >= s_v)
 

@@ -605,19 +605,26 @@ def test_floored_sob_descent_build_count_is_bounded(monkeypatch):
 
 @pytest.mark.parametrize("model", ("smb1", "smb2"))
 def test_floor_saves_length_probes_in_a_warm_descent(model, monkeypatch):
-    """A warm smb descent makes <= 25% of the length probes with floors."""
+    """A warm smb descent makes under a third of the length probes with floors.
+
+    The floored solves probe the largest length that could beat the floor
+    and gallop down from it; their count is pinned. The unfloored descent's
+    cold solves run regula falsi on the margin, 1,175 (smb1) and 1,155
+    (smb2) probes, where the bracketing bisection made 3,375 and 3,458.
+    """
     calls = {"probes": 0}
-    feasible_at = models._Pipeline.feasible_at
+    margin_at = models._Pipeline.margin_at
 
-    def counting_feasible_at(self, length):
+    def counting_margin_at(self, length):
         calls["probes"] += 1
-        return feasible_at(self, length)
+        return margin_at(self, length)
 
-    monkeypatch.setattr(models._Pipeline, "feasible_at", counting_feasible_at)
+    monkeypatch.setattr(models._Pipeline, "margin_at", counting_margin_at)
     objective = rate_objective(SystemParams(distance_km=100.0, n_pulses=1e13), model)
     space = qds_search_space(initial=SWEEP_WARM_100KM)
     floored = coordinate_descent(objective, space)
     probes_floored, calls["probes"] = calls["probes"], 0
     exact = coordinate_descent(lambda x, floor: objective(x, 0.0), space)
     assert floored == exact
-    assert probes_floored <= 0.25 * calls["probes"]
+    assert probes_floored <= {"smb1": 175, "smb2": 346}[model]
+    assert probes_floored < calls["probes"] / 3

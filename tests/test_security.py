@@ -145,10 +145,15 @@ class TestSolveSignatureLength:
     def test_odd_cap(self):
         assert security.solve_signature_length(lambda L: L >= 1999, 2001) == 2000
 
-    def test_non_monotone_island_found_by_bracket(self):
+    def test_non_monotone_answer_is_a_probed_transition(self):
+        # the solve assumes feasibility monotone in L; off that contract its
+        # answer is still a probed feasible L whose probed predecessor is not
         feasible = {6, 8, 12}.union(range(64, 10_001))
-        got = security.solve_signature_length(lambda L: L in feasible, 10_000)
-        assert got == 6
+        probes: list[int] = []
+        got = security.solve_signature_length(
+            lambda L: probes.append(L) or L in feasible, 10_000)
+        assert got in feasible and got in probes
+        assert got == 2 or (got - 2 in probes and got - 2 not in feasible)
 
     def test_answer_is_a_transition_of_a_non_monotone_predicate(self):
         # feasible from 9 on, except at 10: the bracket (4, 16] bisects
@@ -252,18 +257,45 @@ class TestFlooredLengthSolve:
                 outcomes["stopped" if cold is not None else "infeasible"] += 1
         assert min(outcomes.values()) >= 50, outcomes
 
-    def test_without_a_stop_the_probes_are_the_bracketing_search(self):
+    def test_cold_answer_is_smallest_feasibles_on_a_probed_pair(self):
+        """The cold solve returns smallest_feasible's length over monotone
+        thresholds, whatever the margin's shape, and ends on a probed pair.
+
+        The margins: a step (a bool), a line, a curve steep below the
+        threshold that saturates above it, and one that reads -inf (a
+        failed keep projection) up to a point below the threshold.
+        """
+        def margins(threshold):
+            yield lambda L: L >= threshold
+            yield lambda L: L - threshold + 1.0
+            yield lambda L: math.tanh(math.log((L + 0.5) / threshold))
+            yield lambda L: -math.inf if 3 * L < threshold else math.log(L / (threshold - 0.5))
+
         rng = np.random.default_rng(11)
+        outcomes = {"answer": 0, "infeasible": 0}
         for _ in range(200):
             l_max = int(10 ** rng.uniform(0.0, 12.0))
-            threshold = int(rng.integers(1, l_max + 3))
-            probes: list[int] = []
-            security.solve_signature_length(
-                lambda L: probes.append(L) or L >= threshold, l_max)
-            halves: list[int] = []
-            security.smallest_feasible(
-                lambda k: halves.append(k) or 2 * k >= threshold, 1, l_max // 2)
-            assert probes == [2 * k for k in halves]
+            threshold = int(10 ** rng.uniform(0.0, math.log10(l_max + 1)))
+            if rng.uniform() < 0.2:
+                threshold = l_max + int(rng.integers(1, 3))  # no length is feasible
+            k = security.smallest_feasible(lambda k: 2 * k >= threshold, 1, l_max // 2)
+            want = None if k is None else 2 * k
+            for margin in margins(threshold):
+                probes: list[int] = []
+                got = security.solve_signature_length(
+                    lambda L: probes.append(L) or margin(L), l_max)
+                assert got == want
+                # the cap first; an infeasible cap is the only probe
+                assert probes[:1] == ([2 * (l_max // 2)] if l_max >= 2 else [])
+                if want is None:
+                    assert len(probes) <= 1
+                    continue
+                assert got in probes and (got == 2 or got - 2 in probes)
+                # no linear crawl: four steps that do not halve the bracket
+                # are followed by a bisection
+                assert len(probes) <= 5 * (l_max.bit_length() + 6)
+            outcomes["answer" if want is not None else "infeasible"] += 1
+        assert min(outcomes.values()) >= 30, outcomes
 
     def test_answer_at_the_first_probe_and_at_the_bottom(self):
         probes: list[int] = []

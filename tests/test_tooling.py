@@ -233,9 +233,9 @@ def test_floored_smb1_passes_its_stop_by_keyword(monkeypatch):
     solves = []
     solve = models.solve_signature_length
 
-    def recording(feasible_at, *args, **kwargs):
+    def recording(margin_at, *args, **kwargs):
         solves.append((args, kwargs))
-        return solve(feasible_at, *args, **kwargs)
+        return solve(margin_at, *args, **kwargs)
 
     monkeypatch.setattr(models, "solve_signature_length", recording)
     params = SystemParams(distance_km=50.0, n_pulses=1e13)
@@ -268,7 +268,7 @@ def test_floored_descent_calls_run_smb1_by_its_name(monkeypatch):
     assert sum(floor > 0.0 for floor in floors) >= 0.9 * len(floors)
 
 
-# bench/tracing.py counts length probes by wrapping the feasible_at that
+# bench/tracing.py counts length probes by wrapping the margin_at that
 # models.solve_signature_length receives: every probe of an smb evaluation
 # must go through that argument, floored or not.
 @pytest.mark.parametrize("runner", ("run_smb1", "run_smb2"))
@@ -277,19 +277,19 @@ def test_every_length_probe_goes_through_solve_signature_length(runner, monkeypa
     from mdiqds.channel import IntensityConfig, SystemParams
 
     calls = {"direct": 0, "solve": 0}
-    feasible_at, solve = models._Pipeline.feasible_at, models.solve_signature_length
+    margin_at, solve = models._Pipeline.margin_at, models.solve_signature_length
 
     def direct(self, length):
         calls["direct"] += 1
-        return feasible_at(self, length)
+        return margin_at(self, length)
 
-    def counted_solve(feasible_at, *args, **kwargs):
+    def counted_solve(margin_at, *args, **kwargs):
         def probe(length):
             calls["solve"] += 1
-            return feasible_at(length)
+            return margin_at(length)
         return solve(probe, *args, **kwargs)
 
-    monkeypatch.setattr(models._Pipeline, "feasible_at", direct)
+    monkeypatch.setattr(models._Pipeline, "margin_at", direct)
     monkeypatch.setattr(models, "solve_signature_length", counted_solve)
     run = getattr(models, runner)
     params = SystemParams(distance_km=50.0, n_pulses=1e13)
