@@ -42,6 +42,13 @@ batch draws each recipient's half from its own spawned child of
 generator's chunks join up to its own one-shot draw of all trials, so a
 check's memory does not grow with the number of trials. Every check
 rejects more than 1e8 trials before it draws.
+
+Since every check draws from generators of its own, checks are
+independent jobs: ``run_jobs`` runs them side by side on the usable
+CPUs (numpy releases the interpreter lock while it samples) and returns
+their results in a fixed order, so a report built from them is
+byte-identical at any CPU count. On one CPU it runs them in order on
+the calling thread.
 """
 from __future__ import annotations
 
@@ -49,6 +56,8 @@ import bisect
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -61,12 +70,13 @@ from .bounds import (
 )
 
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator
+    from collections.abc import Callable, Iterator, Sequence
 
     import numpy as np
 
 __all__ = [
     "BOUND_IDS",
+    "SHARED_DRAW_IDS",
     "TrialStats",
     "KeyMaterial",
     "make_key_material",
@@ -76,10 +86,13 @@ __all__ = [
     "simulate_repudiation",
     "simulate_forging",
     "validate_bound",
+    "run_jobs",
 ]
 
 BOUND_IDS = ("hoeffding", "serfling_fraction", "serfling_count",
              "sampling_lambda", "eq3_penalty")
+# The ids whose checks count one hypergeometric draw (see validate_bound)
+SHARED_DRAW_IDS = ("serfling_fraction", "serfling_count", "sampling_lambda")
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _CHUNK = 8_192  # trials drawn and counted at a time
@@ -144,6 +157,56 @@ def _stats(label: str, trials: int, successes: int, bound: float, seed: int,
                       frequency=successes / trials,
                       wilson99_upper=wilson_upper(int(successes), trials),
                       bound=bound, seed=seed, detail=detail)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def run_jobs(jobs: Sequence[Callable[[], object]]) -> list:
+    """The results of ``jobs``, in their order, run side by side.
+
+    min(len(jobs), usable CPUs) threads, the calling thread one of them,
+    pull the jobs from one queue in their order, so with one CPU no
+    thread starts and the jobs run in order on the calling thread. Every
+    helper thread is joined before this returns or raises. Once a job
+    raises, no job that has not started runs; the first exception in
+    the jobs' order is re-raised as it is.
+    """
+    results: list = [None] * len(jobs)
+    failed: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    queue = iter(range(len(jobs)))
+
+    def work() -> None:
+        while True:
+            with lock:
+                index = None if failed else next(queue, None)
+            if index is None:
+                return
+            try:
+                results[index] = jobs[index]()
+            except BaseException as exc:  # re-raised on the calling thread
+                with lock:
+                    failed[index] = exc
+                return
+
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(min(len(jobs), _usable_cpus()) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +493,7 @@ def validate_bound(bound: str, eps: float, trials: int, seed: int = 0,
         return _stats(bound, trials, violations, eps, seed, detail)
     # each outcome k, as the int64 a draw holds, through the same comparison
     k = np.arange(sample + 1, dtype=np.int64)
-    if bound in ("serfling_fraction", "serfling_count", "sampling_lambda"):
+    if bound in SHARED_DRAW_IDS:
         y = sample
         x = population - y
         marked = population // 2

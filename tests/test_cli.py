@@ -149,9 +149,12 @@ class TestRate:
 
 # SHA-256 of the stdout of `mdiqds sweep --optimize --model all --pulses 1e13
 # --start 0 --stop 150 --step 25`, version comment included
-OPTIMIZED_SWEEP_SHA256 = "f3788c4ad35cd9d9de63b4c63771727b08fd95523fa791cdbcd1cfab60042a6a"
+OPTIMIZED_SWEEP_SHA256 = "87615349374f562cccb05bba2981e4807597a67ceab95cf35a897e6ddd525c01"
 # SHA-256 of the stdout of `mdiqds verify --eps 0.01 --trials 1000000 --seed 0
 # --bounds hoeffding,serfling_fraction,serfling_count,sampling_lambda,eq3_penalty`
+MC_VERIFY_ARGV = ("verify", "--eps", "0.01", "--trials", "1000000", "--seed", "0",
+                  "--bounds", "hoeffding,serfling_fraction,serfling_count,"
+                              "sampling_lambda,eq3_penalty")
 MC_VERIFY_SHA256 = "5a316b4e0dd355be068df27a609641fbb854c68fef808febe69fca4e933dc48f"
 # SHA-256 of the stdout of `mdiqds simulate-protocol`, all options at their
 # defaults
@@ -169,6 +172,7 @@ class TestSweep:
         assert len(records) == 3 * 31
         assert comments[0].startswith("# mdiqds csv schema v")
         assert "seed=0" in comments[1]
+        assert comments[2] == "# estimator=channel-model (1,1) means"
         distances = [float(r["distance_km"]) for r in records]
         assert distances == sorted(distances)
 
@@ -249,6 +253,7 @@ class TestSweep:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"].startswith("mdiqds-records-v")
+        assert doc["estimator"] == "channel-model (1,1) means"
         assert len(doc["records"]) == 2
         assert all("n_pool" in r for r in doc["records"])
 
@@ -386,6 +391,11 @@ class TestOptimize:
         assert f"got a_d2 = {a_d2}" in err
 
 
+def usable_cpus(monkeypatch, count: int) -> None:
+    """Make the Monte Carlo jobs see ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--trials", "20000", "--seed", "1")
@@ -398,18 +408,18 @@ class TestVerify:
     def test_verify_output_pinned(self, capsys):
         """The benchmark's seed-0 verify report, byte for byte: its counts
         cross 122 chunk edges of every check."""
-        code, out, _ = run_cli(capsys, "verify", "--eps", "0.01", "--trials", "1000000",
-                               "--seed", "0", "--bounds",
-                               "hoeffding,serfling_fraction,serfling_count,"
-                               "sampling_lambda,eq3_penalty")
+        code, out, _ = run_cli(capsys, *MC_VERIFY_ARGV)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == MC_VERIFY_SHA256
 
-    def test_no_thread_outlives_the_run(self, capsys):
-        """The repudiation check's worker threads end with the call."""
+    def test_no_thread_outlives_the_run(self, capsys, monkeypatch):
+        """The threads that run the checks side by side end with the call,
+        in verify and in simulate-protocol."""
+        usable_cpus(monkeypatch, 8)
         before = threading.active_count()
-        code, _, _ = run_cli(capsys, "verify", "--trials", "2000")
-        assert code == 0 and threading.active_count() == before
+        for command in ("verify", "simulate-protocol"):
+            code, _, _ = run_cli(capsys, command, "--trials", "2000")
+            assert code == 0 and threading.active_count() == before
 
     def test_broken_bound_fails_the_report(self, capsys, monkeypatch):
         """A deviation half as wide as Hoeffding's is violated too often."""
@@ -481,6 +491,77 @@ class TestVerify:
         assert [(code, out) for code, out, _ in runs] == [
             (proc.returncode, proc.stdout) for proc in fresh]
         assert runs[0][1] != runs[1][1]
+
+
+class TestChecksSideBySide:
+    """verify and simulate-protocol run their checks as jobs on the usable
+    CPUs: the reports, exit codes and errors do not depend on how many."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_reports_pinned_at_any_cpu_count(self, capsys, monkeypatch, cpus):
+        usable_cpus(monkeypatch, cpus)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        code, out, _ = run_cli(capsys, *MC_VERIFY_ARGV)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == MC_VERIFY_SHA256
+        code, out, _ = run_cli(capsys, "simulate-protocol")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_PROTOCOL_SHA256
+        # one thread per job up to the CPU count, the calling thread among
+        # them: verify has 5 jobs, simulate-protocol 3, and one CPU starts none
+        assert len(started) == min(5, cpus) - 1 + min(3, cpus) - 1
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("argv,message", [
+        (("--eps", "1e-4"), "coverage runs need eps >= 1e-3 to be measurable"),
+        (("--trials", "0"), "trials must be >= 1, got 0"),
+    ], ids=["eps", "trials"])
+    def test_rejections_at_any_cpu_count(self, capsys, monkeypatch, cpus, argv, message):
+        usable_cpus(monkeypatch, cpus)
+        assert run_cli(capsys, "verify", *argv) == (EXIT_INVALID, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_job_starts_after_a_failure(self, capsys, monkeypatch, cpus):
+        """Every bound check raises: the first job's error is reported, and
+        neither simulator, whose jobs come after the failures, runs."""
+        usable_cpus(monkeypatch, cpus)
+        called = collections.Counter()
+
+        def failing(bound, **kwargs):
+            called[bound] += 1
+            raise ValueError(f"{bound} failed")
+
+        monkeypatch.setattr(cli, "validate_bound", failing)
+        for name in ("simulate_repudiation", "simulate_forging"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: called.update([name]))
+        code, out, err = run_cli(capsys, "verify", "--trials", "100")
+        assert (code, out, err) == (EXIT_INVALID, "", "error: hoeffding failed\n")
+        # the second CPU may take the shared-draw job before the first fails
+        assert called["hoeffding"] == 1
+        assert set(called) <= {"hoeffding", "serfling_fraction"}
+
+    def test_checks_after_a_failure_on_one_cpu_do_not_run(self, capsys, monkeypatch):
+        """On one CPU the jobs run in order: the bound checks up to the one
+        that raises run, the simulators after it do not."""
+        usable_cpus(monkeypatch, 1)
+        called = []
+        validate_bound = cli.validate_bound
+
+        def failing_at_eq3(bound, **kwargs):
+            called.append(bound)
+            if bound == "eq3_penalty":
+                raise ValueError("eq3_penalty failed")
+            return validate_bound(bound, **kwargs)
+
+        monkeypatch.setattr(cli, "validate_bound", failing_at_eq3)
+        for name in ("simulate_repudiation", "simulate_forging"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: called.append(name))
+        code, out, err = run_cli(capsys, "verify", "--trials", "100")
+        assert (code, out, err) == (EXIT_INVALID, "", "error: eq3_penalty failed\n")
+        assert called == list(mc.BOUND_IDS)
 
 
 class TestSimulateProtocol:

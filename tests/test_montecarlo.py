@@ -1,5 +1,8 @@
 """Messaging-stage simulators and tail-bound coverage tests."""
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -491,3 +494,47 @@ def test_memory_does_not_grow_with_trials(call, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit
+
+
+# ---------------------------------------------------------------------------
+# checks run side by side
+
+
+def test_first_failure_in_job_order_is_reraised(monkeypatch):
+    """The second job fails first in time; the first job's error is the
+    one raised, and the third job, not started by then, never runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    second_failed = threading.Event()
+    ran = []
+
+    def first():
+        ran.append(0)
+        assert second_failed.wait(10)
+        raise ValueError("first")
+
+    def second():
+        ran.append(1)
+        second_failed.set()
+        raise KeyError("second")
+
+    with pytest.raises(ValueError, match="first"):
+        mc.run_jobs([first, second, lambda: ran.append(2)])
+    assert sorted(ran) == [0, 1]
+
+
+def test_every_job_runs_once_in_its_slot(monkeypatch):
+    """More threads than cores, switching as often as the interpreter
+    allows: a job pulled twice, or a result lost, shows."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    ran = []
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = mc.run_jobs([lambda i=i: ran.append(i) or sum(range(i * 100)) + i
+                               for i in range(400)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [sum(range(i * 100)) + i for i in range(400)]
+    assert sorted(ran) == list(range(400))
+    assert threading.active_count() == threads
